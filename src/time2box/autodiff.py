@@ -197,11 +197,14 @@ def sigmoid(a) -> Node:
     return _op("sigmoid", (a,), fwd, vjp)
 
 
+def log_sigmoid_value(x: np.ndarray) -> np.ndarray:
+    """Forward value of log_sigmoid, shared with the tape-free scoring kernel."""
+    softplus_neg_abs = np.log1p(np.exp(-np.abs(x)))
+    return np.where(x < 0, x - softplus_neg_abs, -softplus_neg_abs)
+
+
 def log_sigmoid(a) -> Node:
     a = wrap(a)
-
-    def fwd(x):
-        return np.where(x < 0, x - np.log1p(np.exp(-np.abs(x))), -np.log1p(np.exp(-np.abs(x))))
 
     def vjp(g, x):
         # d/dx log sigmoid(x) = sigmoid(-x)
@@ -211,7 +214,7 @@ def log_sigmoid(a) -> Node:
         s[~pos] = 1.0 / (1.0 + np.exp(x[~pos]))
         return (g * s,)
 
-    return _op("log_sigmoid", (a,), fwd, vjp)
+    return _op("log_sigmoid", (a,), log_sigmoid_value, vjp)
 
 
 def softmax(a, axis: int) -> Node:

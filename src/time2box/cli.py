@@ -287,6 +287,8 @@ def cmd_predict(args) -> int:
 
     if args.interval is not None:
         lo_year, hi_year = args.interval
+        if lo_year > hi_year:
+            raise UsageError(f"--interval start {lo_year} is after its end {hi_year}")
         lo = kb.axis.index_of(lo_year, clamp=True)
         hi = kb.axis.index_of(hi_year, clamp=True)
         print("year\ttop entity\tscore")

@@ -21,14 +21,18 @@ from .model import (
     QueryPlan,
     Variant,
     box_of_query,
+    box_scores,
     intersect_items,
-    score,
     score_entities,
 )
 
 DEFAULT_FILTER_SPLITS = ("train", "valid")
 
 DURATION_BUCKETS = ("du=1", "1<du<=5", "du>5")
+
+
+class NonFiniteScoreError(ValueError):
+    """A gold entity scored NaN or infinity, so its rank would be meaningless."""
 
 
 @dataclass(frozen=True)
@@ -194,18 +198,22 @@ def rank_entity(
     variant=None,
 ) -> int:
     """Filtered rank of the gold entity for a query (s, r, t-or-None);
-    ties with remaining non-gold entities count above the gold."""
+    ties with remaining non-gold entities count above the gold. A
+    non-finite gold score raises NonFiniteScoreError instead of ranking first."""
     variant = variant or Variant()
     s, r, t = query
     scores = _query_scores(s, r, t, params, variant)
+    gold_score = scores[gold]
+    if not np.isfinite(gold_score):
+        raise NonFiniteScoreError(
+            f"non-finite score {gold_score} for gold entity {gold} of query {query}"
+        )
     if t is None:
         known = kb.filter.atemporal_objects(s, r, splits=filter_splits)
     else:
         known = kb.filter.timed_objects(s, r, t, splits=filter_splits)
-    gold_score = scores[gold]
     competing = np.ones(len(scores), dtype=bool)
-    for e in known:
-        competing[e] = False
+    competing[np.fromiter(known, dtype=np.intp, count=len(known))] = False
     competing[gold] = False
     return 1 + int(np.count_nonzero(scores[competing] >= gold_score))
 
@@ -351,7 +359,7 @@ def score_timeline(
         centers.append(ad.add(r_emb, t_emb))
     box = intersect_items(centers, [r_off, t_off], params)
     obj = params.arrays["entity_emb"][o]
-    return score(obj, box, params.gamma, params.alpha).value
+    return box_scores(obj, box.center_value(), box.offset_value(), params.gamma, params.alpha)
 
 
 def greedy_coalesce(scores: np.ndarray, k: int, tau: float = 0.5) -> list[Interval]:

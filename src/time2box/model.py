@@ -316,10 +316,14 @@ class DistanceParts:
     total: "Node | np.ndarray"
 
 
-def distance(point, box: BoxEmbedding, alpha: float) -> DistanceParts:
-    """Two-part L1 distance of a point to a box: total = alpha*inside + outside."""
+def _check_alpha(alpha: float) -> None:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
+
+
+def distance(point, box: BoxEmbedding, alpha: float) -> DistanceParts:
+    """Two-part L1 distance of a point to a box: total = alpha*inside + outside."""
+    _check_alpha(alpha)
     point = ad.wrap(point)
     center, offset = ad.wrap(box.center), ad.wrap(box.offset)
     b_min = ad.sub(center, offset)
@@ -338,6 +342,59 @@ def score(point, box: BoxEmbedding, gamma: float, alpha: float) -> "Node":
     return ad.log_sigmoid(ad.sub(ad.constant(gamma), total))
 
 
+#: float64 elements per scoring work buffer (512 KiB): a row block of
+#: entity_emb and both buffers together stay inside a 2 MiB L2 cache
+SCORE_BLOCK_ELEMENTS = 1 << 16
+
+
+def _box_distance(points, center, b_min, b_max, alpha, clamped, diff) -> np.ndarray:
+    """alpha*inside + outside, computed in the two preallocated buffers.
+
+    With k the point clamped onto the box, inside is sum|c - k| and
+    outside is sum|e - k|. For a nonnegative offset the latter equals
+    sum(relu(e - b_max) + relu(b_min - e)) bit for bit: at most one of the
+    two terms is nonzero, and IEEE subtraction is antisymmetric.
+    """
+    np.maximum(points, b_min, out=clamped)
+    np.minimum(clamped, b_max, out=clamped)
+    np.subtract(center, clamped, out=diff)
+    inside = np.abs(diff, out=diff).sum(axis=-1)
+    np.subtract(points, clamped, out=diff)
+    outside = np.abs(diff, out=diff).sum(axis=-1)
+    return inside * alpha + outside
+
+
+def box_scores(points, center, offset, gamma: float, alpha: float) -> np.ndarray:
+    """Tape-free score(points, BoxEmbedding(center, offset), gamma, alpha).value,
+    bit-identical to it for nonnegative offsets; leading dimensions broadcast."""
+    _check_alpha(alpha)
+    points, center, offset = (np.asarray(a, dtype=np.float64) for a in (points, center, offset))
+    shape = np.broadcast_shapes(points.shape, center.shape, offset.shape)
+    total = _box_distance(
+        points, center, center - offset, center + offset, alpha, np.empty(shape), np.empty(shape)
+    )
+    return ad.log_sigmoid_value(gamma - total)
+
+
 def score_entities(box: BoxEmbedding, params: ParameterStore) -> np.ndarray:
-    """Scores of every entity against a query box (evaluation path)."""
-    return score(params.arrays["entity_emb"], box, params.gamma, params.alpha).value
+    """Scores of every entity against one query box (evaluation path).
+
+    Equal to box_scores over the whole entity table, but walks it in row
+    blocks of SCORE_BLOCK_ELEMENTS so the work buffers are reused in cache.
+    """
+    _check_alpha(params.alpha)
+    emb = params.arrays["entity_emb"]
+    center, offset = box.center_value(), box.offset_value()
+    b_min, b_max = center - offset, center + offset
+    n, d = emb.shape
+    rows = max(1, SCORE_BLOCK_ELEMENTS // d)
+    clamped = np.empty((min(rows, n), d))
+    diff = np.empty_like(clamped)
+    total = np.empty(n)
+    for lo in range(0, n, rows):
+        block = emb[lo : lo + rows]
+        m = len(block)
+        total[lo : lo + m] = _box_distance(
+            block, center, b_min, b_max, params.alpha, clamped[:m], diff[:m]
+        )
+    return ad.log_sigmoid_value(params.gamma - total)

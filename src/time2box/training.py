@@ -395,7 +395,8 @@ def train(
     derives from config.seed via two spawned streams: one for
     initialization, one for batch/negative/timestamp sampling.
     """
-    from .evaluation import eval_link_prediction  # cycle-free: evaluation imports model only
+    # cycle-free: evaluation imports model only
+    from .evaluation import NonFiniteScoreError, eval_link_prediction
 
     init_rng, batch_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(2)
@@ -425,6 +426,10 @@ def train(
             raise TrainingDiverged(f"loss is {loss_val} at step {step}")
         window.append(loss_val)
         grads = ad.densify(ad.backward(tape, loss), params.arrays)
+        # nodes and tape reference each other; breaking the cycle frees the
+        # step's arrays now instead of at the next full garbage collection
+        tape.nodes.clear()
+        del loss, tape
         adam.step(params.arrays, grads)
         params.clamp_offsets()
 
@@ -433,9 +438,13 @@ def train(
         if step == 1 or step % config.eval_every == 0 or step == config.steps:
             mrr = float("nan")
             if has_valid:
-                report = eval_link_prediction(
-                    kb.splits["valid"], params, kb, config.variant, filter_splits=("train", "valid")
-                )
+                valid = kb.splits["valid"]
+                try:
+                    report = eval_link_prediction(
+                        valid, params, kb, config.variant, filter_splits=("train", "valid")
+                    )
+                except NonFiniteScoreError as exc:
+                    raise TrainingDiverged(f"validation at step {step}: {exc}") from exc
                 mrr = report.overall.mrr
                 if mrr > best_mrr:
                     best_mrr, best_params = mrr, params.copy()
@@ -451,7 +460,21 @@ def train(
 def save_checkpoint(params: ParameterStore, path, variant: Variant = Variant()) -> None:
     """Binary checkpoint: magic, little-endian header (d, |E|, |R|, |T|,
     variant code as int32; gamma, alpha as float64), then each parameter
-    block in declared order as float32."""
+    block in declared order as float32.
+
+    Raises CheckpointError, before writing anything, when a block holds a
+    non-finite value or one that overflows float32.
+    """
+    blocks = []
+    for name in PARAM_ORDER:
+        arr = params.arrays[name]
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"cannot save: non-finite values in block {name}")
+        with np.errstate(over="ignore"):
+            blob = arr.astype("<f4")
+        if not np.isfinite(blob).all():
+            raise CheckpointError(f"cannot save: values in block {name} overflow float32")
+        blocks.append(blob.tobytes())
     header = struct.pack(
         "<4s5i2d",
         CHECKPOINT_MAGIC,
@@ -465,8 +488,8 @@ def save_checkpoint(params: ParameterStore, path, variant: Variant = Variant()) 
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        for name in PARAM_ORDER:
-            fh.write(params.arrays[name].astype("<f4").tobytes())
+        for blob in blocks:
+            fh.write(blob)
 
 
 def load_checkpoint(path) -> tuple[ParameterStore, Variant]:
@@ -497,6 +520,8 @@ def load_checkpoint(path) -> tuple[ParameterStore, Variant]:
             if len(blob) < n_bytes:
                 raise CheckpointError(f"truncated checkpoint: block {name} incomplete")
             arrays[name] = np.frombuffer(blob, dtype="<f4").astype(np.float64).reshape(shape)
+            if not np.isfinite(arrays[name]).all():
+                raise CheckpointError(f"non-finite values in checkpoint block {name}")
         if fh.read(1):
             raise CheckpointError("trailing bytes after final parameter block")
     params = ParameterStore(arrays, gamma, alpha)

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from time2box.cli import main
+from time2box.training import load_checkpoint
 
 
 def run(capsys, *argv):
@@ -242,6 +244,37 @@ class TestEval:
         assert code == 1
         assert "mismatch" in err
 
+    def test_nan_checkpoint_fails(self, dataset_dir, run_dir, tmp_path, capsys):
+        blob = bytearray((run_dir / "checkpoint.t2b").read_bytes())
+        blob[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+        bad = tmp_path / "nan.t2b"
+        bad.write_bytes(bytes(blob))
+        code, _, err = run(
+            capsys, "eval-link", "--checkpoint", bad,
+            "--data", dataset_dir, "--out", tmp_path / "x",
+        )
+        assert code == 1
+        assert "non-finite" in err
+
+    def test_nan_model_fails_instead_of_scoring(
+        self, dataset_dir, run_dir, tmp_path, capsys, monkeypatch
+    ):
+        from time2box import cli
+
+        def nan_model(path):
+            params, variant = load_checkpoint(path)
+            for arr in params.arrays.values():
+                arr[:] = np.nan
+            return params, variant
+
+        monkeypatch.setattr(cli, "load_checkpoint", nan_model)
+        code, _, err = run(
+            capsys, "eval-link", "--checkpoint", run_dir / "checkpoint.t2b",
+            "--data", dataset_dir, "--out", tmp_path / "x",
+        )
+        assert code == 1
+        assert "non-finite score" in err
+
     def test_seeded_eval_identical_reports(self, dataset_dir, run_dir, tmp_path, capsys):
         outs = []
         for name in ("r1", "r2"):
@@ -275,6 +308,15 @@ class TestPredict:
         rows = out.splitlines()[1:]
         assert len(rows) == 5
         assert rows[0].startswith("1982\t")
+
+    def test_reversed_interval_is_usage_error(self, dataset_dir, run_dir, capsys):
+        code, out, err = run(
+            capsys, "predict", "--checkpoint", run_dir / "checkpoint.t2b",
+            "--data", dataset_dir, "-s", "e00", "-r", "rel0", "--interval", "1986:1982",
+        )
+        assert code == 2
+        assert out == ""
+        assert "1986" in err and "1982" in err
 
     def test_unknown_label_named_in_error(self, dataset_dir, run_dir, capsys):
         code, _, err = run(

@@ -309,6 +309,16 @@ class TestRanking:
         assert len(res.per_timestamp) == 2
         assert res.averaged == pytest.approx(np.mean(res.per_timestamp))
 
+    def test_nan_model_raises_instead_of_ranking_first(self, ranking_setup):
+        kb, params = ranking_setup
+        nan_params = params.copy()
+        for arr in nan_params.arrays.values():
+            arr[:] = np.nan
+        with pytest.raises(ev.NonFiniteScoreError, match="non-finite score"):
+            rank_entity((0, 0, None), 1, nan_params, kb)
+        with pytest.raises(ev.NonFiniteScoreError, match="non-finite score"):
+            eval_link_prediction(kb.splits["test"], nan_params, kb)
+
 
 class TestLinkPredictionReport:
     def test_all_rank_one(self):

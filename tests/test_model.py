@@ -14,11 +14,13 @@ from time2box.model import (
     ParameterStore,
     QueryPlan,
     box_of_query,
+    box_scores,
     distance,
     intersect,
     project_relation,
     project_time,
     score,
+    score_entities,
 )
 
 
@@ -259,6 +261,77 @@ class TestScore:
             assert s1 > s2
         elif d1 == d2:
             assert s1 == s2
+
+
+def tape_scores(points, center, offset, gamma=24.0, alpha=0.5):
+    return score(points, BoxEmbedding(center, offset), gamma, alpha).value
+
+
+class TestBoxScores:
+    """The tape-free kernel must equal the autodiff score to the last bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_boxes(self, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(300, 16))
+        center, offset = rng.normal(size=16), rng.uniform(0.0, 1.5, size=16)
+        alpha = float(rng.uniform())
+        got = box_scores(points, center, offset, 24.0, alpha)
+        assert np.array_equal(got, tape_scores(points, center, offset, 24.0, alpha))
+
+    def test_zero_offset_dimensions(self):
+        rng = np.random.default_rng(1)
+        points = rng.normal(size=(200, 12))
+        center, offset = rng.normal(size=12), rng.uniform(0.0, 1.0, size=12)
+        offset[::3] = 0.0
+        got = box_scores(points, center, offset, 12.0, 0.5)
+        assert np.array_equal(got, tape_scores(points, center, offset, 12.0, 0.5))
+
+    def test_faces_through_entity_coordinates(self):
+        rng = np.random.default_rng(2)
+        points = rng.normal(size=(64, 8))
+        offset = rng.uniform(0.1, 1.0, size=8)
+        # lower faces on row 3's coordinates, upper faces on row 5's
+        center = points[3] + offset
+        center[4:] = points[5, 4:] - offset[4:]
+        assert np.any(center - offset == points[3]) and np.any(center + offset == points[5])
+        got = box_scores(points, center, offset, 24.0, 0.3)
+        assert np.array_equal(got, tape_scores(points, center, offset, 24.0, 0.3))
+
+    def test_points_at_center(self):
+        rng = np.random.default_rng(3)
+        center, offset = rng.normal(size=6), rng.uniform(0.0, 1.0, size=6)
+        points = np.vstack([center, center, rng.normal(size=6)])
+        got = box_scores(points, center, offset, 24.0, 0.5)
+        assert np.array_equal(got, tape_scores(points, center, offset, 24.0, 0.5))
+
+    def test_broadcast_boxes_against_one_point(self):
+        rng = np.random.default_rng(4)
+        point = rng.normal(size=10)
+        centers, offsets = rng.normal(size=(40, 10)), rng.uniform(0.0, 1.0, size=(40, 10))
+        got = box_scores(point, centers, offsets, 24.0, 0.5)
+        assert got.shape == (40,)
+        assert np.array_equal(got, tape_scores(point, centers, offsets, 24.0, 0.5))
+
+    def test_rejects_alpha_outside_unit_interval(self):
+        with pytest.raises(ValueError, match="alpha"):
+            box_scores(np.zeros(2), np.zeros(2), np.ones(2), 24.0, 1.5)
+
+
+class TestScoreEntities:
+    """Row-blocked scoring over the entity table equals one unblocked pass."""
+
+    ROWS = m.SCORE_BLOCK_ELEMENTS // 64
+
+    @pytest.mark.parametrize("n_entities", [1, 5, ROWS, 2 * ROWS + 37])
+    def test_block_edges(self, n_entities):
+        ps = ParameterStore.initialize(64, n_entities, 3, 4, rng=np.random.default_rng(n_entities))
+        for plan in (QueryPlan(0, 1), QueryPlan(0, 2, (3,)), QueryPlan(0, 0, (1, 2), use_tr=True)):
+            box = box_of_query(plan, ps)
+            expected = score(ps.arrays["entity_emb"], box, ps.gamma, ps.alpha).value
+            got = score_entities(box, ps)
+            assert got.shape == (n_entities,)
+            assert np.array_equal(got, expected)
 
 
 class TestParameterCount:

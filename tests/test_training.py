@@ -398,6 +398,29 @@ class TestTrain:
         for name in p1.arrays:
             np.testing.assert_array_equal(p1.arrays[name], p2.arrays[name])
 
+    def test_step_tapes_freed_without_garbage_collection(self, overfit_kb, monkeypatch):
+        import gc
+        import weakref
+
+        from time2box import training as tr
+
+        tapes = []
+
+        def recording_batch_loss(*args, **kwargs):
+            loss, tape = batch_loss(*args, **kwargs)
+            tapes.append(weakref.ref(tape))
+            return loss, tape
+
+        monkeypatch.setattr(tr, "batch_loss", recording_batch_loss)
+        cfg = TrainConfig(d=8, k=3, lr=0.01, batch=8, steps=5, seed=2, eval_every=5)
+        gc.disable()
+        try:
+            train(overfit_kb, cfg)
+            alive = sum(ref() is not None for ref in tapes)
+        finally:
+            gc.enable()
+        assert len(tapes) == 5 and alive == 0
+
     def test_offsets_nonnegative_after_training(self, overfit_kb):
         cfg = TrainConfig(d=8, k=3, lr=0.05, batch=8, steps=80, seed=1, eval_every=80)
         params, _ = train(overfit_kb, cfg)
@@ -451,6 +474,25 @@ class TestCheckpoint:
         save_checkpoint(ps, path)
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value, reason", [(np.nan, "non-finite"), (1e39, "overflow float32")])
+    def test_save_rejects_unrepresentable_values(self, tmp_path, value, reason):
+        ps = ParameterStore.initialize(4, 3, 2, 2)
+        ps.arrays["time_emb"][1, 2] = value
+        path = tmp_path / "bad.t2b"
+        with pytest.raises(CheckpointError, match=f"{reason}.*time_emb|time_emb.*{reason}"):
+            save_checkpoint(ps, path)
+        assert not path.exists()
+
+    def test_load_rejects_non_finite_block(self, tmp_path):
+        ps = ParameterStore.initialize(4, 3, 2, 2)
+        path = tmp_path / "nan.t2b"
+        save_checkpoint(ps, path)
+        blob = bytearray(path.read_bytes())
+        blob[-4:] = np.array([np.nan], dtype="<f4").tobytes()  # last w_ds_out entry
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="non-finite.*w_ds_out"):
             load_checkpoint(path)
 
     def test_dimension_mismatch_vs_kb(self, tmp_path, overfit_kb):
