@@ -130,34 +130,43 @@ class Vocab:
 
 
 class FilterIndex:
-    """True-answer sets per split: (s, r) -> {o} and (s, r, t) -> {o}.
+    """True answers per split as validity rows: (s, r) -> [(o, lo, hi), ...].
 
-    Timed entries cover every timestamp in the discretization of each
-    temporally scoped statement; atemporal entries cover every statement.
+    One row per statement. A no-time statement has lo = hi = None; a
+    temporal one covers the axis indices lo..hi of its discretization (the
+    known endpoint for half-open scopes, every year for closed ones).
+    Atemporal lookups see every row, timed lookups stab the intervals.
     """
 
     def __init__(self):
-        self.atemporal: dict[str, dict[tuple[int, int], set[int]]] = {sp: {} for sp in SPLITS}
-        self.timed: dict[str, dict[tuple[int, int, int], set[int]]] = {sp: {} for sp in SPLITS}
+        self.rows: dict[str, dict[tuple[int, int], list[tuple[int, int | None, int | None]]]] = {
+            sp: {} for sp in SPLITS
+        }
 
     def add(self, split: str, stmt: Statement, axis: TimeAxis) -> None:
-        self.atemporal[split].setdefault((stmt.s, stmt.r), set()).add(stmt.o)
+        lo = hi = None
         if stmt.scope.is_temporal:
-            timed = self.timed[split]
-            for t in discretize(stmt.scope, axis):
-                timed.setdefault((stmt.s, stmt.r, t), set()).add(stmt.o)
+            lo, hi = scope_span(stmt.scope, axis)
+        self.rows[split].setdefault((stmt.s, stmt.r), []).append((stmt.o, lo, hi))
 
     def atemporal_objects(self, s: int, r: int, splits=SPLITS) -> set[int]:
-        out: set[int] = set()
-        for sp in splits:
-            out |= self.atemporal[sp].get((s, r), set())
-        return out
+        return {o for sp in splits for o, _, _ in self.rows[sp].get((s, r), ())}
 
     def timed_objects(self, s: int, r: int, t: int, splits=SPLITS) -> set[int]:
         out: set[int] = set()
         for sp in splits:
-            out |= self.timed[sp].get((s, r, t), set())
+            for o, lo, hi in self.rows[sp].get((s, r), ()):
+                if lo is not None and lo <= t <= hi:
+                    out.add(o)
         return out
+
+    def false_times(self, s: int, r: int, o: int, n_times: int, split: str) -> np.ndarray:
+        """Boolean axis mask: True at t where (s, r, o, t) is not in `split`."""
+        mask = np.ones(n_times, dtype=bool)
+        for o2, lo, hi in self.rows[split].get((s, r), ()):
+            if o2 == o and lo is not None:
+                mask[lo : hi + 1] = False
+        return mask
 
 
 @dataclass
@@ -272,22 +281,29 @@ def scope_to_axis(scope: TimeScope, axis: TimeAxis) -> TimeScope:
     return TimeScope(scope.kind, conv(scope.start), conv(scope.end))
 
 
-def discretize(scope: TimeScope, axis: TimeAxis | None = None) -> list[int]:
-    """Timestamps a temporal scope contributes: the known endpoint for
-    half-open intervals, every year for closed ones."""
+def scope_span(scope: TimeScope, axis: TimeAxis | None = None) -> tuple[int, int]:
+    """First and last timestamp of a temporal scope's discretization: the
+    known endpoint for half-open intervals, start..end otherwise."""
     if scope.kind is ScopeKind.NO_TIME:
         raise ValueError("cannot discretize a statement without a temporal scope")
     if scope.kind is ScopeKind.RIGHT_OPEN:
-        ts = [scope.start]
+        lo = hi = scope.start
     elif scope.kind is ScopeKind.LEFT_OPEN:
-        ts = [scope.end]
+        lo = hi = scope.end
     else:
-        ts = list(range(scope.start, scope.end + 1))
-    if axis is not None:
-        for t in ts:
-            if not 0 <= t < axis.length:
-                raise DatasetError(f"time index {t} off axis of length {axis.length}")
-    return ts
+        lo, hi = scope.start, scope.end
+    if axis is not None and not (0 <= lo and hi < axis.length):
+        # the first timestamp of lo..hi that falls off the axis
+        bad = lo if not 0 <= lo < axis.length else axis.length
+        raise DatasetError(f"time index {bad} off axis of length {axis.length}")
+    return lo, hi
+
+
+def discretize(scope: TimeScope, axis: TimeAxis | None = None) -> list[int]:
+    """Timestamps a temporal scope contributes: the known endpoint for
+    half-open intervals, every year for closed ones."""
+    lo, hi = scope_span(scope, axis)
+    return list(range(lo, hi + 1))
 
 
 def _read_split(path, entities: Vocab, relations: Vocab, missing: str) -> list[Statement]:

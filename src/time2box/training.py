@@ -145,7 +145,10 @@ def sample_entity_negatives(
                     break
         budget -= draw
     if len(chosen) < k:
-        allowed = np.array(sorted(set(range(n)) - positives - chosen_set))
+        mask = np.ones(n, dtype=bool)
+        mask[np.fromiter(positives, dtype=np.intp, count=len(positives))] = False
+        mask[np.asarray(chosen, dtype=np.intp)] = False
+        allowed = np.flatnonzero(mask)
         picks = rng.permutation(len(allowed))[: k - len(chosen)]
         chosen.extend(int(allowed[i]) for i in picks)
     return chosen
@@ -172,25 +175,19 @@ def sample_time_negatives(
     if m < 1:
         raise ValueError("m must be at least 1")
     scope = stmt.scope
-    n_times = kb.axis.length
+    allowed = kb.filter.false_times(stmt.s, stmt.r, stmt.o, kb.axis.length, "train")
     if scope.kind is ScopeKind.RIGHT_OPEN:
-        span = range(0, scope.start)
+        allowed[scope.start :] = False
     elif scope.kind is ScopeKind.LEFT_OPEN:
-        span = range(scope.end + 1, n_times)
+        allowed[: scope.end + 1] = False
     elif scope.kind is ScopeKind.CLOSED:
-        span = [*range(0, scope.start), *range(scope.end + 1, n_times)]
-    else:
-        span = range(n_times)
-    candidates = [
-        t
-        for t in span
-        if stmt.o not in kb.filter.timed_objects(stmt.s, stmt.r, t, splits=("train",))
-    ]
-    if not candidates:
+        allowed[scope.start : scope.end + 1] = False
+    candidates = np.flatnonzero(allowed)
+    if not len(candidates):
         return []
     take = min(m, len(candidates))
     picks = rng.choice(len(candidates), size=take, replace=False)
-    return [candidates[int(i)] for i in np.sort(picks)]
+    return candidates[np.sort(picks)].tolist()
 
 
 def query_weight(stmt: Statement, plan: QueryPlan, kb: TemporalKB) -> float:

@@ -1,22 +1,29 @@
+import itertools
+import tracemalloc
+
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from time2box import data
 from time2box.data import (
     DatasetError,
     ScopeKind,
+    Statement,
     SynthConfig,
     TimeAxis,
     TimeScope,
     Vocab,
     add_inverse_relations,
+    build_kb,
     discretize,
     format_statement,
     generate_synthetic,
     load_dataset,
     parse_statement,
 )
+from time2box.training import sample_time_negatives
 
 
 def parse_line(line):
@@ -302,3 +309,185 @@ def test_eval_only_vocabulary_is_logged(tmp_path, caplog):
         kb = load_dataset(tmp_path / "train.txt", tmp_path / "valid.txt", tmp_path / "test.txt")
     assert kb.n_entities == 3
     assert any("only outside the training split" in r.message for r in caplog.records)
+
+
+def axis_kb(train, valid=(), test=(), n_entities=4, n_relations=2, length=10):
+    """KB from axis-indexed statements on a fixed axis."""
+    ents, rels = Vocab(), Vocab()
+    for i in range(n_entities):
+        ents.add(f"e{i}")
+    for j in range(n_relations):
+        rels.add(f"r{j}")
+    splits = {"train": list(train), "valid": list(valid), "test": list(test)}
+    return build_kb(splits, ents, rels, TimeAxis(0, length), scopes_in_years=False)
+
+
+class TestOffAxisRejection:
+    @pytest.mark.parametrize(
+        "scope,bad",
+        [
+            (TimeScope.closed(5, 12), 10),
+            (TimeScope.closed(-2, 3), -2),
+            (TimeScope.closed(10, 11), 10),
+            (TimeScope.right_open(10), 10),
+            (TimeScope.right_open(-1), -1),
+            (TimeScope.left_open(-1), -1),
+            (TimeScope.left_open(10), 10),
+            (TimeScope.instant(10), 10),
+        ],
+    )
+    def test_build_kb_rejects_index_off_axis(self, scope, bad):
+        with pytest.raises(DatasetError, match=f"time index {bad} off axis of length 10"):
+            axis_kb([Statement(0, 0, 1, scope)])
+
+    @pytest.mark.parametrize("split", data.SPLITS)
+    def test_rejected_in_every_split(self, split):
+        stmts = {"train": [Statement(0, 0, 1, TimeScope.closed(0, 9))], "valid": [], "test": []}
+        stmts[split] = stmts[split] + [Statement(0, 0, 2, TimeScope.left_open(10))]
+        with pytest.raises(DatasetError, match="off axis"):
+            axis_kb(stmts["train"], stmts["valid"], stmts["test"])
+
+    def test_axis_endpoints_accepted(self):
+        kb = axis_kb(
+            [Statement(0, 0, 1, TimeScope.closed(0, 9)), Statement(0, 0, 2, TimeScope.left_open(9))]
+        )
+        assert kb.filter.timed_objects(0, 0, 9) == {1, 2}
+        assert kb.filter.timed_objects(0, 0, 0) == {1}
+
+
+N_E, N_R = 4, 2
+
+
+@st.composite
+def axis_scopes(draw, length):
+    kind = draw(st.sampled_from(list(ScopeKind)))
+    t = st.integers(0, length - 1)
+    if kind is ScopeKind.NO_TIME:
+        return TimeScope.no_time()
+    if kind is ScopeKind.INSTANT:
+        return TimeScope.instant(draw(t))
+    if kind is ScopeKind.RIGHT_OPEN:
+        return TimeScope.right_open(draw(t))
+    if kind is ScopeKind.LEFT_OPEN:
+        return TimeScope.left_open(draw(t))
+    a, b = sorted(draw(st.tuples(t, t)))
+    return TimeScope.closed(a, b)
+
+
+@st.composite
+def random_kbs(draw):
+    """Small axis-indexed KBs over 4 entities and 2 relations; the tiny
+    vocabulary makes duplicate statements and shared (s, r) keys common."""
+    length = draw(st.integers(1, 8))
+    stmt = st.builds(
+        Statement,
+        st.integers(0, N_E - 1),
+        st.integers(0, N_R - 1),
+        st.integers(0, N_E - 1),
+        axis_scopes(length),
+    )
+    splits = {sp: draw(st.lists(stmt, max_size=10)) for sp in data.SPLITS}
+    if draw(st.booleans()) and splits["train"]:
+        splits["train"].append(draw(st.sampled_from(splits["train"])))
+    return axis_kb(splits["train"], splits["valid"], splits["test"], N_E, N_R, length)
+
+
+def brute_force_filter(split_statements, axis):
+    """(split, s, r) -> {o} and (split, s, r, t) -> {o}, from discretize."""
+    atemporal, timed = {}, {}
+    for sp, stmts in split_statements.items():
+        for stmt in stmts:
+            atemporal.setdefault((sp, stmt.s, stmt.r), set()).add(stmt.o)
+            if stmt.scope.is_temporal:
+                for t in discretize(stmt.scope, axis):
+                    timed.setdefault((sp, stmt.s, stmt.r, t), set()).add(stmt.o)
+    return atemporal, timed
+
+
+def per_year_time_negatives(stmt, m, timed, n_times, rng):
+    """Reference sampler: scan the scope's candidate span one year at a time."""
+    scope = stmt.scope
+    if scope.kind is ScopeKind.RIGHT_OPEN:
+        span = range(0, scope.start)
+    elif scope.kind is ScopeKind.LEFT_OPEN:
+        span = range(scope.end + 1, n_times)
+    elif scope.kind is ScopeKind.CLOSED:
+        span = [*range(0, scope.start), *range(scope.end + 1, n_times)]
+    else:
+        span = range(n_times)
+    candidates = [
+        t for t in span if stmt.o not in timed.get(("train", stmt.s, stmt.r, t), set())
+    ]
+    if not candidates:
+        return []
+    take = min(m, len(candidates))
+    picks = rng.choice(len(candidates), size=take, replace=False)
+    return [candidates[int(i)] for i in np.sort(picks)]
+
+
+def with_mirrors(kb):
+    n_base = kb.n_base_relations
+    return {
+        sp: [
+            x
+            for stmt in kb.splits[sp]
+            for x in (stmt, Statement(stmt.o, stmt.r + n_base, stmt.s, stmt.scope))
+        ]
+        for sp in data.SPLITS
+    }
+
+
+SPLIT_SUBSETS = [c for n in range(4) for c in itertools.combinations(data.SPLITS, n)]
+
+
+class TestFilterIndexProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(random_kbs())
+    def test_index_equals_brute_force(self, kb):
+        aug = add_inverse_relations(kb)
+        for built, statements in ((kb, kb.splits), (aug, with_mirrors(kb))):
+            atemporal, timed = brute_force_filter(statements, built.axis)
+            for s, r in itertools.product(range(N_E), range(built.n_relations)):
+                for splits in SPLIT_SUBSETS:
+                    want = set().union(*(atemporal.get((sp, s, r), set()) for sp in splits))
+                    assert built.filter.atemporal_objects(s, r, splits=splits) == want
+                    for t in range(-1, built.axis.length + 1):
+                        want = set().union(*(timed.get((sp, s, r, t), set()) for sp in splits))
+                        assert built.filter.timed_objects(s, r, t, splits=splits) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_kbs(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_time_negatives_equal_per_year_scan(self, kb, m, seed):
+        aug = add_inverse_relations(kb)
+        for built, statements in ((kb, kb.splits), (aug, with_mirrors(kb))):
+            _, timed = brute_force_filter(statements, built.axis)
+            for stmt in (x for sp in data.SPLITS for x in statements[sp]):
+                if not stmt.scope.is_temporal:
+                    continue
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = sample_time_negatives(stmt, m, built, rng)
+                want = per_year_time_negatives(stmt, m, timed, built.axis.length, ref_rng)
+                assert got == want
+                assert all(type(t) is int for t in got)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_filter_memory_grows_with_statements_not_years():
+    # 500 statements, each closed over ~1,000 years of a 1,000-year axis:
+    # a per-year index would hold ~10^6 keys after adding inverses
+    length, n = 1000, 500
+    rng = np.random.default_rng(0)
+    train = [
+        Statement(i, 0, n + i % 50, TimeScope.closed(int(a), int(length - 1 - b)))
+        for i, (a, b) in enumerate(rng.integers(0, 5, size=(n, 2)))
+    ]
+    tracemalloc.start()
+    try:
+        kb = axis_kb(train, n_entities=n + 50, n_relations=1, length=length)
+        aug = add_inverse_relations(kb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(aug.splits["train"]) == 2 * n
+    assert aug.filter.timed_objects(n, 1, 500) == set(range(0, n, 50))
+    assert peak < 4 * 2**20, f"filter build peaked at {peak / 2**20:.1f} MiB"

@@ -143,6 +143,54 @@ class TestEntityNegatives:
             assert kb.entities.id_of("c") not in negs
 
 
+def old_entity_negatives(positives, k, n, rng):
+    """The sampler with its former fallback expression; also reports
+    whether the fallback ran."""
+    chosen, chosen_set = [], set()
+    budget = 100 * k
+    while len(chosen) < k and budget > 0:
+        draw = min(budget, 2 * k)
+        for cand in rng.integers(0, n, size=draw):
+            cand = int(cand)
+            if cand not in positives and cand not in chosen_set:
+                chosen.append(cand)
+                chosen_set.add(cand)
+                if len(chosen) == k:
+                    break
+        budget -= draw
+    fell_back = len(chosen) < k
+    if fell_back:
+        allowed = np.array(sorted(set(range(n)) - positives - chosen_set))
+        picks = rng.permutation(len(allowed))[: k - len(chosen)]
+        chosen.extend(int(allowed[i]) for i in picks)
+    return chosen, fell_back
+
+
+class TestEntityNegativeFallback:
+    # (a, r) has 396 atemporal answers among 400 entities: 4 candidates
+    # remain, too rare for 100*k rejection draws to collect k of them
+    @pytest.fixture(scope="class")
+    def crowded_kb(self):
+        return kb_from_lines(
+            [f"a\tr\to{i}\t-\t-" for i in range(396)] + ["x\tq\ty\t0\t1"], n_entities=400
+        )
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [1, 6, 8])
+    def test_fallback_matches_former_expression(self, crowded_kb, k, seed):
+        kb = crowded_kb
+        stmt = kb.splits["train"][0]
+        positives = kb.filter.atemporal_objects(stmt.s, stmt.r, splits=("train",))
+        assert len(positives) == 396
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_entity_negatives(stmt, k, kb, rng, timestamps=())
+        want, fell_back = old_entity_negatives(positives, k, kb.n_entities, ref_rng)
+        assert fell_back
+        assert got == want
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert len(set(got)) == k and not set(got) & positives
+
+
 class TestTimeNegatives:
     def make_kb(self):
         # axis years 0..9; (a, r, b) holds on [3, 6]
