@@ -1,0 +1,65 @@
+#!/usr/bin/env python3
+"""Print SHA-256 digests of training and evaluation outputs, one line per variant.
+
+Trains the seed-fixed determinism dataset (20 entities, 3 relations plus
+inverses, 12 years) with its TrainConfig (d=8, k=4, lr=0.01, batch 32,
+50 steps, seed 13) for six variants, and for each prints the SHA-256 of
+the checkpoint, of the train.log lines, and of the link and time report
+texts on the test split. Run it on two commits and diff the output to
+check that a change leaves checkpoints, logs and reports byte-identical:
+
+    PYTHONPATH=src python scripts/determinism_digest.py > digest.txt
+"""
+
+import hashlib
+import os
+import tempfile
+
+from time2box.data import SynthConfig, add_inverse_relations, generate_synthetic
+from time2box.evaluation import eval_link_prediction, eval_time_prediction
+from time2box.model import Variant
+from time2box.training import TrainConfig, save_checkpoint, train
+
+SYNTH = SynthConfig(seed=5, n_entities=20, n_relations=3, axis_length=12, n_rules=25)
+VARIANTS = ("te", "te,tns", "dm,tr,si,tns", "te,si,tns", "te,tr", "dm,tr,si")
+
+
+def sha256(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()
+
+
+def digest_line(kb, spec: str, work_dir: str) -> str:
+    cfg = TrainConfig(
+        d=8, k=4, lr=0.01, batch=32, steps=50, seed=13, eval_every=25,
+        variant=Variant.parse(spec),
+    )
+    log_lines = []
+    params, _ = train(kb, cfg, progress=lambda entry: log_lines.append(entry.format() + "\n"))
+    path = os.path.join(work_dir, "checkpoint.t2b")
+    save_checkpoint(params, path, cfg.variant)
+    with open(path, "rb") as fh:
+        checkpoint = fh.read()
+    test = kb.splits["test"]
+    link_report = eval_link_prediction(test, params, kb, cfg.variant)
+    # as `time2box eval-time`: each original statement once, forward direction
+    forward = [s for s in test if s.r < kb.n_base_relations]
+    time_report = eval_time_prediction(forward, params, kb, cfg.variant)
+    fields = [
+        f"checkpoint={sha256(checkpoint)}",
+        f"train.log={sha256(''.join(log_lines).encode())}",
+        f"link={sha256(link_report.to_text().encode())}",
+        f"time={sha256(time_report.to_text().encode())}",
+    ]
+    return f"{spec:<13} " + " ".join(fields)
+
+
+def main():
+    kb, _ = generate_synthetic(SYNTH)
+    kb = add_inverse_relations(kb)
+    with tempfile.TemporaryDirectory() as work_dir:
+        for spec in VARIANTS:
+            print(digest_line(kb, spec, work_dir), flush=True)
+
+
+if __name__ == "__main__":
+    main()

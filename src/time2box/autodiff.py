@@ -24,15 +24,14 @@ GradientMap = dict[Slot, np.ndarray]
 class Node:
     """One value in the computation graph."""
 
-    __slots__ = ("value", "op", "parents", "tape", "_vjp", "_fwd", "_leaf")
+    __slots__ = ("value", "op", "parents", "tape", "_vjp", "_leaf")
 
-    def __init__(self, value, op, parents=(), tape=None, vjp=None, fwd=None, leaf=None):
+    def __init__(self, value, op, parents=(), tape=None, vjp=None, leaf=None):
         self.value = value
         self.op = op
         self.parents = parents
         self.tape = tape
         self._vjp = vjp
-        self._fwd = fwd
         self._leaf = leaf  # ("rows", name, table, indices) | ("full", name, table)
         if tape is not None:
             tape.nodes.append(self)
@@ -65,19 +64,6 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Node] = []
-
-    def replay(self) -> np.ndarray:
-        """Recompute every node from its parents in recording order and
-        return the root value; bit-identical when parameters are unchanged."""
-        values: dict[int, np.ndarray] = {}
-        for node in self.nodes:
-            if node._fwd is None:
-                values[id(node)] = node.value
-            else:
-                values[id(node)] = node._fwd(
-                    *(values.get(id(p), p.value) for p in node.parents)
-                )
-        return values[id(self.nodes[-1])] if self.nodes else None
 
 
 def _as_array(x) -> np.ndarray:
@@ -123,7 +109,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 def _op(op, parents, fwd, vjp) -> Node:
     parents = tuple(parents)
     value = fwd(*(p.value for p in parents))
-    return Node(value, op, parents, _tape_of(*parents), vjp, fwd)
+    return Node(value, op, parents, _tape_of(*parents), vjp)
 
 
 def add(a, b) -> Node:
@@ -294,27 +280,18 @@ def reduce_mean(a, axis: int) -> Node:
 
 
 def stack(nodes, axis: int) -> Node:
+    """Stack along a new axis after broadcasting the inputs to one shape."""
     nodes = [wrap(n) for n in nodes]
 
     def vjp(g, *xs):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(xs)))
+        return tuple(_unbroadcast(np.take(g, i, axis=axis), x.shape) for i, x in enumerate(xs))
 
-    return _op("stack", nodes, lambda *xs: np.stack(xs, axis=axis), vjp)
+    return _op("stack", nodes, lambda *xs: np.stack(np.broadcast_arrays(*xs), axis=axis), vjp)
 
 
 def reshape(a, shape) -> Node:
     a = wrap(a)
     return _op("reshape", (a,), lambda x: x.reshape(shape), lambda g, x: (g.reshape(x.shape),))
-
-
-def broadcast_to(a, shape) -> Node:
-    a = wrap(a)
-    return _op(
-        "broadcast",
-        (a,),
-        lambda x: np.broadcast_to(x, shape).copy(),
-        lambda g, x: (_unbroadcast(g, x.shape),),
-    )
 
 
 def backward(tape: Tape, root: Node | None = None) -> GradientMap:

@@ -32,7 +32,7 @@ from .evaluation import (
     gaeiou,
     giou,
 )
-from .model import QueryPlan, Variant, box_of_query, score_entities
+from .model import Variant, query_box, score_entities
 from .training import (
     CheckpointError,
     TrainConfig,
@@ -293,15 +293,13 @@ def cmd_predict(args) -> int:
         hi = kb.axis.index_of(hi_year, clamp=True)
         print("year\ttop entity\tscore")
         for t in range(lo, hi + 1):
-            plan = QueryPlan(s, r, (t,), variant.projector_kind, variant.use_tr)
-            scores = score_entities(box_of_query(plan, params), params)
+            scores = score_entities(query_box(params, variant, s, r, (t,)), params)
             best = int(np.argmax(scores))
             print(f"{kb.axis.year_of(t)}\t{kb.entities.labels[best]}\t{scores[best]:.4f}")
         return 0
 
     t = None if args.time is None else kb.axis.index_of(args.time, clamp=True)
-    plan = QueryPlan(s, r, () if t is None else (t,), variant.projector_kind, variant.use_tr)
-    scores = score_entities(box_of_query(plan, params), params)
+    scores = score_entities(query_box(params, variant, s, r, () if t is None else (t,)), params)
     order = np.argsort(-scores, kind="stable")[: args.topk]
     print("rank\tentity\tscore")
     for i, e in enumerate(order, start=1):

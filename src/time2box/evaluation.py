@@ -13,18 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .data import ScopeKind, Statement, TemporalKB
-from .model import (
-    PROJECTOR_TE,
-    ParameterStore,
-    QueryPlan,
-    Variant,
-    box_of_query,
-    box_scores,
-    intersect_items,
-    score_entities,
-)
+from .model import ParameterStore, Variant, box_scores, query_box, score_entities
 
 DEFAULT_FILTER_SPLITS = ("train", "valid")
 
@@ -176,19 +166,6 @@ def property_p_check(
 # link prediction
 
 
-def _query_scores(
-    s: int, r: int, t: int | None, params: ParameterStore, variant
-) -> np.ndarray:
-    plan = QueryPlan(
-        s,
-        r,
-        () if t is None else (t,),
-        projector_kind=variant.projector_kind,
-        use_tr=variant.use_tr,
-    )
-    return score_entities(box_of_query(plan, params), params)
-
-
 def rank_entity(
     query: tuple[int, int, int | None],
     gold: int,
@@ -202,7 +179,8 @@ def rank_entity(
     non-finite gold score raises NonFiniteScoreError instead of ranking first."""
     variant = variant or Variant()
     s, r, t = query
-    scores = _query_scores(s, r, t, params, variant)
+    box = query_box(params, variant, s, r, () if t is None else (t,))
+    scores = score_entities(box, params)
     gold_score = scores[gold]
     if not np.isfinite(gold_score):
         raise NonFiniteScoreError(
@@ -343,21 +321,8 @@ def score_timeline(
 ) -> np.ndarray:
     """Score of the fixed object o against the instant query box of
     (s, r, t) for every timestamp t on the axis."""
-    variant = variant or Variant()
-    n_times, d = kb.axis.length, params.d
-    all_t = np.arange(n_times)
-    e = params.rows(None, "entity_emb", np.full(n_times, s))
-    r_emb = params.rows(None, "relation_emb", np.full(n_times, r))
-    r_off = params.rows(None, "relation_off", np.full(n_times, r))
-    t_emb = params.rows(None, "time_emb", all_t)
-    t_off = params.rows(None, "time_off", all_t)
-    if variant.projector_kind == PROJECTOR_TE:
-        centers = [ad.add(e, r_emb), ad.add(e, t_emb)]
-    else:
-        centers = [ad.mul(e, r_emb), ad.mul(e, t_emb)]
-    if variant.use_tr:
-        centers.append(ad.add(r_emb, t_emb))
-    box = intersect_items(centers, [r_off, t_off], params)
+    times = np.arange(kb.axis.length)[:, None]
+    box = query_box(params, variant or Variant(), s, r, times)
     obj = params.arrays["entity_emb"][o]
     return box_scores(obj, box.center_value(), box.offset_value(), params.gamma, params.alpha)
 
@@ -369,12 +334,16 @@ def greedy_coalesce(scores: np.ndarray, k: int, tau: float = 0.5) -> list[Interv
     the unconsumed argmax (earliest on ties) and repeatedly extends toward
     the unconsumed neighbor with the larger probability, left on ties,
     while that probability is at least tau times the seed's; the interval
-    is then emitted and its timestamps consumed.
+    is then emitted and its timestamps consumed. A non-finite score raises
+    NonFiniteScoreError instead of coalescing into plausible intervals.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if len(bad):
+        raise NonFiniteScoreError(f"non-finite score {scores[bad[0]]} at timestamp {bad[0]}")
     z = scores - np.max(scores)
     p = np.exp(z)
     p /= p.sum()

@@ -6,8 +6,12 @@ time boxes (all objects co-occurring with s at a timestamp), and taking
 an attention/DeepSets intersection. Candidate objects are ranked by a
 two-part point-to-box distance.
 
-All forward functions work on single queries or batches (leading
-dimensions broadcast) and record on an autodiff tape when one is given.
+`query_box` is the only place query boxes are built: training's positive
+and time-negative boxes, evaluation's link queries and timelines,
+`predict` and the test oracle all call it (the oracle through the
+single-query adapter `box_of_query`). All forward functions work on
+single queries or batches (leading dimensions broadcast) and record on
+an autodiff tape when one is given.
 """
 
 from __future__ import annotations
@@ -210,30 +214,6 @@ def _project(subject_emb: Node, projector_emb: Node, kind: str) -> Node:
     raise ValueError(f"unknown projector kind {kind!r}")
 
 
-def project_relation(
-    subject, relation, params: ParameterStore, kind: str = PROJECTOR_TE, tape: Tape | None = None
-) -> BoxEmbedding:
-    """Box of objects satisfying (s, r, ?o): center from the projected
-    subject embedding, offset from the relation's offset vector.
-
-    Offset nonnegativity is a store invariant (offsets are clamped at 0
-    after every optimizer step); the lookup itself stays an identity so a
-    zeroed offset dimension keeps receiving gradient and can regrow.
-    """
-    e = params.rows(tape, "entity_emb", subject)
-    r = params.rows(tape, "relation_emb", relation)
-    return BoxEmbedding(_project(e, r, kind), params.rows(tape, "relation_off", relation))
-
-
-def project_time(
-    subject, t, params: ParameterStore, kind: str = PROJECTOR_TE, tape: Tape | None = None
-) -> BoxEmbedding:
-    """Box of objects co-occurring with s at timestamp t."""
-    e = params.rows(tape, "entity_emb", subject)
-    tm = params.rows(tape, "time_emb", t)
-    return BoxEmbedding(_project(e, tm, kind), params.rows(tape, "time_off", t))
-
-
 def intersect_items(
     center_items: list[Node],
     offset_items: list[Node],
@@ -279,31 +259,48 @@ def intersect(
     return intersect_items(center_items, offset_items, params, tape)
 
 
-def box_of_query(plan: QueryPlan, params: ParameterStore, tape: Tape | None = None) -> BoxEmbedding:
-    """Build the answer box for a query plan.
+def query_box(
+    params: ParameterStore, variant: Variant, s, r, times, tape: Tape | None = None
+) -> BoxEmbedding:
+    """Answer boxes of the queries (s, r, ?o, times); the one place query
+    boxes are built, for training, evaluation and predict alike.
 
-    No time projection: the relation box itself (no intersection pass).
-    One or two projections: intersect the relation box with the time
-    box(es); under the TR variant each timestamp also contributes the
-    point r + t to the center attention.
+    s, r and times[..., j] are index arrays whose shapes broadcast to the
+    leading shape L of the result; times has k in {0, 1, 2} columns on its
+    last axis. With k = 0 the result is the relation box itself. Otherwise
+    the relation box is intersected with one time box per timestamp, and
+    under the TR variant each timestamp also adds the point r + t to the
+    center attention: items [rel, t1, tr1, t2, tr2].
+
+    Offset nonnegativity is a store invariant (offsets are clamped at 0
+    after every optimizer step); the lookups themselves stay identities so
+    a zeroed offset dimension keeps receiving gradient and can regrow.
     """
-    b_r = project_relation(plan.subject, plan.relation, params, plan.projector_kind, tape)
-    if not plan.time_projections:
-        return b_r
-    boxes = [b_r] + [
-        project_time(plan.subject, t, params, plan.projector_kind, tape)
-        for t in plan.time_projections
-    ]
-    tr_points = None
-    if plan.use_tr:
-        tr_points = [
-            ad.add(
-                params.rows(tape, "relation_emb", plan.relation),
-                params.rows(tape, "time_emb", t),
-            )
-            for t in plan.time_projections
-        ]
-    return intersect(boxes, params, tr_points, tape)
+    times = np.asarray(times, dtype=np.intp)
+    kind = variant.projector_kind
+    e = params.rows(tape, "entity_emb", s)
+    rel = params.rows(tape, "relation_emb", r)
+    box = BoxEmbedding(_project(e, rel, kind), params.rows(tape, "relation_off", r))
+    if times.shape[-1] == 0:
+        return box
+    center_items, offset_items = [box.center], [box.offset]
+    # the time projections take their own subject lookup: sharing e would
+    # change the order in which backward sums its gradient, and the bits
+    e = params.rows(tape, "entity_emb", s)
+    for j in range(times.shape[-1]):
+        t = times[..., j]
+        t_emb = params.rows(tape, "time_emb", t)
+        center_items.append(_project(e, t_emb, kind))
+        offset_items.append(params.rows(tape, "time_off", t))
+        if variant.use_tr:
+            center_items.append(ad.add(params.rows(tape, "relation_emb", r), t_emb))
+    return intersect_items(center_items, offset_items, params, tape)
+
+
+def box_of_query(plan: QueryPlan, params: ParameterStore, tape: Tape | None = None) -> BoxEmbedding:
+    """Answer box of a single query plan (see query_box)."""
+    variant = Variant(plan.projector_kind, plan.use_tr)
+    return query_box(params, variant, plan.subject, plan.relation, plan.time_projections, tape)
 
 
 @dataclass

@@ -19,14 +19,12 @@ from .autodiff import Tape
 from .data import ScopeKind, Statement, TemporalKB
 from .model import (
     PARAM_ORDER,
-    PROJECTOR_TE,
     BoxEmbedding,
     ParameterStore,
     QueryPlan,
     Variant,
     distance,
-    intersect_items,
-    project_relation,
+    query_box,
 )
 
 CHECKPOINT_MAGIC = b"T2B1"
@@ -227,57 +225,6 @@ def smoothness(params: ParameterStore, tape: Tape | None = None):
     return ad.mul(ad.reduce_sum(ad.mul(diff, diff)), ad.constant(1.0 / (n_times - 1)))
 
 
-def _positive_box(group: list[TrainingSample], params: ParameterStore, tape: Tape) -> BoxEmbedding:
-    plan0 = group[0].plan
-    s_idx = np.array([g.plan.subject for g in group])
-    r_idx = np.array([g.plan.relation for g in group])
-    b_r = project_relation(s_idx, r_idx, params, plan0.projector_kind, tape)
-    if not plan0.time_projections:
-        return b_r
-    center_items = [b_r.center]
-    offset_items = [b_r.offset]
-    e = params.rows(tape, "entity_emb", s_idx)
-    for j in range(len(plan0.time_projections)):
-        t_idx = np.array([g.plan.time_projections[j] for g in group])
-        t_emb = params.rows(tape, "time_emb", t_idx)
-        if plan0.projector_kind == PROJECTOR_TE:
-            center_items.append(ad.add(e, t_emb))
-        else:
-            center_items.append(ad.mul(e, t_emb))
-        offset_items.append(params.rows(tape, "time_off", t_idx))
-        if plan0.use_tr:
-            center_items.append(ad.add(params.rows(tape, "relation_emb", r_idx), t_emb))
-    return intersect_items(center_items, offset_items, params, tape)
-
-
-def _time_negative_boxes(
-    group: list[TrainingSample], params: ParameterStore, tape: Tape
-) -> BoxEmbedding:
-    """Boxes with corrupted timestamps, one per time negative: shape (n, m, d)."""
-    plan0 = group[0].plan
-    n, m, d = len(group), len(group[0].negatives_times), params.d
-    s_idx = np.array([g.plan.subject for g in group])
-    r_idx = np.array([g.plan.relation for g in group])
-    t_idx = np.array([g.negatives_times for g in group])  # (n, m)
-    s_mat = np.broadcast_to(s_idx[:, None], (n, m))
-    e = params.rows(tape, "entity_emb", s_mat)
-    t_emb = params.rows(tape, "time_emb", t_idx)
-    t_off = params.rows(tape, "time_off", t_idx)
-    b_r = project_relation(s_idx, r_idx, params, plan0.projector_kind, tape)
-    r_center = ad.broadcast_to(ad.reshape(b_r.center, (n, 1, d)), (n, m, d))
-    r_offset = ad.broadcast_to(ad.reshape(b_r.offset, (n, 1, d)), (n, m, d))
-    if plan0.projector_kind == PROJECTOR_TE:
-        t_center = ad.add(e, t_emb)
-    else:
-        t_center = ad.mul(e, t_emb)
-    center_items = [r_center, t_center]
-    offset_items = [r_offset, t_off]
-    if plan0.use_tr:
-        r_mat = params.rows(tape, "relation_emb", np.broadcast_to(r_idx[:, None], (n, m)))
-        center_items.append(ad.add(r_mat, t_emb))
-    return intersect_items(center_items, offset_items, params, tape)
-
-
 def batch_loss(
     batch: list[TrainingSample], params: ParameterStore, beta: float = 0.0
 ) -> tuple["ad.Node", Tape]:
@@ -301,7 +248,12 @@ def batch_loss(
     total = ad.constant(0.0)
     for (_, n_tneg), group in groups.items():
         n = len(group)
-        box = _positive_box(group, params, tape)
+        plan0 = group[0].plan
+        variant = Variant(plan0.projector_kind, plan0.use_tr)
+        s_idx = np.array([g.plan.subject for g in group])
+        r_idx = np.array([g.plan.relation for g in group])
+        t_idx = np.array([g.plan.time_projections for g in group], dtype=np.intp)  # (n, k)
+        box = query_box(params, variant, s_idx, r_idx, t_idx, tape)
         o_idx = np.array([g.statement.o for g in group])
         o_emb = params.rows(tape, "entity_emb", o_idx)
         d_pos = distance(o_emb, box, params.alpha).total  # (n,)
@@ -319,7 +271,12 @@ def batch_loss(
             d_neg = distance(ne_emb, box_b, params.alpha).total  # (n, k_e)
             neg_sum = ad.reduce_sum(ad.log_sigmoid(ad.sub(d_neg, ad.constant(gamma))), axis=-1)
         if n_tneg:
-            tbox = _time_negative_boxes(group, params, tape)
+            # one single-timestamp box per (statement, corrupted timestamp);
+            # the (n, 1) subject and relation build each relation box once
+            tneg_idx = np.array([g.negatives_times for g in group])  # (n, m)
+            tbox = query_box(
+                params, variant, s_idx[:, None], r_idx[:, None], tneg_idx[..., None], tape
+            )
             o_b = ad.reshape(o_emb, (n, 1, d))
             d_tneg = distance(o_b, tbox, params.alpha).total  # (n, m)
             t_sum = ad.reduce_sum(ad.log_sigmoid(ad.sub(d_tneg, ad.constant(gamma))), axis=-1)

@@ -79,17 +79,16 @@ def test_duplicate_rows_accumulate():
     np.testing.assert_array_equal(gmap[("emb", 2)], [1.0, 1.0])
 
 
-def test_replay_reproduces_loss_bitwise():
-    rng = np.random.default_rng(3)
-    table = rng.normal(size=(5, 4))
-    w = rng.normal(size=(4, 4))
+def test_stack_broadcasts_and_sums_gradient_back():
     tape = ad.Tape()
-    xs = ad.param_rows(tape, table, "emb", [0, 2, 4])
-    wn = ad.param_full(tape, w, "w")
-    h = ad.softmax(ad.relu(ad.linear(xs, wn)), axis=0)
-    loss = ad.reduce_sum(ad.log_sigmoid(ad.reduce_mean(h, axis=0)))
-    replayed = tape.replay()
-    assert np.array_equal(replayed, loss.value)
+    a = ad.param_rows(tape, np.arange(6.0).reshape(2, 3), "a", [[0], [1]])  # (2, 1, 3)
+    b = ad.param_rows(tape, np.ones((4, 3)), "b", [[0, 1, 2, 3], [0, 1, 2, 3]])  # (2, 4, 3)
+    out = ad.stack([a, b], axis=-2)
+    assert out.shape == (2, 4, 2, 3)
+    np.testing.assert_array_equal(out.value[1, 2, 0], [3.0, 4.0, 5.0])
+    gmap = ad.backward(tape, ad.reduce_sum(out))
+    np.testing.assert_array_equal(gmap[("a", 0)], [4.0, 4.0, 4.0])
+    np.testing.assert_array_equal(gmap[("b", 3)], [2.0, 2.0, 2.0])
 
 
 def test_backward_deterministic():

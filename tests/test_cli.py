@@ -256,8 +256,9 @@ class TestEval:
         assert code == 1
         assert "non-finite" in err
 
+    @pytest.mark.parametrize("command", ["eval-link", "eval-time"])
     def test_nan_model_fails_instead_of_scoring(
-        self, dataset_dir, run_dir, tmp_path, capsys, monkeypatch
+        self, command, dataset_dir, run_dir, tmp_path, capsys, monkeypatch
     ):
         from time2box import cli
 
@@ -269,7 +270,7 @@ class TestEval:
 
         monkeypatch.setattr(cli, "load_checkpoint", nan_model)
         code, _, err = run(
-            capsys, "eval-link", "--checkpoint", run_dir / "checkpoint.t2b",
+            capsys, command, "--checkpoint", run_dir / "checkpoint.t2b",
             "--data", dataset_dir, "--out", tmp_path / "x",
         )
         assert code == 1

@@ -154,6 +154,15 @@ class TestGreedyCoalesce:
         covered = {t for iv in out for t in range(iv.lo, iv.hi + 1)}
         assert covered <= {0, 1}
 
+    @pytest.mark.parametrize(
+        "scores",
+        [[0.0, np.nan, 1.0, np.inf], [np.nan], [np.nan] * 4, [0.0, -np.inf], [np.inf, 1.0]],
+        ids=["nan-and-inf", "one-nan", "all-nan", "minus-inf", "plus-inf"],
+    )
+    def test_non_finite_scores_raise(self, scores):
+        with pytest.raises(ev.NonFiniteScoreError, match="non-finite score"):
+            greedy_coalesce(np.array(scores), k=10, tau=0.5)
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             greedy_coalesce(np.zeros(3), k=0)
@@ -377,18 +386,24 @@ class TestLinkPredictionReport:
 class TestTimePrediction:
     def test_score_timeline_length_and_monotonicity(self, ranking_setup):
         kb, params = ranking_setup
-        from time2box.model import QueryPlan, box_of_query, distance
+        from time2box.model import QueryPlan, box_of_query, box_scores, distance
 
         timeline = score_timeline(0, 0, 1, params, kb)
         assert timeline.shape == (kb.axis.length,)
         # scores order inversely with distances
-        dists = []
+        dists, singles = [], []
+        obj = params.arrays["entity_emb"][1]
         for t in range(kb.axis.length):
             box = box_of_query(QueryPlan(0, 0, (t,)), params)
-            dists.append(float(distance(params.arrays["entity_emb"][1], box, params.alpha).total.value))
+            dists.append(float(distance(obj, box, params.alpha).total.value))
+            singles.append(
+                box_scores(obj, box.center_value(), box.offset_value(), params.gamma, params.alpha)
+            )
         order_by_score = np.argsort(-timeline)
         order_by_dist = np.argsort(dists)
         np.testing.assert_array_equal(order_by_score, order_by_dist)
+        # the batched timeline equals one single-query box per timestamp
+        np.testing.assert_allclose(timeline, singles, rtol=1e-12)
 
     def test_perfect_first_interval_scores_one(self, ranking_setup, monkeypatch):
         kb, params = ranking_setup

@@ -13,12 +13,12 @@ from time2box.model import (
     BoxEmbedding,
     ParameterStore,
     QueryPlan,
+    Variant,
     box_of_query,
     box_scores,
     distance,
     intersect,
-    project_relation,
-    project_time,
+    query_box,
     score,
     score_entities,
 )
@@ -39,28 +39,45 @@ def store_with(entity_rows, relation_rows, relation_offs, time_rows=None, time_o
     return ps
 
 
+TE, DM = Variant(PROJECTOR_TE), Variant(PROJECTOR_DM)
+
+
+def time_box(ps, variant, t):
+    """The time box of (0, ?, t) as query_box shows it: with the relation
+    row equal to the time row, the two intersected boxes coincide, so the
+    attention center is e+t (te) or e*t (dm) exactly; an identity DeepSets
+    with a saturated gate leaves the offset at time_off[t]."""
+    ps.arrays["relation_emb"][0] = ps.arrays["time_emb"][t]
+    ps.arrays["relation_off"][0] = ps.arrays["time_off"][t]
+    eye = np.eye(ps.d)
+    ps.arrays["w_ds_in"][:] = eye
+    ps.arrays["w_ds_hidden"][:] = eye
+    ps.arrays["w_ds_out"][:] = 1e3 * eye
+    return query_box(ps, variant, 0, 0, (t,))
+
+
 class TestProjectors:
     def test_te_addition(self):
         ps = store_with([[1.0, 2.0]], [[3.0, -1.0]], [[0.5, 0.5]])
-        box = project_relation(0, 0, ps, PROJECTOR_TE)
+        box = query_box(ps, TE, 0, 0, ())
         np.testing.assert_array_equal(box.center_value(), [4.0, 1.0])
         np.testing.assert_array_equal(box.offset_value(), [0.5, 0.5])
 
     def test_dm_identity(self):
         ps = store_with([[1.0, 2.0]], [[1.0, 1.0]], [[0.3, 0.3]])
-        box = project_relation(0, 0, ps, PROJECTOR_DM)
+        box = query_box(ps, DM, 0, 0, ())
         np.testing.assert_array_equal(box.center_value(), [1.0, 2.0])
 
     def test_te_zero_relation(self):
         ps = store_with([[1.5, -0.5]], [[0.0, 0.0]], [[0.1, 0.1]])
-        box = project_relation(0, 0, ps, PROJECTOR_TE)
+        box = query_box(ps, TE, 0, 0, ())
         np.testing.assert_array_equal(box.center_value(), [1.5, -0.5])
 
     def test_time_projector_te(self):
         ps = store_with(
             [[0.0, 0.0]], [[0.0, 0.0]], [[0.1, 0.1]], time_rows=[[1.0, -1.0]], time_offs=[[2.0, 2.0]]
         )
-        box = project_time(0, 0, ps, PROJECTOR_TE)
+        box = time_box(ps, TE, 0)
         np.testing.assert_array_equal(box.center_value(), [1.0, -1.0])
         np.testing.assert_array_equal(box.offset_value(), [2.0, 2.0])
 
@@ -68,7 +85,7 @@ class TestProjectors:
         ps = store_with(
             [[0.7, -0.2]], [[0.0, 0.0]], [[0.1, 0.1]], time_rows=[[1.0, 1.0]], time_offs=[[0.5, 0.5]]
         )
-        box = project_time(0, 0, ps, PROJECTOR_DM)
+        box = time_box(ps, DM, 0)
         np.testing.assert_array_equal(box.center_value(), [0.7, -0.2])
 
     def test_distinct_timestamps_distinct_centers(self):
@@ -79,14 +96,14 @@ class TestProjectors:
             time_rows=[[1.0, 0.0], [0.0, 1.0]],
             time_offs=[[0.5, 0.5], [0.5, 0.5]],
         )
-        b0 = project_time(0, 0, ps, PROJECTOR_TE)
-        b1 = project_time(0, 1, ps, PROJECTOR_TE)
+        b0 = query_box(ps, TE, 0, 0, (0,))
+        b1 = query_box(ps, TE, 0, 0, (1,))
         assert not np.array_equal(b0.center_value(), b1.center_value())
 
     def test_store_clamp_restores_offset_invariant(self):
         ps = store_with([[0.0, 0.0]], [[0.0, 0.0]], [[-0.5, 0.5]])
         ps.clamp_offsets()
-        box = project_relation(0, 0, ps, PROJECTOR_TE)
+        box = query_box(ps, TE, 0, 0, ())
         np.testing.assert_array_equal(box.offset_value(), [0.0, 0.5])
 
 
@@ -166,25 +183,20 @@ class TestBoxOfQuery:
 
     def test_atemporal_is_raw_relation_box(self):
         ps = self.make_store()
-        plan = QueryPlan(subject=1, relation=2)
-        out = box_of_query(plan, ps)
-        raw = project_relation(1, 2, ps)
-        np.testing.assert_array_equal(out.center_value(), raw.center_value())
-        np.testing.assert_array_equal(out.offset_value(), raw.offset_value())
+        out = query_box(ps, TE, 1, 2, ())
+        a = ps.arrays
+        np.testing.assert_array_equal(out.center_value(), a["entity_emb"][1] + a["relation_emb"][2])
+        np.testing.assert_array_equal(out.offset_value(), a["relation_off"][2])
 
     def test_instant_offset_below_both_inputs(self):
         ps = self.make_store()
-        plan = QueryPlan(subject=0, relation=1, time_projections=(2,))
-        out = box_of_query(plan, ps)
-        b_r = project_relation(0, 1, ps)
-        b_t = project_time(0, 2, ps)
-        assert np.all(out.offset_value() <= b_r.offset_value())
-        assert np.all(out.offset_value() <= b_t.offset_value())
+        out = query_box(ps, TE, 0, 1, (2,))
+        assert np.all(out.offset_value() <= ps.arrays["relation_off"][1])
+        assert np.all(out.offset_value() <= ps.arrays["time_off"][2])
 
     def test_two_projections(self):
         ps = self.make_store()
-        plan = QueryPlan(subject=0, relation=1, time_projections=(0, 3))
-        out = box_of_query(plan, ps)
+        out = query_box(ps, TE, 0, 1, (0, 3))
         assert out.center_value().shape == (ps.d,)
 
     def test_three_projections_rejected(self):
@@ -193,10 +205,57 @@ class TestBoxOfQuery:
 
     def test_tr_variant_changes_center_only(self):
         ps = self.make_store()
-        plain = box_of_query(QueryPlan(0, 1, (2,)), ps)
-        tr = box_of_query(QueryPlan(0, 1, (2,), use_tr=True), ps)
+        plain = query_box(ps, TE, 0, 1, (2,))
+        tr = query_box(ps, Variant(PROJECTOR_TE, use_tr=True), 0, 1, (2,))
         assert not np.allclose(plain.center_value(), tr.center_value())
         np.testing.assert_array_equal(plain.offset_value(), tr.offset_value())
+
+
+class TestQueryBoxBatch:
+    """A batch of queries equals the same queries built one at a time.
+
+    Not bit for bit: a batch's pooled DeepSets vectors go through one GEMM,
+    a single query's through a GEMV, and the two differ in the last bits.
+    """
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("use_tr", [False, True])
+    @pytest.mark.parametrize("kind", [PROJECTOR_TE, PROJECTOR_DM])
+    def test_batch_equals_single_queries(self, kind, use_tr, k):
+        n, m = 4, 3
+        ps = ParameterStore.initialize(8, 9, 4, 7, rng=np.random.default_rng(11))
+        rng = np.random.default_rng(12)
+        s = rng.integers(0, 9, size=(n, m))
+        r = rng.integers(0, 4, size=(n, m))
+        times = rng.integers(0, 7, size=(n, m, k))
+        batch = query_box(ps, Variant(kind, use_tr), s, r, times)
+        assert batch.center_value().shape == batch.offset_value().shape == (n, m, ps.d)
+        for i in range(n):
+            for j in range(m):
+                plan = QueryPlan(s[i, j], r[i, j], tuple(times[i, j]), kind, use_tr)
+                single = box_of_query(plan, ps)
+                np.testing.assert_allclose(
+                    batch.center_value()[i, j], single.center_value(), rtol=1e-12
+                )
+                np.testing.assert_allclose(
+                    batch.offset_value()[i, j], single.offset_value(), rtol=1e-12
+                )
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("use_tr", [False, True])
+    @pytest.mark.parametrize("kind", [PROJECTOR_TE, PROJECTOR_DM])
+    def test_shared_query_broadcasts_against_timestamps(self, kind, use_tr, k):
+        # training's time negatives: one (s, r) per row, m timestamps each
+        n, m = 4, 3
+        ps = ParameterStore.initialize(8, 9, 4, 7, rng=np.random.default_rng(13))
+        rng = np.random.default_rng(14)
+        s, r = rng.integers(0, 9, size=(n, 1)), rng.integers(0, 4, size=(n, 1))
+        times = rng.integers(0, 7, size=(n, m, k))
+        variant = Variant(kind, use_tr)
+        shared = query_box(ps, variant, s, r, times)
+        full = query_box(ps, variant, np.repeat(s, m, axis=1), np.repeat(r, m, axis=1), times)
+        np.testing.assert_array_equal(shared.center_value(), full.center_value())
+        np.testing.assert_array_equal(shared.offset_value(), full.offset_value())
 
 
 class TestDistance:

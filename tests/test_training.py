@@ -379,13 +379,6 @@ class TestBatchLoss:
         with pytest.raises(ValueError):
             batch_loss([], ps)
 
-    def test_tape_replay_reproduces_loss(self):
-        ps = ParameterStore.initialize(3, 4, 2, 5, rng=np.random.default_rng(8))
-        stmt = Statement(0, 1, 2, TimeScope.instant(3))
-        sample = TrainingSample(stmt, QueryPlan(0, 1, (3,)), [1, 3], [0], 0.5)
-        loss, tape = batch_loss([sample], ps, beta=0.2)
-        assert np.array_equal(tape.replay(), loss.value)
-
 
 class TestAdam:
     def test_minimizes_quadratic(self):
