@@ -4,9 +4,11 @@
 Trains the seed-fixed determinism dataset (20 entities, 3 relations plus
 inverses, 12 years) with its TrainConfig (d=8, k=4, lr=0.01, batch 32,
 50 steps, seed 13) for six variants, and for each prints the SHA-256 of
-the checkpoint, of the train.log lines, and of the link and time report
-texts on the test split. Run it on two commits and diff the output to
-check that a change leaves checkpoints, logs and reports byte-identical:
+the checkpoint, of the float64 parameter arrays that train() returned (the
+float32 checkpoint can hide a change in their last bits), of the train.log
+lines, and of the link and time report texts on the test split. Run it on
+two commits and diff the output to check that a change leaves parameters,
+checkpoints, logs and reports byte-identical:
 
     PYTHONPATH=src python scripts/determinism_digest.py > digest.txt
 """
@@ -17,7 +19,7 @@ import tempfile
 
 from time2box.data import SynthConfig, add_inverse_relations, generate_synthetic
 from time2box.evaluation import eval_link_prediction, eval_time_prediction
-from time2box.model import Variant
+from time2box.model import PARAM_ORDER, Variant
 from time2box.training import TrainConfig, save_checkpoint, train
 
 SYNTH = SynthConfig(seed=5, n_entities=20, n_relations=3, axis_length=12, n_rules=25)
@@ -46,6 +48,7 @@ def digest_line(kb, spec: str, work_dir: str) -> str:
     time_report = eval_time_prediction(forward, params, kb, cfg.variant)
     fields = [
         f"checkpoint={sha256(checkpoint)}",
+        f"params={sha256(b''.join(params.arrays[name].tobytes() for name in PARAM_ORDER))}",
         f"train.log={sha256(''.join(log_lines).encode())}",
         f"link={sha256(link_report.to_text().encode())}",
         f"time={sha256(time_report.to_text().encode())}",

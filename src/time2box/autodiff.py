@@ -8,6 +8,11 @@ routes the gradient to the first minimizing index on ties.
 Nodes created without a tape evaluate eagerly and record nothing, which
 gives the evaluation path the same numerics as training without the
 bookkeeping.
+
+`backward` keeps each parameter leaf's gradient whole, as a
+(row indices or None, gradient) entry under the array's name, and
+`densify` scatters those entries into one dense gradient per touched
+array: `densify(backward(tape, loss), params)`.
 """
 
 from __future__ import annotations
@@ -16,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: (array name, row index) for embedding rows, (array name, None) for matrices
-Slot = tuple[str, int | None]
-GradientMap = dict[Slot, np.ndarray]
+#: array name -> (row indices, gradient) entries, one per rows leaf and one
+#: per run of consecutive whole-array leaves (indices None), in reverse
+#: tape order
+GradientMap = dict[str, list[tuple[np.ndarray | None, np.ndarray]]]
 
 
 class Node:
@@ -32,7 +38,7 @@ class Node:
         self.parents = parents
         self.tape = tape
         self._vjp = vjp
-        self._leaf = leaf  # ("rows", name, table, indices) | ("full", name, table)
+        self._leaf = leaf  # (array name, row indices or None for the whole array)
         if tape is not None:
             tape.nodes.append(self)
 
@@ -86,14 +92,16 @@ def constant(x) -> Node:
 
 
 def param_rows(tape, table: np.ndarray, name: str, indices) -> Node:
-    """Embedding lookup table[indices]; gradients land in per-row slots."""
+    """Embedding lookup table[indices]; backward records its gradient as one
+    (indices, gradient) entry under `name`."""
     idx = np.asarray(indices, dtype=np.intp)
-    return Node(table[idx], "rows", tape=tape, leaf=("rows", name, table, idx))
+    return Node(table[idx], "rows", tape=tape, leaf=(name, idx))
 
 
 def param_full(tape, table: np.ndarray, name: str) -> Node:
-    """Whole parameter array (weight matrix); gradient slot (name, None)."""
-    return Node(table, "full", tape=tape, leaf=("full", name, table))
+    """Whole parameter array (weight matrix); backward records its gradient
+    as one (None, gradient) entry under `name`."""
+    return Node(table, "full", tape=tape, leaf=(name, None))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -295,8 +303,9 @@ def reshape(a, shape) -> Node:
 
 
 def backward(tape: Tape, root: Node | None = None) -> GradientMap:
-    """Accumulate d(root)/d(parameter) for every parameter slot touched by
-    the tape. The root must be a scalar."""
+    """Collect d(root)/d(leaf) for every parameter leaf the tape touched,
+    under its array's name: one entry per rows leaf, and one summed entry
+    per run of consecutive whole-array leaves. The root must be a scalar."""
     if root is None:
         if not tape.nodes:
             raise ValueError("empty tape")
@@ -311,7 +320,14 @@ def backward(tape: Tape, root: Node | None = None) -> GradientMap:
         if g is None:
             continue
         if node._leaf is not None:
-            _accumulate_leaf(gmap, node._leaf, g)
+            name, indices = node._leaf
+            entries = gmap.setdefault(name, [])
+            if indices is None and entries and entries[-1][0] is None:
+                # a weight matrix's leaves are summed as they come, so a step
+                # holds one gradient per matrix, not one per use
+                entries[-1] = (None, entries[-1][1] + g)
+            else:
+                entries.append((indices, g))
             continue
         parent_grads = node._vjp(g, *(p.value for p in node.parents))
         for parent, pg in zip(node.parents, parent_grads):
@@ -322,33 +338,28 @@ def backward(tape: Tape, root: Node | None = None) -> GradientMap:
     return gmap
 
 
-def _accumulate_leaf(gmap: GradientMap, leaf, g: np.ndarray) -> None:
-    kind, name = leaf[0], leaf[1]
-    if kind == "full":
-        slot = (name, None)
-        gmap[slot] = gmap.get(slot, 0.0) + g
-        return
-    idx = leaf[3]
-    flat_idx = idx.ravel()
-    flat_g = g.reshape(len(flat_idx), -1)
-    uniq, inverse = np.unique(flat_idx, return_inverse=True)
-    buf = np.zeros((len(uniq), flat_g.shape[1]))
-    np.add.at(buf, inverse, flat_g)
-    for j, row in enumerate(uniq):
-        slot = (name, int(row))
-        gmap[slot] = gmap.get(slot, 0.0) + buf[j]
-
-
 def densify(gmap: GradientMap, params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Expand a sparse gradient map into dense arrays, one per touched name."""
+    """Sum each touched array's leaf gradients into one dense array.
+
+    Entries are added to a zero array one at a time, in the map's order. A
+    rows leaf first sums its duplicate rows into its own buffer, so a row's
+    gradient is always 0 + leaf_1 + leaf_2 + ..., however many times each
+    leaf looked the row up. A summed whole-array entry gives the same bits
+    as adding its leaves one at a time.
+    """
     dense: dict[str, np.ndarray] = {}
-    for (name, row), g in gmap.items():
-        if name not in dense:
-            dense[name] = np.zeros_like(params[name])
-        if row is None:
-            dense[name] += g.reshape(params[name].shape)
-        else:
-            dense[name][row] += g
+    for name, entries in gmap.items():
+        out = np.zeros_like(params[name])
+        for indices, g in entries:
+            if indices is None:
+                out += g
+                continue
+            flat_idx = indices.ravel()
+            uniq, inverse = np.unique(flat_idx, return_inverse=True)
+            buf = np.zeros((len(uniq),) + out.shape[1:])
+            np.add.at(buf, inverse, g.reshape((len(flat_idx),) + out.shape[1:]))
+            out[uniq] += buf
+        dense[name] = out
     return dense
 
 
@@ -364,18 +375,6 @@ class FDCheckReport:
 
     def __float__(self):
         return self.max_rel_error
-
-
-def _analytic_entry(gmap: GradientMap, name: str, shape: tuple, flat_index: int) -> float:
-    full = gmap.get((name, None))
-    if full is not None:
-        return float(np.asarray(full).ravel()[flat_index])
-    if len(shape) == 2:
-        row, col = divmod(flat_index, shape[1])
-        entry = gmap.get((name, row))
-        if entry is not None:
-            return float(entry[col])
-    return 0.0
 
 
 def finite_diff_check(
@@ -399,6 +398,7 @@ def finite_diff_check(
     rng = rng or np.random.default_rng(0)
     base_loss, gmap = loss_fn()
     base_loss = float(base_loss)
+    dense = densify({n: e for n, e in gmap.items() if n in params}, params)
 
     names = sorted(params)
     sizes = np.array([params[n].size for n in names])
@@ -426,7 +426,7 @@ def finite_diff_check(
             n_kinks += 1
             continue
         numeric = (loss_plus - loss_minus) / (2.0 * eps)
-        analytic = _analytic_entry(gmap, name, arr.shape, flat_index)
+        analytic = float(dense[name].flat[flat_index]) if name in dense else 0.0
         err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
         n_checked += 1
         per_array[name] = max(per_array.get(name, 0.0), err)

@@ -26,6 +26,7 @@ from .data import (
 )
 from .evaluation import (
     Interval,
+    NonFiniteScoreError,
     aeiou,
     eval_link_prediction,
     eval_time_prediction,
@@ -285,21 +286,30 @@ def cmd_predict(args) -> int:
     except KeyError:
         raise UsageError(f"unknown relation label {args.relation!r}") from None
 
+    def scores_of(times) -> np.ndarray:
+        scores = score_entities(query_box(params, variant, s, r, times), params)
+        bad = np.flatnonzero(~np.isfinite(scores))
+        if len(bad):
+            label = kb.entities.labels[int(bad[0])]
+            raise NonFiniteScoreError(f"non-finite score {scores[bad[0]]} for entity {label}")
+        return scores
+
     if args.interval is not None:
         lo_year, hi_year = args.interval
         if lo_year > hi_year:
             raise UsageError(f"--interval start {lo_year} is after its end {hi_year}")
         lo = kb.axis.index_of(lo_year, clamp=True)
         hi = kb.axis.index_of(hi_year, clamp=True)
+        # every year is scored before the first row is printed
+        timeline = [(t, scores_of((t,))) for t in range(lo, hi + 1)]
         print("year\ttop entity\tscore")
-        for t in range(lo, hi + 1):
-            scores = score_entities(query_box(params, variant, s, r, (t,)), params)
+        for t, scores in timeline:
             best = int(np.argmax(scores))
             print(f"{kb.axis.year_of(t)}\t{kb.entities.labels[best]}\t{scores[best]:.4f}")
         return 0
 
     t = None if args.time is None else kb.axis.index_of(args.time, clamp=True)
-    scores = score_entities(query_box(params, variant, s, r, () if t is None else (t,)), params)
+    scores = scores_of(() if t is None else (t,))
     order = np.argsort(-scores, kind="stable")[: args.topk]
     print("rank\tentity\tscore")
     for i, e in enumerate(order, start=1):

@@ -256,9 +256,11 @@ class TestEval:
         assert code == 1
         assert "non-finite" in err
 
-    @pytest.mark.parametrize("command", ["eval-link", "eval-time"])
+    @pytest.mark.parametrize(
+        "case", ["eval-link", "eval-time", "predict-topk", "predict-interval"]
+    )
     def test_nan_model_fails_instead_of_scoring(
-        self, command, dataset_dir, run_dir, tmp_path, capsys, monkeypatch
+        self, case, dataset_dir, run_dir, tmp_path, capsys, monkeypatch
     ):
         from time2box import cli
 
@@ -268,13 +270,20 @@ class TestEval:
                 arr[:] = np.nan
             return params, variant
 
+        command_args = {
+            "eval-link": ["eval-link", "--out", tmp_path / "x"],
+            "eval-time": ["eval-time", "--out", tmp_path / "x"],
+            "predict-topk": ["predict", "-s", "e00", "-r", "rel0", "-t", "1985", "--topk", "3"],
+            "predict-interval": ["predict", "-s", "e00", "-r", "rel0", "--interval", "1985:1985"],
+        }[case]
         monkeypatch.setattr(cli, "load_checkpoint", nan_model)
-        code, _, err = run(
-            capsys, command, "--checkpoint", run_dir / "checkpoint.t2b",
-            "--data", dataset_dir, "--out", tmp_path / "x",
+        code, out, err = run(
+            capsys, *command_args, "--checkpoint", run_dir / "checkpoint.t2b",
+            "--data", dataset_dir,
         )
         assert code == 1
         assert "non-finite score" in err
+        assert out == ""
 
     def test_seeded_eval_identical_reports(self, dataset_dir, run_dir, tmp_path, capsys):
         outs = []

@@ -4,6 +4,7 @@ import pytest
 from time2box.data import Statement, TimeScope
 from time2box.model import PROJECTOR_DM, ParameterStore, QueryPlan
 from time2box.training import (
+    ADAM_BLOCK_ELEMENTS,
     Adam,
     CheckpointError,
     TrainConfig,
@@ -302,7 +303,7 @@ class TestBatchLoss:
         T = ps.arrays["time_emb"]
         tape = ad.Tape()
         loss = smoothness(ps, tape)
-        gmap = ad.backward(tape, loss)
+        grads = ad.densify(ad.backward(tape, loss), ps.arrays)
         scale = 2.0 / (n_times - 1)
         # interior rows: (2 t_i - t_{i-1} - t_{i+1}); one-sided at the ends
         for i in range(n_times):
@@ -312,7 +313,7 @@ class TestBatchLoss:
                 expected = scale * (T[-1] - T[-2])
             else:
                 expected = scale * (2 * T[i] - T[i - 1] - T[i + 1])
-            np.testing.assert_allclose(gmap[("time_emb", i)], expected, rtol=1e-12)
+            np.testing.assert_allclose(grads["time_emb"][i], expected, rtol=1e-12)
 
     def test_smoothness_added_only_for_temporal_batches(self):
         ps = ParameterStore.initialize(2, 3, 1, 3, rng=np.random.default_rng(1))
@@ -396,6 +397,52 @@ class TestAdam:
         opt.step(arrays, {"x": np.ones((1, 1))})
         # y has zero gradient and zero momentum: it must not move
         np.testing.assert_array_equal(arrays["y"], y_after_first)
+
+    def test_blocked_update_bit_identical_to_one_expression(self):
+        def reference_step(state, arrays, grads, lr, t, b1=0.9, b2=0.999, eps=1e-8):
+            bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+            for name in sorted(arrays):
+                arr = arrays[name]
+                m, v = state.setdefault(name, (np.zeros_like(arr), np.zeros_like(arr)))
+                g = grads.get(name)
+                if g is None:
+                    g = np.zeros_like(arr)
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * (g * g)
+                arr -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+        rng = np.random.default_rng(3)
+        shapes = {
+            "one_row": (1, 5),
+            "one_block": (ADAM_BLOCK_ELEMENTS // 64, 64),
+            "two_blocks_and_rest": (2 * ADAM_BLOCK_ELEMENTS // 64 + 1, 64),
+            "stale": (3, 4),
+        }
+        assert ADAM_BLOCK_ELEMENTS % 64 == 0
+        start = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        # a column-major array is updated through a copy and written back
+        start["column_major"] = np.asfortranarray(rng.normal(size=(6, 3)))
+        ours = {name: arr.copy(order="K") for name, arr in start.items()}
+        ref = {name: arr.copy(order="K") for name, arr in start.items()}
+        opt, ref_state = Adam(lr=0.01), {}
+        for t in range(1, 7):
+            # "stale" gets a gradient only at step 1; its momentum moves it later
+            grads = {
+                name: rng.normal(scale=10.0 ** rng.integers(-6, 2), size=arr.shape)
+                for name, arr in start.items()
+                if name != "stale" or t == 1
+            }
+            grads["one_row"][0, t % 5] = 0.0  # exact zeros too
+            opt.step(ours, grads)
+            reference_step(ref_state, ref, grads, 0.01, t)
+        for name in start:
+            assert ours[name].tobytes(order="A") == ref[name].tobytes(order="A"), name
+            m, v = ref_state[name]
+            assert opt.m[name].tobytes() == m.tobytes(order="C"), name
+            assert opt.v[name].tobytes() == v.tobytes(order="C"), name
+        assert ours["column_major"].flags.f_contiguous
 
 
 @pytest.fixture(scope="module")
