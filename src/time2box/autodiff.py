@@ -17,6 +17,7 @@ array: `densify(backward(tape, loss), params)`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -354,11 +355,13 @@ def densify(gmap: GradientMap, params: dict[str, np.ndarray]) -> dict[str, np.nd
             if indices is None:
                 out += g
                 continue
-            flat_idx = indices.ravel()
-            uniq, inverse = np.unique(flat_idx, return_inverse=True)
-            buf = np.zeros((len(uniq),) + out.shape[1:])
-            np.add.at(buf, inverse, g.reshape((len(flat_idx),) + out.shape[1:]))
-            out[uniq] += buf
+            uniq, inverse = np.unique(indices.ravel(), return_inverse=True)
+            # bincount adds each (row, column) element in input order into
+            # zeros, as np.add.at would, so the buffer's bits are the same
+            width = math.prod(out.shape[1:])
+            slots = (inverse[:, None] * width + np.arange(width)).ravel()
+            buf = np.bincount(slots, weights=g.ravel(), minlength=len(uniq) * width)
+            out[uniq] += buf.reshape((len(uniq),) + out.shape[1:])
         dense[name] = out
     return dense
 

@@ -28,6 +28,7 @@ from .evaluation import (
     Interval,
     NonFiniteScoreError,
     aeiou,
+    check_coalesce_parameters,
     eval_link_prediction,
     eval_time_prediction,
     gaeiou,
@@ -247,6 +248,10 @@ def cmd_eval_link(args) -> int:
 
 
 def cmd_eval_time(args) -> int:
+    try:
+        check_coalesce_parameters(args.k, args.tau)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     params, variant, kb = _load_model_and_kb(args)
     # each original statement is predicted once, in the forward direction
     statements = [s for s in kb.splits["test"] if s.r < kb.n_base_relations]

@@ -327,6 +327,14 @@ def score_timeline(
     return box_scores(obj, box.center_value(), box.offset_value(), params.gamma, params.alpha)
 
 
+def check_coalesce_parameters(k: int, tau: float) -> None:
+    """Raise ValueError unless k >= 1 and 0 < tau <= 1."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if not 0.0 < tau <= 1.0:
+        raise ValueError(f"tau must lie in (0, 1], got {tau}")
+
+
 def greedy_coalesce(scores: np.ndarray, k: int, tau: float = 0.5) -> list[Interval]:
     """Turn per-timestamp scores into up to k ranked intervals.
 
@@ -336,43 +344,39 @@ def greedy_coalesce(scores: np.ndarray, k: int, tau: float = 0.5) -> list[Interv
     while that probability is at least tau times the seed's; the interval
     is then emitted and its timestamps consumed. A non-finite score raises
     NonFiniteScoreError instead of coalescing into plausible intervals.
+
+    The walk stops only when no unconsumed neighbor reaches the threshold,
+    so an interval is the whole run of unconsumed timestamps around its
+    seed that reach it. The order of the steps, and so the tie rule, cannot
+    change that run; it is grown here leftward first, then rightward.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if not 0.0 < tau <= 1.0:
-        raise ValueError("tau must lie in (0, 1]")
+    check_coalesce_parameters(k, tau)
     bad = np.flatnonzero(~np.isfinite(scores))
     if len(bad):
         raise NonFiniteScoreError(f"non-finite score {scores[bad[0]]} at timestamp {bad[0]}")
     z = scores - np.max(scores)
     p = np.exp(z)
     p /= p.sum()
-    n = len(p)
-    consumed = np.zeros(n, dtype=bool)
+    # consumed timestamps hold -inf in both copies: `free` gives each seed by
+    # argmax, and in `probs` they fall below every threshold (>= 0)
+    free = p.astype(np.float64)
+    probs = p.tolist()
+    n = len(probs)
+    n_free = n
     intervals: list[Interval] = []
     for _ in range(k):
-        if consumed.all():
+        if not n_free:
             break
-        masked = np.where(consumed, -np.inf, p)
-        seed = int(np.argmax(masked))
-        threshold = tau * p[seed]
+        seed = int(free.argmax())
+        threshold = float(tau * p[seed])
         lo = hi = seed
-        consumed[seed] = True
-        while True:
-            left = p[lo - 1] if lo - 1 >= 0 and not consumed[lo - 1] else None
-            right = p[hi + 1] if hi + 1 < n and not consumed[hi + 1] else None
-            if left is None and right is None:
-                break
-            go_left = right is None or (left is not None and left >= right)
-            candidate = left if go_left else right
-            if candidate < threshold:
-                break
-            if go_left:
-                lo -= 1
-                consumed[lo] = True
-            else:
-                hi += 1
-                consumed[hi] = True
+        while lo > 0 and probs[lo - 1] >= threshold:
+            lo -= 1
+        while hi + 1 < n and probs[hi + 1] >= threshold:
+            hi += 1
+        free[lo : hi + 1] = -np.inf
+        probs[lo : hi + 1] = [-np.inf] * (hi - lo + 1)
+        n_free -= hi - lo + 1
         intervals.append(Interval(lo, hi))
     return intervals
 
@@ -442,8 +446,22 @@ def eval_time_prediction(
 ) -> TimePredReport:
     """Score the full axis per statement, coalesce into k ranked intervals
     and report each metric at rank 1 and best-of-k, overall and by gold
-    duration bucket."""
-    rows: list[tuple[str, dict[str, float]]] = []
+    duration bucket.
+
+    The loop only collects integer bounds: each evaluated statement's gold
+    interval and bucket, and its predictions flattened with one offset per
+    statement. Each metric then runs once over all (statement, prediction)
+    pairs; @1 is read at the offsets and @k is the maximum over each
+    statement's segment, so every mean is taken over the same float64
+    values in statement order as a per-statement loop would give.
+    """
+    check_coalesce_parameters(k, tau)
+    gold_lo: list[int] = []
+    gold_hi: list[int] = []
+    buckets: list[str] = []
+    offsets: list[int] = []
+    pred_lo: list[int] = []
+    pred_hi: list[int] = []
     n_skipped = 0
     for stmt in statements:
         gold = gold_interval(stmt)
@@ -452,26 +470,38 @@ def eval_time_prediction(
             continue
         timeline = score_timeline(stmt.s, stmt.r, stmt.o, params, kb, variant)
         predicted = greedy_coalesce(timeline, k, tau)
-        values: dict[str, float] = {}
-        for name, fn in (("giou", giou), ("aeiou", aeiou), ("gaeiou", gaeiou)):
-            per_pred = [fn(gold, iv) for iv in predicted]
-            values[f"{name}@1"] = per_pred[0]
-            values[f"{name}@{k}"] = max(per_pred)
-        rows.append((duration_bucket(gold.duration), values))
+        gold_lo.append(gold.lo)
+        gold_hi.append(gold.hi)
+        buckets.append(duration_bucket(gold.duration))
+        offsets.append(len(pred_lo))
+        for iv in predicted:
+            pred_lo.append(iv.lo)
+            pred_hi.append(iv.hi)
 
-    def means(selected: list[dict[str, float]]) -> dict[str, float]:
-        if not selected:
-            return {}
-        keys = selected[0].keys()
-        return {key: float(np.mean([v[key] for v in selected])) for key in keys}
-
-    report = TimePredReport(n_evaluated=len(rows), n_skipped=n_skipped)
-    report.overall = means([v for _, v in rows])
+    report = TimePredReport(n_evaluated=len(offsets), n_skipped=n_skipped)
     for bucket in DURATION_BUCKETS:
-        bucket_rows = [v for b, v in rows if b == bucket]
-        report.counts[bucket] = len(bucket_rows)
-        if bucket_rows:
-            report.by_duration[bucket] = means(bucket_rows)
+        report.counts[bucket] = buckets.count(bucket)
+    if not offsets:
+        return report
+    starts = np.array(offsets)
+    per_statement = np.diff(starts, append=len(pred_lo))
+    g_lo = np.repeat(np.array(gold_lo), per_statement)
+    g_hi = np.repeat(np.array(gold_hi), per_statement)
+    p_lo, p_hi = np.array(pred_lo), np.array(pred_hi)
+    columns: dict[str, np.ndarray] = {}
+    for name, fn in METRICS.items():
+        values = fn(g_lo, g_hi, p_lo, p_hi)
+        columns[f"{name}@1"] = values[starts]
+        columns[f"{name}@{k}"] = np.maximum.reduceat(values, starts)
+
+    def means(rows) -> dict[str, float]:
+        return {key: float(np.mean(column[rows])) for key, column in columns.items()}
+
+    report.overall = means(slice(None))
+    labels = np.array(buckets)
+    for bucket in DURATION_BUCKETS:
+        if report.counts[bucket]:
+            report.by_duration[bucket] = means(labels == bucket)
     return report
 
 

@@ -134,8 +134,7 @@ def sample_entity_negatives(
     budget = 100 * k
     while len(chosen) < k and budget > 0:
         draw = min(budget, 2 * k)
-        for cand in rng.integers(0, n, size=draw):
-            cand = int(cand)
+        for cand in rng.integers(0, n, size=draw).tolist():
             if cand not in positives and cand not in chosen_set:
                 chosen.append(cand)
                 chosen_set.add(cand)

@@ -231,6 +231,28 @@ class TestEval:
         lines = (out / "time_breakdown.tsv").read_text().splitlines()
         assert lines[0].startswith("bucket\t")
 
+    @pytest.mark.parametrize(
+        "flag", [("--k", "0"), ("--tau", "1.5"), ("--tau", "0")], ids=["k0", "tau1.5", "tau0"]
+    )
+    def test_eval_time_bad_k_or_tau_is_usage_error(
+        self, flag, dataset_dir, run_dir, tmp_path, capsys, monkeypatch
+    ):
+        from time2box import cli
+
+        def no_load(path):
+            raise AssertionError("checkpoint loaded before --k and --tau were checked")
+
+        monkeypatch.setattr(cli, "load_checkpoint", no_load)
+        out = tmp_path / "et"
+        code, stdout, err = run(
+            capsys, "eval-time", "--checkpoint", run_dir / "checkpoint.t2b",
+            "--data", dataset_dir, "--out", out, *flag,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert f"{flag[0][2:]} must" in err
+        assert not out.exists()
+
     def test_dimension_mismatch_fails(self, dataset_dir, run_dir, tmp_path, capsys):
         other = tmp_path / "other"
         assert run(

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from helpers import brute_force_link_report, brute_force_rank, kb_from_lines
 from time2box import evaluation as ev
-from time2box.data import Statement, TimeScope, add_inverse_relations
+from time2box.data import (
+    ScopeKind,
+    Statement,
+    SynthConfig,
+    TimeScope,
+    add_inverse_relations,
+    generate_synthetic,
+)
 from time2box.evaluation import (
     Interval,
     MetricBlock,
@@ -24,11 +31,82 @@ from time2box.evaluation import (
     score_timeline,
     statement_rank,
 )
-from time2box.model import ParameterStore
+from time2box.model import ParameterStore, Variant
 
 
 def interval(lo, hi):
     return Interval(lo, hi)
+
+
+def former_greedy_coalesce(scores, k, tau=0.5):
+    """greedy_coalesce as it was before the walk moved to Python floats:
+    a boolean consumed mask, numpy scalars and one masked argmax per round."""
+    z = scores - np.max(scores)
+    p = np.exp(z)
+    p /= p.sum()
+    n = len(p)
+    consumed = np.zeros(n, dtype=bool)
+    intervals = []
+    for _ in range(k):
+        if consumed.all():
+            break
+        masked = np.where(consumed, -np.inf, p)
+        seed = int(np.argmax(masked))
+        threshold = tau * p[seed]
+        lo = hi = seed
+        consumed[seed] = True
+        while True:
+            left = p[lo - 1] if lo - 1 >= 0 and not consumed[lo - 1] else None
+            right = p[hi + 1] if hi + 1 < n and not consumed[hi + 1] else None
+            if left is None and right is None:
+                break
+            go_left = right is None or (left is not None and left >= right)
+            candidate = left if go_left else right
+            if candidate < threshold:
+                break
+            if go_left:
+                lo -= 1
+                consumed[lo] = True
+            else:
+                hi += 1
+                consumed[hi] = True
+        intervals.append(Interval(lo, hi))
+    return intervals
+
+
+def former_eval_time_prediction(statements, params, kb, variant=None, k=10, tau=0.5):
+    """eval_time_prediction as a per-statement loop of scalar metric calls,
+    as it was before the metrics ran once per call over all predictions."""
+    rows = []
+    n_skipped = 0
+    for stmt in statements:
+        gold = gold_interval(stmt)
+        if gold is None:
+            n_skipped += 1
+            continue
+        timeline = score_timeline(stmt.s, stmt.r, stmt.o, params, kb, variant)
+        predicted = former_greedy_coalesce(timeline, k, tau)
+        values = {}
+        for name, fn in (("giou", giou), ("aeiou", aeiou), ("gaeiou", gaeiou)):
+            per_pred = [fn(gold, iv) for iv in predicted]
+            values[f"{name}@1"] = per_pred[0]
+            values[f"{name}@{k}"] = max(per_pred)
+        rows.append((ev.duration_bucket(gold.duration), values))
+
+    def means(selected):
+        if not selected:
+            return {}
+        keys = selected[0].keys()
+        return {key: float(np.mean([v[key] for v in selected])) for key in keys}
+
+    report = ev.TimePredReport(n_evaluated=len(rows), n_skipped=n_skipped)
+    report.overall = means([v for _, v in rows])
+    for bucket in ev.DURATION_BUCKETS:
+        bucket_rows = [v for b, v in rows if b == bucket]
+        report.counts[bucket] = len(bucket_rows)
+        if bucket_rows:
+            report.by_duration[bucket] = means(bucket_rows)
+    return report
 
 
 class TestIntervalMetrics:
@@ -216,6 +294,28 @@ class TestGreedyCoalesce:
         scores = np.array(raw)
         got = [(iv.lo, iv.hi) for iv in greedy_coalesce(scores, k, tau)]
         assert got == self.reference(scores, k, tau)
+
+    # few distinct values force ties and plateaus; -1000 underflows to p = 0
+    tied_scores = st.lists(
+        st.one_of(st.sampled_from([-1000.0, -2.0, 0.0, 0.5, 3.0]), st.floats(-5, 5)),
+        min_size=1,
+        max_size=30,
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_scores, st.integers(1, 40), st.sampled_from([1e-6, 0.3, 0.95, 1.0]))
+    def test_matches_former_implementation(self, raw, k, tau):
+        scores = np.array(raw)
+        assert greedy_coalesce(scores, k, tau) == former_greedy_coalesce(scores, k, tau)
+
+    @pytest.mark.parametrize("tau", [1e-6, 0.95, 1.0])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "raw", [[0.0], [-7.0], [1.0, 1.0], [1.0, 2.0], [2.0, 1.0], [0.0, -1000.0]]
+    )
+    def test_short_axes_match_former_implementation(self, raw, k, tau):
+        scores = np.array(raw)
+        assert greedy_coalesce(scores, k, tau) == former_greedy_coalesce(scores, k, tau)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 40), st.integers(1, 10))
@@ -446,6 +546,74 @@ class TestTimePrediction:
         lines = report.breakdown_tsv().splitlines()
         assert lines[0].startswith("bucket\tcount")
         assert len(lines) == 1 + 1 + 3
+
+
+    @pytest.mark.parametrize("k, tau", [(0, 0.5), (10, 0.0), (10, 1.5), (10, float("nan"))])
+    def test_bad_k_or_tau_raises_before_scoring(self, ranking_setup, monkeypatch, k, tau):
+        kb, params = ranking_setup
+
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("a timeline was scored before k and tau were checked")
+
+        monkeypatch.setattr(ev, "score_timeline", no_scoring)
+        unevaluable = [s for s in kb.splits["test"] if gold_interval(s) is None]
+        for statements in (kb.splits["test"], unevaluable):
+            with pytest.raises(ValueError, match="must"):
+                eval_time_prediction(statements, params, kb, k=k, tau=tau)
+
+
+class TestTimePredictionMatchesFormerLoop:
+    """eval_time_prediction's report equals the per-statement scalar loop's,
+    to the bit, on c07-shaped data (40-year axis) with random parameters."""
+
+    @pytest.fixture(scope="class")
+    def c07_test_statements(self):
+        kb, _ = generate_synthetic(
+            SynthConfig(
+                seed=7, n_entities=50, n_relations=5, axis_length=40, n_rules=85, instant_echoes=2
+            )
+        )
+        kb = add_inverse_relations(kb)
+        forward = [s for s in kb.splits["test"] if s.r < kb.n_base_relations]
+        return kb, forward
+
+    @pytest.mark.parametrize(
+        "variant, k, tau, selection, seed",
+        [
+            ("te,tns", 10, 0.95, "all", 0),
+            ("te,tns", 10, 0.5, "all", 1),
+            ("dm,tr,si", 1, 1.0, "all", 2),
+            ("te", 50, 0.95, "all", 3),  # k > 40 timestamps: ragged predictions
+            ("dm,tr", 60, 1e-3, "all", 4),
+            ("te,tns", 10, 0.95, "instants", 5),  # two empty duration buckets
+            ("te,tns", 10, 0.95, "unevaluable", 6),
+        ],
+    )
+    def test_reports_byte_equal(self, c07_test_statements, variant, k, tau, selection, seed):
+        kb, forward = c07_test_statements
+        statements = {
+            "all": forward,
+            "instants": [s for s in forward if s.scope.kind is ScopeKind.INSTANT],
+            "unevaluable": [s for s in forward if gold_interval(s) is None],
+        }[selection]
+        assert statements
+        params = ParameterStore.initialize(
+            16, kb.n_entities, kb.n_relations, kb.axis.length, rng=np.random.default_rng(seed)
+        )
+        v = Variant.parse(variant)
+        got = eval_time_prediction(statements, params, kb, v, k=k, tau=tau)
+        want = former_eval_time_prediction(statements, params, kb, v, k=k, tau=tau)
+        assert got.to_text() == want.to_text()
+        assert got.breakdown_tsv() == want.breakdown_tsv()
+        assert (got.overall, got.by_duration, got.counts) == (
+            want.overall,
+            want.by_duration,
+            want.counts,
+        )
+        if selection == "unevaluable":
+            assert got.n_evaluated == 0 and got.overall == {}
+        if selection == "instants":
+            assert set(got.by_duration) == {"du=1"}
 
 
 class TestRandomBaseline:

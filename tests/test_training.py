@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from time2box.data import Statement, TimeScope
+from time2box.data import ScopeKind, Statement, SynthConfig, TimeScope, generate_synthetic
 from time2box.model import PROJECTOR_DM, ParameterStore, QueryPlan
 from time2box.training import (
     ADAM_BLOCK_ELEMENTS,
@@ -190,6 +190,35 @@ class TestEntityNegativeFallback:
         assert got == want
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert len(set(got)) == k and not set(got) & positives
+
+
+class TestEntityNegativeDraws:
+    """The sampler accepts the same entities and leaves the generator in the
+    same state as the former per-candidate loop, in old_entity_negatives."""
+
+    @pytest.fixture(scope="class")
+    def planted_kb(self):
+        kb, _ = generate_synthetic(
+            SynthConfig(seed=7, n_entities=50, n_relations=5, axis_length=40, n_rules=85)
+        )
+        return kb
+
+    @pytest.mark.parametrize("k", [1, 8, 16, 40])
+    def test_matches_former_loop(self, planted_kb, k):
+        kb = planted_kb
+        rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
+        for stmt in kb.splits["train"][::3]:
+            scope = stmt.scope
+            if scope.kind is ScopeKind.NO_TIME:
+                timestamps = ()
+                positives = kb.filter.atemporal_objects(stmt.s, stmt.r, splits=("train",))
+            else:
+                timestamps = (scope.end if scope.start is None else scope.start,)
+                positives = kb.filter.timed_objects(stmt.s, stmt.r, timestamps[0], splits=("train",))
+            got = sample_entity_negatives(stmt, k, kb, rng, timestamps=timestamps)
+            want, _ = old_entity_negatives(positives, k, kb.n_entities, ref_rng)
+            assert got == want
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestTimeNegatives:
