@@ -6,7 +6,9 @@ inverses, 12 years) with its TrainConfig (d=8, k=4, lr=0.01, batch 32,
 50 steps, seed 13) for six variants, and for each prints the SHA-256 of
 the checkpoint, of the float64 parameter arrays that train() returned (the
 float32 checkpoint can hide a change in their last bits), of the train.log
-lines, and of the link and time report texts on the test split. Run it on
+lines, of the link and time report texts on the test split, and of the
+link report text on the training split with filter train,valid (its
+queries span several of eval_link_prediction's chunks). Run it on
 two commits and diff the output to check that a change leaves parameters,
 checkpoints, logs and reports byte-identical:
 
@@ -43,6 +45,9 @@ def digest_line(kb, spec: str, work_dir: str) -> str:
         checkpoint = fh.read()
     test = kb.splits["test"]
     link_report = eval_link_prediction(test, params, kb, cfg.variant)
+    train_link_report = eval_link_prediction(
+        kb.splits["train"], params, kb, cfg.variant, filter_splits=("train", "valid")
+    )
     # as `time2box eval-time`: each original statement once, forward direction
     forward = [s for s in test if s.r < kb.n_base_relations]
     time_report = eval_time_prediction(forward, params, kb, cfg.variant)
@@ -51,6 +56,7 @@ def digest_line(kb, spec: str, work_dir: str) -> str:
         f"params={sha256(b''.join(params.arrays[name].tobytes() for name in PARAM_ORDER))}",
         f"train.log={sha256(''.join(log_lines).encode())}",
         f"link={sha256(link_report.to_text().encode())}",
+        f"link.train={sha256(train_link_report.to_text().encode())}",
         f"time={sha256(time_report.to_text().encode())}",
     ]
     return f"{spec:<13} " + " ".join(fields)

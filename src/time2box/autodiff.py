@@ -118,7 +118,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 def _op(op, parents, fwd, vjp) -> Node:
     parents = tuple(parents)
     value = fwd(*(p.value for p in parents))
-    return Node(value, op, parents, _tape_of(*parents), vjp)
+    tape = _tape_of(*parents)
+    if tape is None:
+        # backward walks only tape nodes, so a tape-free node keeps no inputs:
+        # an evaluation forward pass frees each intermediate once it is used
+        return Node(value, op)
+    return Node(value, op, parents, tape, vjp)
 
 
 def add(a, b) -> Node:

@@ -4,7 +4,8 @@ via greedy coalescing, and the interval overlap metrics.
 Ranking is filtered: known true answers from the chosen splits (other
 than the query's own gold) are removed before the rank is computed, and
 ties count above the gold. A closed-interval query is ranked once per
-year of its interval and the ranks are averaged.
+year of its interval and the ranks are averaged; the per-year queries are
+built, scored and ranked in chunks.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ScopeKind, Statement, TemporalKB
-from .model import ParameterStore, Variant, box_scores, query_box, score_entities
+from .model import BoxEmbedding, ParameterStore, Variant, box_scores, query_box, score_entities
 
 DEFAULT_FILTER_SPLITS = ("train", "valid")
 
@@ -22,7 +23,8 @@ DURATION_BUCKETS = ("du=1", "1<du<=5", "du>5")
 
 
 class NonFiniteScoreError(ValueError):
-    """A gold entity scored NaN or infinity, so its rank would be meaningless."""
+    """An entity scored NaN or infinity, so a rank or interval built on the
+    scores would be meaningless."""
 
 
 @dataclass(frozen=True)
@@ -166,6 +168,114 @@ def property_p_check(
 # link prediction
 
 
+#: link queries built, scored and ranked together: at most this many per
+#: chunk, which bounds the chunk's box temporaries (on c07 with d=64 a link
+#: evaluation peaks at about 1.6 MiB under tracemalloc)
+LINK_CHUNK_QUERIES = 128
+#: and at most this many query x entity scores per chunk, but at least one
+#: query, which bounds its (Q, |E|) score and mask arrays: on a 12.5k-entity
+#: table a chunk is one query, since 5-query chunks scored no faster there
+#: and raised the process's peak RSS by about 2 MiB
+LINK_CHUNK_SCORES = 1 << 13
+
+
+def link_chunk_size(n_entities: int) -> int:
+    """Queries per chunk: LINK_CHUNK_QUERIES, fewer on large entity tables."""
+    return max(1, min(LINK_CHUNK_QUERIES, LINK_CHUNK_SCORES // max(1, n_entities)))
+
+
+def link_query_times(stmt: Statement) -> list[int | None]:
+    """Timestamps of a statement's link queries: None for no-time, the known
+    endpoint for instants and half-open scopes, every year of a closed interval."""
+    scope = stmt.scope
+    if scope.kind is ScopeKind.NO_TIME:
+        return [None]
+    if scope.kind is ScopeKind.LEFT_OPEN:
+        return [scope.end]
+    if scope.kind is ScopeKind.CLOSED:
+        return list(range(scope.start, scope.end + 1))
+    return [scope.start]
+
+
+def _chunk_scores(queries, params: ParameterStore, variant: Variant) -> np.ndarray:
+    """(Q, |E|) scores of queries that all have a timestamp or all have none.
+
+    The boxes are built with leading shape (Q, 1): the singleton axis keeps
+    the DeepSets gate a per-query GEMV, so each box equals its single-query
+    build bit for bit (a flat (Q,) batch would be a GEMM and differ).
+    """
+    s = np.array([q[0] for q in queries], dtype=np.intp)
+    r = np.array([q[1] for q in queries], dtype=np.intp)
+    times = np.array([[] if q[2] is None else [q[2]] for q in queries], dtype=np.intp)
+    box = query_box(params, variant, s[:, None], r[:, None], times[:, None, :])
+    return score_entities(BoxEmbedding(box.center_value()[:, 0], box.offset_value()[:, 0]), params)
+
+
+def _filtered_ranks(
+    queries, golds, scores: np.ndarray, kb: TemporalKB, filter_splits
+) -> np.ndarray:
+    """1 + the number of competing entities scoring at least the gold, per
+    query; the gold and the known answers of filter_splits do not compete."""
+    rows: list[int] = []
+    cols: list[int] = []
+    for j, (s, r, t) in enumerate(queries):
+        if t is None:
+            known = kb.filter.atemporal_objects(s, r, splits=filter_splits)
+        else:
+            known = kb.filter.timed_objects(s, r, t, splits=filter_splits)
+        rows.extend([j] * len(known))
+        cols.extend(known)
+    competing = np.ones(scores.shape, dtype=bool)
+    competing[rows, cols] = False
+    here = np.arange(len(queries))
+    competing[here, golds] = False
+    competing &= scores >= scores[here, golds][:, None]
+    return 1 + np.count_nonzero(competing, axis=1)
+
+
+def rank_queries(
+    queries: list[tuple[int, int, int | None]],
+    golds: list[int],
+    params: ParameterStore,
+    kb: TemporalKB,
+    filter_splits=DEFAULT_FILTER_SPLITS,
+    variant=None,
+) -> np.ndarray:
+    """Filtered ranks of the gold entities of link queries (s, r, t-or-None),
+    in query order; ties with remaining non-gold entities count above the gold.
+
+    Queries without and with a timestamp are walked separately (their boxes
+    have 0 and 1 time projections), in chunks of link_chunk_size queries:
+    one query_box call, one score_entities pass and one masked count each.
+    If any entity of a query scores NaN or infinity, NonFiniteScoreError
+    is raised for the first such query instead of ranking around it.
+    """
+    variant = variant or Variant()
+    ranks = np.zeros(len(queries), dtype=np.int64)
+    size = link_chunk_size(params.n_entities)
+    bad: list[tuple[int, np.ndarray]] = []  # first non-finite query of each group
+    for timed in (False, True):
+        group = [i for i, q in enumerate(queries) if (q[2] is not None) == timed]
+        for lo in range(0, len(group), size):
+            chunk = group[lo : lo + size]
+            chunk_queries = [queries[i] for i in chunk]
+            scores = _chunk_scores(chunk_queries, params, variant)
+            finite = np.isfinite(scores).all(axis=1)
+            if not finite.all():
+                j = int(np.argmin(finite))
+                bad.append((chunk[j], scores[j]))
+                break
+            chunk_golds = [golds[i] for i in chunk]
+            ranks[chunk] = _filtered_ranks(chunk_queries, chunk_golds, scores, kb, filter_splits)
+    if bad:
+        i, scores = min(bad, key=lambda item: item[0])
+        e = int(np.flatnonzero(~np.isfinite(scores))[0])
+        raise NonFiniteScoreError(
+            f"non-finite score {scores[e]} for entity {e} of query {queries[i]}"
+        )
+    return ranks
+
+
 def rank_entity(
     query: tuple[int, int, int | None],
     gold: int,
@@ -174,26 +284,9 @@ def rank_entity(
     filter_splits=DEFAULT_FILTER_SPLITS,
     variant=None,
 ) -> int:
-    """Filtered rank of the gold entity for a query (s, r, t-or-None);
-    ties with remaining non-gold entities count above the gold. A
-    non-finite gold score raises NonFiniteScoreError instead of ranking first."""
-    variant = variant or Variant()
-    s, r, t = query
-    box = query_box(params, variant, s, r, () if t is None else (t,))
-    scores = score_entities(box, params)
-    gold_score = scores[gold]
-    if not np.isfinite(gold_score):
-        raise NonFiniteScoreError(
-            f"non-finite score {gold_score} for gold entity {gold} of query {query}"
-        )
-    if t is None:
-        known = kb.filter.atemporal_objects(s, r, splits=filter_splits)
-    else:
-        known = kb.filter.timed_objects(s, r, t, splits=filter_splits)
-    competing = np.ones(len(scores), dtype=bool)
-    competing[np.fromiter(known, dtype=np.intp, count=len(known))] = False
-    competing[gold] = False
-    return 1 + int(np.count_nonzero(scores[competing] >= gold_score))
+    """Filtered rank of the gold entity for one query (s, r, t-or-None);
+    see rank_queries."""
+    return int(rank_queries([query], [gold], params, kb, filter_splits, variant)[0])
 
 
 @dataclass
@@ -270,24 +363,11 @@ def statement_rank(
     filter_splits=DEFAULT_FILTER_SPLITS,
     variant=None,
 ) -> RankResult:
-    """Per-statement rank: a single query for no-time/instant statements,
-    the known endpoint for half-open ones, and one query per year of a
-    closed interval (averaged by the caller)."""
-    scope = stmt.scope
-    if scope.kind is ScopeKind.NO_TIME:
-        ts: list[int | None] = [None]
-    elif scope.kind is ScopeKind.INSTANT:
-        ts = [scope.start]
-    elif scope.kind is ScopeKind.RIGHT_OPEN:
-        ts = [scope.start]
-    elif scope.kind is ScopeKind.LEFT_OPEN:
-        ts = [scope.end]
-    else:
-        ts = list(range(scope.start, scope.end + 1))
-    ranks = [
-        rank_entity((stmt.s, stmt.r, t), stmt.o, params, kb, filter_splits, variant) for t in ts
-    ]
-    return RankResult((stmt.s, stmt.r, stmt.o), ranks)
+    """Per-statement ranks, one per query of link_query_times (averaged by
+    the caller)."""
+    queries = [(stmt.s, stmt.r, t) for t in link_query_times(stmt)]
+    ranks = rank_queries(queries, [stmt.o] * len(queries), params, kb, filter_splits, variant)
+    return RankResult((stmt.s, stmt.r, stmt.o), ranks.tolist())
 
 
 def eval_link_prediction(
@@ -298,13 +378,30 @@ def eval_link_prediction(
     filter_splits=DEFAULT_FILTER_SPLITS,
 ) -> LinkPredReport:
     """Filtered ranking over the given statements with a per-validity-type
-    breakdown; closed intervals contribute their averaged rank."""
+    breakdown; closed intervals contribute their averaged rank.
+
+    All statements are expanded up front into their per-year queries and
+    ranked in chunks by rank_queries. The ranks are exact integers, so each
+    statement's sum over its queries divided by their count is the same
+    float64 as the mean of a per-query loop.
+    """
+    queries: list[tuple[int, int, int | None]] = []
+    golds: list[int] = []
+    offsets: list[int] = []
+    for stmt in statements:
+        offsets.append(len(queries))
+        for t in link_query_times(stmt):
+            queries.append((stmt.s, stmt.r, t))
+            golds.append(stmt.o)
     by_type: dict[str, list[float]] = {b: [] for b in VALIDITY_BUCKETS}
     all_ranks: list[float] = []
-    for stmt in statements:
-        avg = statement_rank(stmt, params, kb, filter_splits, variant).averaged
-        all_ranks.append(avg)
-        by_type[_BUCKET_OF_KIND[stmt.scope.kind]].append(avg)
+    if statements:
+        ranks = rank_queries(queries, golds, params, kb, filter_splits, variant)
+        starts = np.array(offsets)
+        counts = np.diff(starts, append=len(queries))
+        all_ranks = (np.add.reduceat(ranks, starts) / counts).tolist()
+        for stmt, avg in zip(statements, all_ranks):
+            by_type[_BUCKET_OF_KIND[stmt.scope.kind]].append(avg)
     return LinkPredReport(
         overall=MetricBlock.from_ranks(all_ranks),
         by_type={name: MetricBlock.from_ranks(r) for name, r in by_type.items() if r},

@@ -374,24 +374,38 @@ def box_scores(points, center, offset, gamma: float, alpha: float) -> np.ndarray
 
 
 def score_entities(box: BoxEmbedding, params: ParameterStore) -> np.ndarray:
-    """Scores of every entity against one query box (evaluation path).
+    """Scores of every entity against one query box of shape (d,), as an
+    (|E|,) array, or against Q boxes of shape (Q, d), as a (Q, |E|) array
+    (evaluation path).
 
-    Equal to box_scores over the whole entity table, but walks it in row
-    blocks of SCORE_BLOCK_ELEMENTS so the work buffers are reused in cache.
+    Equal to box_scores over the whole entity table, but walks it in blocks
+    of queries x entity rows of at most SCORE_BLOCK_ELEMENTS, so the work
+    buffers are reused in cache: a row block holds up to
+    SCORE_BLOCK_ELEMENTS // d entities, and as many queries as fit share it.
     """
     _check_alpha(params.alpha)
     emb = params.arrays["entity_emb"]
     center, offset = box.center_value(), box.offset_value()
-    b_min, b_max = center - offset, center + offset
     n, d = emb.shape
-    rows = max(1, SCORE_BLOCK_ELEMENTS // d)
-    clamped = np.empty((min(rows, n), d))
+    queries, offset = center.reshape(-1, 1, d), offset.reshape(-1, 1, d)
+    b_min, b_max = queries - offset, queries + offset
+    q = len(queries)
+    rows = max(1, min(n, SCORE_BLOCK_ELEMENTS // d))
+    per_block = max(1, SCORE_BLOCK_ELEMENTS // (rows * d))
+    clamped = np.empty((min(per_block, q), rows, d))
     diff = np.empty_like(clamped)
-    total = np.empty(n)
-    for lo in range(0, n, rows):
-        block = emb[lo : lo + rows]
-        m = len(block)
-        total[lo : lo + m] = _box_distance(
-            block, center, b_min, b_max, params.alpha, clamped[:m], diff[:m]
-        )
-    return ad.log_sigmoid_value(params.gamma - total)
+    scores = np.empty((q, n))
+    for q_lo in range(0, q, per_block):
+        qs = slice(q_lo, q_lo + per_block)
+        k = len(queries[qs])
+        for lo in range(0, n, rows):
+            block = emb[lo : lo + rows]
+            m = len(block)
+            scores[qs, lo : lo + m] = _box_distance(
+                block, queries[qs], b_min[qs], b_max[qs], params.alpha,
+                clamped[:k, :m], diff[:k, :m],
+            )
+        # distances to scores per query block, so the log-sigmoid's
+        # temporaries do not grow with Q
+        scores[qs] = ad.log_sigmoid_value(params.gamma - scores[qs])
+    return scores.reshape(center.shape[:-1] + (n,))

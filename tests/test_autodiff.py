@@ -123,6 +123,8 @@ def test_eager_mode_records_nothing():
     b = ad.relu(ad.add(a, ad.constant([-2.0, 1.0])))
     np.testing.assert_array_equal(b.value, [0.0, 3.0])
     assert b.tape is None
+    # nor keeps its inputs, so eager intermediates are freed once used
+    assert b.parents == ()
 
 
 class TestFiniteDiffCheck:

@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -481,6 +483,180 @@ class TestLinkPredictionReport:
         tsv = report.breakdown_tsv()
         assert tsv.splitlines()[0].startswith("type\tcount\tMRR")
         assert len(tsv.splitlines()) == 1 + 1 + 4  # header, overall, four buckets
+
+
+@pytest.fixture(scope="module")
+def c07_kb():
+    kb, _ = generate_synthetic(
+        SynthConfig(
+            seed=7, n_entities=50, n_relations=5, axis_length=40, n_rules=85, instant_echoes=2
+        )
+    )
+    return add_inverse_relations(kb)
+
+
+def assert_report_equals_oracle(report, oracle):
+    assert set(report.by_type) == set(oracle) - {"overall"}
+    blocks = [("overall", report.overall)] + list(report.by_type.items())
+    for bucket, block in blocks:
+        for key in ("count", "mrr", "mr", "hits1", "hits3", "hits10"):
+            assert getattr(block, key) == oracle[bucket][key], (bucket, key)
+
+
+class TestNonFiniteCompetitor:
+    """A non-gold entity scoring NaN or infinity raises instead of never
+    outranking the gold, which would silently raise the MRR."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+    def test_untouched_entity_row_raises(self, c07_kb, value):
+        kb = c07_kb
+        params = ParameterStore.initialize(
+            16, kb.n_entities, kb.n_relations, kb.axis.length, rng=np.random.default_rng(0)
+        )
+        bad = 7
+        params.arrays["entity_emb"][bad] = value
+        # no query has the row as subject or gold, so every gold scores finite
+        statements = [s for s in kb.splits["test"] if bad not in (s.s, s.o)]
+        assert len(statements) > 100
+        with pytest.raises(ev.NonFiniteScoreError, match=f"non-finite score .* for entity {bad} "):
+            eval_link_prediction(statements, params, kb, Variant.parse("te"))
+
+    def test_rank_entity_raises_on_competitor(self, ranking_setup):
+        kb, params = ranking_setup
+        params = params.copy()
+        params.arrays["entity_emb"][8] = np.nan  # a padding entity
+        with pytest.raises(ev.NonFiniteScoreError, match="non-finite score"):
+            rank_entity((0, 0, None), 1, params, kb)
+        with pytest.raises(ev.NonFiniteScoreError, match="non-finite score"):
+            statement_rank(kb.splits["test"][0], params, kb)
+
+    def test_error_names_first_query_in_statement_order(self, ranking_setup):
+        kb, params = ranking_setup
+        params = params.copy()
+        params.arrays["entity_emb"][8] = np.nan
+        closed, no_time = kb.splits["test"][0], kb.splits["test"][1]
+        assert closed.scope.kind is ScopeKind.CLOSED and no_time.scope.kind is ScopeKind.NO_TIME
+        # queries without a timestamp are ranked first, but the error names
+        # the first query of the first statement
+        first_closed = (closed.s, closed.r, closed.scope.start)
+        with pytest.raises(ev.NonFiniteScoreError, match=re.escape(f"of query {first_closed}")):
+            eval_link_prediction([closed, no_time], params, kb)
+        first_no_time = (no_time.s, no_time.r, None)
+        with pytest.raises(ev.NonFiniteScoreError, match=re.escape(f"of query {first_no_time}")):
+            eval_link_prediction([no_time, closed], params, kb)
+
+
+class TestLinkChunks:
+    """Chunked link ranking equals the brute-force oracle exactly, whatever
+    the chunk size: closed intervals straddle chunk edges, and queries with
+    and without a timestamp interleave in statement order."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @pytest.mark.parametrize("variant", ["te", "te,tr", "dm", "dm,tr"])
+    def test_matches_oracle(self, ranking_setup, monkeypatch, chunk, variant):
+        monkeypatch.setattr(ev, "LINK_CHUNK_QUERIES", chunk)
+        kb = add_inverse_relations(ranking_setup[0])
+        params = ParameterStore.initialize(
+            8, kb.n_entities, kb.n_relations, kb.axis.length, rng=np.random.default_rng(chunk)
+        )
+        v = Variant.parse(variant)
+        statements = kb.splits["train"] + kb.splits["test"] + kb.splits["valid"]
+        report = eval_link_prediction(statements, params, kb, v)
+        assert_report_equals_oracle(report, brute_force_link_report(statements, params, kb, v))
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @pytest.mark.parametrize("variant", ["te,tns", "dm,tr,si"])
+    def test_matches_oracle_on_c07(self, c07_kb, monkeypatch, chunk, variant):
+        monkeypatch.setattr(ev, "LINK_CHUNK_QUERIES", chunk)
+        kb = c07_kb
+        params = ParameterStore.initialize(
+            16, kb.n_entities, kb.n_relations, kb.axis.length, rng=np.random.default_rng(chunk)
+        )
+        v = Variant.parse(variant)
+        statements = kb.splits["test"][:40]
+        report = eval_link_prediction(statements, params, kb, v, filter_splits=("train",))
+        oracle = brute_force_link_report(statements, params, kb, v, filter_splits=("train",))
+        assert_report_equals_oracle(report, oracle)
+
+    @pytest.mark.parametrize("variant", ["te", "te,tns", "dm,tr,si", "te,tr", "dm"])
+    @pytest.mark.parametrize("timed", [False, True])
+    def test_chunk_scores_equal_single_queries(self, c07_kb, variant, timed):
+        """A chunk's boxes keep a singleton axis before every linear map, so
+        its scores equal single-query builds bit for bit."""
+        from time2box.model import QueryPlan, box_of_query, score_entities
+
+        kb = c07_kb
+        rng = np.random.default_rng(len(variant))
+        params = ParameterStore.initialize(
+            64, kb.n_entities, kb.n_relations, kb.axis.length, rng=rng
+        )
+        v = Variant.parse(variant)
+        queries = [
+            (
+                int(rng.integers(kb.n_entities)),
+                int(rng.integers(kb.n_relations)),
+                int(rng.integers(kb.axis.length)) if timed else None,
+            )
+            for _ in range(200)
+        ]
+        got = ev._chunk_scores(queries, params, v)
+        for row, (s, r, t) in zip(got, queries):
+            plan = QueryPlan(s, r, () if t is None else (t,), v.projector_kind, v.use_tr)
+            assert np.array_equal(row, score_entities(box_of_query(plan, params), params))
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_single_entity(self, monkeypatch, chunk):
+        monkeypatch.setattr(ev, "LINK_CHUNK_QUERIES", chunk)
+        kb = kb_from_lines(
+            ["a\tr\ta\t0\t4", "a\tq\ta\t-\t-", "a\tr\ta\t2\t-"],
+            test_lines=["a\tr\ta\t1\t3", "a\tq\ta\t-\t-", "a\tq\ta\t-\t2"],
+        )
+        assert kb.n_entities == 1
+        params = ParameterStore.initialize(4, 1, kb.n_relations, kb.axis.length)
+        statements = kb.splits["test"]
+        report = eval_link_prediction(statements, params, kb)
+        assert_report_equals_oracle(report, brute_force_link_report(statements, params, kb))
+        assert report.overall.mrr == 1.0
+
+    def test_no_statements(self, ranking_setup):
+        kb, params = ranking_setup
+        report = eval_link_prediction([], params, kb)
+        assert report.overall == MetricBlock() and report.by_type == {}
+        assert len(ev.rank_queries([], [], params, kb)) == 0
+
+    def test_chunk_size_bounds_scores(self):
+        assert ev.link_chunk_size(50) == ev.LINK_CHUNK_QUERIES
+        assert ev.link_chunk_size(ev.LINK_CHUNK_SCORES // 3) == 3
+        assert ev.link_chunk_size(12544) == 1
+
+
+class TestLinkMemory:
+    def test_peak_set_by_chunk_not_statements(self, c07_kb):
+        """tracemalloc peak of the full c07 test split stays under a fixed
+        bound and near the peak of its first ~120 queries."""
+        kb = c07_kb
+        params = ParameterStore.initialize(
+            64, kb.n_entities, kb.n_relations, kb.axis.length, rng=np.random.default_rng(0)
+        )
+        v = Variant.parse("te,tns")
+        full = kb.splits["test"]
+        assert sum(len(ev.link_query_times(s)) for s in full) == 1904
+        first, n_queries = [], 0
+        while n_queries < 120:
+            first.append(full[len(first)])
+            n_queries += len(ev.link_query_times(first[-1]))
+
+        def peak(statements):
+            tracemalloc.start()
+            try:
+                eval_link_prediction(statements, params, kb, v)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        full_peak, first_peak = peak(full), peak(first)
+        assert full_peak < 8 * 2**20
+        assert full_peak < 1.5 * first_peak
 
 
 class TestTimePrediction:

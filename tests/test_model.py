@@ -392,6 +392,24 @@ class TestScoreEntities:
             assert got.shape == (n_entities,)
             assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("n_entities", [1, 5, ROWS, 2 * ROWS + 37])
+    def test_query_block_edges(self, n_entities):
+        """(Q, d) boxes give the rows of Q single-box calls, across blocks of
+        queries sharing one row block."""
+        ps = ParameterStore.initialize(64, n_entities, 3, 4, rng=np.random.default_rng(n_entities))
+        per_block = m.SCORE_BLOCK_ELEMENTS // (min(n_entities, self.ROWS) * 64)
+        rng = np.random.default_rng(0)
+        q = 2 * per_block + 3
+        center, offset = rng.normal(size=(q, 64)), rng.uniform(0.0, 1.0, size=(q, 64))
+        got = score_entities(BoxEmbedding(center, offset), ps)
+        assert got.shape == (q, n_entities)
+        for i in range(q):
+            single = score_entities(BoxEmbedding(center[i], offset[i]), ps)
+            assert np.array_equal(got[i], single)
+        last = BoxEmbedding(center[-1], offset[-1])
+        expected = score(ps.arrays["entity_emb"], last, ps.gamma, ps.alpha).value
+        assert np.array_equal(got[-1], expected)
+
 
 class TestParameterCount:
     @pytest.mark.parametrize(
