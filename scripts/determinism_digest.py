@@ -6,9 +6,11 @@ inverses, 12 years) with its TrainConfig (d=8, k=4, lr=0.01, batch 32,
 50 steps, seed 13) for six variants, and for each prints the SHA-256 of
 the checkpoint, of the float64 parameter arrays that train() returned (the
 float32 checkpoint can hide a change in their last bits), of the train.log
-lines, of the link and time report texts on the test split, and of the
+lines, of the link and time report texts on the test split, of the
 link report text on the training split with filter train,valid (its
-queries span several of eval_link_prediction's chunks). Run it on
+queries span several of eval_link_prediction's chunks), and of the time
+report text on the training split's forward statements (they span
+several relation groups and chunks of eval_time_prediction). Run it on
 two commits and diff the output to check that a change leaves parameters,
 checkpoints, logs and reports byte-identical:
 
@@ -51,6 +53,8 @@ def digest_line(kb, spec: str, work_dir: str) -> str:
     # as `time2box eval-time`: each original statement once, forward direction
     forward = [s for s in test if s.r < kb.n_base_relations]
     time_report = eval_time_prediction(forward, params, kb, cfg.variant)
+    train_forward = [s for s in kb.splits["train"] if s.r < kb.n_base_relations]
+    train_time_report = eval_time_prediction(train_forward, params, kb, cfg.variant)
     fields = [
         f"checkpoint={sha256(checkpoint)}",
         f"params={sha256(b''.join(params.arrays[name].tobytes() for name in PARAM_ORDER))}",
@@ -58,6 +62,7 @@ def digest_line(kb, spec: str, work_dir: str) -> str:
         f"link={sha256(link_report.to_text().encode())}",
         f"link.train={sha256(train_link_report.to_text().encode())}",
         f"time={sha256(time_report.to_text().encode())}",
+        f"time.train={sha256(train_time_report.to_text().encode())}",
     ]
     return f"{spec:<13} " + " ".join(fields)
 

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from .data import (
+    SPLITS,
     DatasetError,
     ScopeKind,
     SynthConfig,
@@ -97,7 +98,14 @@ def resolve(args, file_keys: dict[str, str], name: str, cast, default):
 
 
 def _split_arg(value: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in value.split(",") if part.strip())
+    """Comma-separated split names; an empty value gives no splits."""
+    names = tuple(part.strip() for part in value.split(",") if part.strip())
+    unknown = [name for name in names if name not in SPLITS]
+    if unknown:
+        raise UsageError(
+            f"unknown split name(s) {', '.join(map(repr, unknown))}; expected {', '.join(SPLITS)}"
+        )
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +227,8 @@ def _load_model_and_kb(args, augment: bool = True):
 
 
 def cmd_eval_link(args) -> int:
-    params, variant, kb = _load_model_and_kb(args)
     splits = _split_arg(args.filter)
+    params, variant, kb = _load_model_and_kb(args)
     report = eval_link_prediction(
         kb.splits["test"], params, kb, variant, filter_splits=splits
     )
@@ -281,6 +289,8 @@ def cmd_eval_time(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.topk < 1:
+        raise UsageError(f"--topk must be at least 1, got {args.topk}")
     params, variant, kb = _load_model_and_kb(args)
     try:
         s = kb.entities.id_of(args.subject)

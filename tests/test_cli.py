@@ -220,6 +220,35 @@ class TestEval:
         with_test = mrr_of("train,valid,test", tmp_path / "f2")
         assert with_test >= base
 
+    @pytest.mark.parametrize("filter_arg", ["train,bogus", "bogus"])
+    def test_unknown_filter_split_is_usage_error(
+        self, filter_arg, dataset_dir, run_dir, tmp_path, capsys, monkeypatch
+    ):
+        from time2box import cli
+
+        def no_load(path):
+            raise AssertionError("checkpoint loaded before --filter was checked")
+
+        monkeypatch.setattr(cli, "load_checkpoint", no_load)
+        out = tmp_path / "ev"
+        code, stdout, err = run(
+            capsys, "eval-link", "--checkpoint", run_dir / "checkpoint.t2b",
+            "--data", dataset_dir, "--out", out, "--filter", filter_arg,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "'bogus'" in err and "usage error" in err
+        assert not out.exists()
+
+    def test_empty_filter_ranks_unfiltered(self, dataset_dir, run_dir, tmp_path, capsys):
+        out = tmp_path / "ev"
+        code, stdout, _ = run(
+            capsys, "eval-link", "--checkpoint", run_dir / "checkpoint.t2b",
+            "--data", dataset_dir, "--out", out, "--filter", "",
+        )
+        assert code == 0
+        assert (out / "link_report.txt").read_text().startswith("filter_splits=\n")
+
     def test_eval_time_writes_reports(self, dataset_dir, run_dir, tmp_path, capsys):
         out = tmp_path / "et"
         code, stdout, _ = run(
@@ -330,6 +359,22 @@ class TestPredict:
         assert len(rows) == 10
         scores = [float(r[2]) for r in rows]
         assert scores == sorted(scores, reverse=True)
+
+    @pytest.mark.parametrize("topk", ["0", "-2"])
+    def test_topk_below_one_is_usage_error(self, topk, dataset_dir, run_dir, capsys, monkeypatch):
+        from time2box import cli
+
+        def no_load(path):
+            raise AssertionError("checkpoint loaded before --topk was checked")
+
+        monkeypatch.setattr(cli, "load_checkpoint", no_load)
+        code, out, err = run(
+            capsys, "predict", "--checkpoint", run_dir / "checkpoint.t2b",
+            "--data", dataset_dir, "-s", "e00", "-r", "rel0", "-t", "1985", "--topk", topk,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"--topk must be at least 1, got {topk}" in err
 
     def test_interval_prints_per_year_timeline(self, dataset_dir, run_dir, capsys):
         code, out, _ = run(

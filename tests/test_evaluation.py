@@ -76,6 +76,16 @@ def former_greedy_coalesce(scores, k, tau=0.5):
     return intervals
 
 
+def former_score_timeline(s, r, o, params, kb, variant):
+    """score_timeline as it was before statements were scored in chunks:
+    one query_box call over the axis for a single statement."""
+    from time2box.model import box_scores, query_box
+
+    box = query_box(params, variant, s, r, np.arange(kb.axis.length)[:, None])
+    obj = params.arrays["entity_emb"][o]
+    return box_scores(obj, box.center_value(), box.offset_value(), params.gamma, params.alpha)
+
+
 def former_eval_time_prediction(statements, params, kb, variant=None, k=10, tau=0.5):
     """eval_time_prediction as a per-statement loop of scalar metric calls,
     as it was before the metrics ran once per call over all predictions."""
@@ -686,7 +696,9 @@ class TestTimePrediction:
         stmt = Statement(0, 0, 1, TimeScope.closed(2, 4))
         spiked = np.full(kb.axis.length, -40.0)
         spiked[2:5] = 10.0
-        monkeypatch.setattr(ev, "score_timeline", lambda *a, **k: spiked)
+        monkeypatch.setattr(
+            ev, "_chunk_timelines", lambda s, *a, **k: np.tile(spiked, (len(s), 1))
+        )
         report = eval_time_prediction([stmt], params, kb)
         assert report.overall["giou@1"] == 1.0
         assert report.overall["aeiou@1"] == 1.0
@@ -731,11 +743,150 @@ class TestTimePrediction:
         def no_scoring(*args, **kwargs):
             raise AssertionError("a timeline was scored before k and tau were checked")
 
-        monkeypatch.setattr(ev, "score_timeline", no_scoring)
+        monkeypatch.setattr(ev, "_chunk_timelines", no_scoring)
         unevaluable = [s for s in kb.splits["test"] if gold_interval(s) is None]
         for statements in (kb.splits["test"], unevaluable):
             with pytest.raises(ValueError, match="must"):
                 eval_time_prediction(statements, params, kb, k=k, tau=tau)
+
+
+class TestTimeChunks:
+    """Time prediction scores the statements of one relation in chunks; each
+    chunk's timelines equal one-statement builds bit for bit, whatever the
+    chunk size, with relations interleaved in statement order."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        scorer = ev._chunk_timelines
+
+        def recording(s, r, o, *args):
+            timelines = scorer(s, r, o, *args)
+            calls.append((s.tolist(), r, o.tolist(), timelines))
+            return timelines
+
+        monkeypatch.setattr(ev, "_chunk_timelines", recording)
+        return calls
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    @pytest.mark.parametrize("variant", ["te", "te,tns", "dm,tr,si", "te,tr", "dm"])
+    def test_chunks_equal_single_statements(self, c07_kb, monkeypatch, chunk, variant):
+        kb = c07_kb
+        d = 16
+        monkeypatch.setattr(ev, "TIME_CHUNK_ELEMENTS", chunk * kb.axis.length * d)
+        params = ParameterStore.initialize(
+            d, kb.n_entities, kb.n_relations, kb.axis.length, rng=np.random.default_rng(chunk)
+        )
+        v = Variant.parse(variant)
+        statements = kb.splits["test"]
+        assert len({s.r for s in statements[:4]}) > 1  # relations interleave
+        calls = self.spy(monkeypatch)
+        report = eval_time_prediction(statements, params, kb, v)
+
+        assert max(len(s) for s, _, _, _ in calls) == chunk
+        scored = []
+        for subjects, r, objects, timelines in calls:
+            assert timelines.shape == (len(subjects), kb.axis.length)
+            for s, o, timeline in zip(subjects, objects, timelines):
+                assert np.array_equal(timeline, former_score_timeline(s, r, o, params, kb, v))
+                scored.append((s, r, o))
+        evaluable = [(s.s, s.r, s.o) for s in statements if gold_interval(s) is not None]
+        assert sorted(scored) == sorted(evaluable)
+        want = former_eval_time_prediction(statements, params, kb, v)
+        assert report.to_text() == want.to_text()
+
+    @pytest.mark.parametrize("variant", ["te", "dm,tr,si"])
+    def test_score_timeline_equals_single_statement_build(self, c07_kb, variant):
+        kb = c07_kb
+        params = ParameterStore.initialize(
+            16, kb.n_entities, kb.n_relations, kb.axis.length, rng=np.random.default_rng(3)
+        )
+        v = Variant.parse(variant)
+        for stmt in kb.splits["test"][:50]:
+            assert np.array_equal(
+                score_timeline(stmt.s, stmt.r, stmt.o, params, kb, v),
+                former_score_timeline(stmt.s, stmt.r, stmt.o, params, kb, v),
+            )
+
+    def test_nothing_evaluable_scores_nothing(self, c07_kb, monkeypatch):
+        kb = c07_kb
+        params = ParameterStore.initialize(8, kb.n_entities, kb.n_relations, kb.axis.length)
+        calls = self.spy(monkeypatch)
+        unevaluable = [s for s in kb.splits["test"] if gold_interval(s) is None]
+        assert unevaluable
+        for statements in (unevaluable, []):
+            report = eval_time_prediction(statements, params, kb)
+            assert (report.n_evaluated, report.n_skipped) == (0, len(statements))
+            assert report.overall == {} and report.by_duration == {}
+        assert calls == []
+
+    def test_chunk_size(self):
+        assert ev.time_chunk_size(40, 64) == 12
+        assert ev.time_chunk_size(200, 64) == 2
+        assert ev.time_chunk_size(10**6, 64) == 1
+
+    def test_non_finite_names_first_statement_in_statement_order(self, c07_kb):
+        """Statement 1 (relation 1) is the first non-finite one, but its
+        relation group is scored after relation 0's, whose only non-finite
+        statement comes later."""
+        kb = c07_kb
+        params = ParameterStore.initialize(
+            8, kb.n_entities, kb.n_relations, kb.axis.length, rng=np.random.default_rng(0)
+        )
+        params.arrays["entity_emb"][[3, 4]] = np.nan
+        gold = TimeScope.closed(2, 5)
+        statements = [
+            Statement(0, 0, 1, gold),
+            Statement(0, 1, 3, gold),
+            Statement(2, 0, 5, gold),
+            Statement(0, 0, 4, gold),
+            Statement(2, 1, 6, gold),
+        ]
+        with pytest.raises(
+            ev.NonFiniteScoreError,
+            match=re.escape("at timestamp 0 of statement (0, 1, 3)"),
+        ):
+            eval_time_prediction(statements, params, kb)
+        with pytest.raises(
+            ev.NonFiniteScoreError,
+            match=re.escape("at timestamp 0 of statement (0, 0, 4)"),
+        ):
+            eval_time_prediction(statements[:1] + statements[2:], params, kb)
+
+
+class TestTimeMemory:
+    def test_peak_set_by_chunk_not_statements(self, c07_kb):
+        """tracemalloc peak of ten passes over the c07 test split at d=64
+        (5,200 evaluable statements, whose timelines alone would take 1.6 MiB)
+        stays under a fixed bound and near the peak of the split's shortest
+        prefix that fills one whole chunk of a relation."""
+        kb = c07_kb
+        params = ParameterStore.initialize(
+            64, kb.n_entities, kb.n_relations, kb.axis.length, rng=np.random.default_rng(0)
+        )
+        v = Variant.parse("te,tns")
+        full = kb.splits["test"] * 10
+        size = ev.time_chunk_size(kb.axis.length, params.d)
+        assert size == 12
+        per_relation: dict[int, int] = {}
+        first = []
+        while max(per_relation.values(), default=0) < size:
+            first.append(full[len(first)])
+            if gold_interval(first[-1]) is not None:
+                per_relation[first[-1].r] = per_relation.get(first[-1].r, 0) + 1
+        assert len(first) < len(kb.splits["test"]) // 10
+
+        def peak(statements):
+            tracemalloc.start()
+            try:
+                eval_time_prediction(statements, params, kb, v)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        full_peak, first_peak = peak(full), peak(first)
+        assert full_peak < 6 * 2**20
+        assert full_peak < 1.5 * first_peak
 
 
 class TestTimePredictionMatchesFormerLoop:
