@@ -10,7 +10,9 @@ lines, of the link and time report texts on the test split, of the
 link report text on the training split with filter train,valid (its
 queries span several of eval_link_prediction's chunks), and of the time
 report text on the training split's forward statements (they span
-several relation groups and chunks of eval_time_prediction). Run it on
+several relation groups and chunks of eval_time_prediction, and several
+statements share a subject), both at the default tau=0.5 and at the
+benchmark's k=10, tau=0.95. Run it on
 two commits and diff the output to check that a change leaves parameters,
 checkpoints, logs and reports byte-identical:
 
@@ -55,6 +57,7 @@ def digest_line(kb, spec: str, work_dir: str) -> str:
     time_report = eval_time_prediction(forward, params, kb, cfg.variant)
     train_forward = [s for s in kb.splits["train"] if s.r < kb.n_base_relations]
     train_time_report = eval_time_prediction(train_forward, params, kb, cfg.variant)
+    tau95_report = eval_time_prediction(train_forward, params, kb, cfg.variant, k=10, tau=0.95)
     fields = [
         f"checkpoint={sha256(checkpoint)}",
         f"params={sha256(b''.join(params.arrays[name].tobytes() for name in PARAM_ORDER))}",
@@ -63,6 +66,7 @@ def digest_line(kb, spec: str, work_dir: str) -> str:
         f"link.train={sha256(train_link_report.to_text().encode())}",
         f"time={sha256(time_report.to_text().encode())}",
         f"time.train={sha256(train_time_report.to_text().encode())}",
+        f"time.tau95={sha256(tau95_report.to_text().encode())}",
     ]
     return f"{spec:<13} " + " ".join(fields)
 

@@ -333,39 +333,34 @@ def cmd_predict(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-    try:
-        with open(args.input, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                cols = line.split("\t")
-                if len(cols) < 4:
-                    raise DatasetError(
-                        f"{args.input}:{line_no}: expected 4 integer columns"
-                    )
-                try:
-                    g_lo, g_hi, p_lo, p_hi = (int(c) for c in cols[:4])
-                except ValueError:
-                    raise DatasetError(
-                        f"{args.input}:{line_no}: expected 4 integer columns"
-                    ) from None
-                try:
-                    gold, pred = Interval(g_lo, g_hi), Interval(p_lo, p_hi)
-                except ValueError as exc:
-                    raise DatasetError(f"{args.input}:{line_no}: {exc}") from None
-                values = (giou(gold, pred), aeiou(gold, pred), gaeiou(gold, pred))
-                out.write(line + "".join(f"\t{v:.6f}" for v in values) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    if args.output:
-        snapshot_dir = os.path.dirname(os.path.abspath(args.output))
-        write_snapshot(
-            snapshot_dir,
-            {"command": "metrics", "input": args.input, "output": args.output},
-        )
+    # the whole input is parsed before anything is written, so a bad line
+    # leaves no partial output behind
+    rows: list[str] = []
+    with open(args.input, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            cols = line.split("\t")
+            if len(cols) < 4:
+                raise DatasetError(f"{args.input}:{line_no}: expected 4 integer columns")
+            try:
+                g_lo, g_hi, p_lo, p_hi = (int(c) for c in cols[:4])
+            except ValueError:
+                raise DatasetError(f"{args.input}:{line_no}: expected 4 integer columns") from None
+            try:
+                gold, pred = Interval(g_lo, g_hi), Interval(p_lo, p_hi)
+            except ValueError as exc:
+                raise DatasetError(f"{args.input}:{line_no}: {exc}") from None
+            values = (giou(gold, pred), aeiou(gold, pred), gaeiou(gold, pred))
+            rows.append(line + "".join(f"\t{v:.6f}" for v in values) + "\n")
+    if not args.output:
+        sys.stdout.writelines(rows)
+        return 0
+    with open(args.output, "w", encoding="utf-8") as out:
+        out.writelines(rows)
+    snapshot_dir = os.path.dirname(os.path.abspath(args.output))
+    write_snapshot(snapshot_dir, {"command": "metrics", "input": args.input, "output": args.output})
     return 0
 
 

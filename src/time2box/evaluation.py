@@ -416,7 +416,7 @@ def eval_link_prediction(
 #: float64 elements of a time-prediction chunk's (statements, axis, d) box
 #: centers: at most TIME_CHUNK_ELEMENTS // (T*d) statements, but at least one,
 #: share one query_box call (12 on c07 with d=64, 2 on a 200-year axis); a
-#: te,tns evaluation of c07's test split at d=64 then peaks at about 3 MiB
+#: te,tns evaluation of c07's test split at d=64 then peaks at about 2.4 MiB
 #: under tracemalloc
 TIME_CHUNK_ELEMENTS = 1 << 15
 
@@ -433,13 +433,25 @@ def _chunk_timelines(
 
     One query_box call with a scalar relation: the offset half depends only
     on (r, t), so it is built once as a (T, d) array, and only the centers
-    take the (B, T, d) shape. Each timeline equals a one-statement build bit
-    for bit: the offsets run the same (T, 2, d) computation, and the center
-    maps keep their per-(statement, timestamp) matmuls.
+    take the (U, T, d) shape. The box does not depend on the object, so
+    statements of one subject that follow each other share one timeline
+    box: U counts the runs of equal subjects, and the centers are gathered
+    back to (B, T, d) only when some run is longer than one. Each timeline
+    equals a one-statement build bit for bit: the offsets run the same
+    (T, 2, d) computation, and the center maps keep their
+    per-(subject, timestamp) matmuls.
     """
+    starts = s[1:] != s[:-1]  # where a new run of subjects starts
+    shared = not starts.all()
+    if shared:
+        first = np.concatenate(([True], starts))
+        s = s[first]
     box = query_box(params, variant, s[:, None], r, np.arange(n_times)[:, None])
+    center = box.center_value()
+    if shared:
+        center = center[np.cumsum(first) - 1]
     obj = params.arrays["entity_emb"][o][:, None, :]
-    return box_scores(obj, box.center_value(), box.offset_value(), params.gamma, params.alpha)
+    return box_scores(obj, center, box.offset_value(), params.gamma, params.alpha)
 
 
 def score_timeline(
@@ -462,6 +474,43 @@ def check_coalesce_parameters(k: int, tau: float) -> None:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
 
 
+def _coalesce_rows(timelines: np.ndarray, k: int, tau: float) -> list[list[int]]:
+    """greedy_coalesce's intervals for every row of finite (B, T) float64
+    timelines, as flat bounds [lo1, hi1, lo2, hi2, ...] per row.
+
+    One softmax and one stable argsort serve the whole chunk: sorted by
+    falling probability, earliest first on ties, each row's timestamps are
+    its seeds in the order the rounds take them, so a round's seed is the
+    first one not yet consumed. The intervals are grown over Python lists.
+    """
+    z = timelines - timelines.max(axis=1, keepdims=True)
+    p = np.exp(z)
+    p /= p.sum(axis=1, keepdims=True)
+    orders = np.argsort(-p, axis=1, kind="stable").tolist()
+    out: list[list[int]] = []
+    for probs, order in zip(p.tolist(), orders):
+        # consumed timestamps hold -inf: below 0, and so below every threshold
+        n = len(probs)
+        pos = 0
+        flat: list[int] = []
+        for _ in range(k):
+            while pos < n and probs[order[pos]] < 0.0:
+                pos += 1
+            if pos == n:
+                break
+            seed = order[pos]
+            threshold = tau * probs[seed]
+            lo = hi = seed
+            while lo > 0 and probs[lo - 1] >= threshold:
+                lo -= 1
+            while hi + 1 < n and probs[hi + 1] >= threshold:
+                hi += 1
+            probs[lo : hi + 1] = [-np.inf] * (hi - lo + 1)
+            flat += (lo, hi)
+        out.append(flat)
+    return out
+
+
 def greedy_coalesce(scores: np.ndarray, k: int, tau: float = 0.5) -> list[Interval]:
     """Turn per-timestamp scores into up to k ranked intervals.
 
@@ -475,37 +524,16 @@ def greedy_coalesce(scores: np.ndarray, k: int, tau: float = 0.5) -> list[Interv
     The walk stops only when no unconsumed neighbor reaches the threshold,
     so an interval is the whole run of unconsumed timestamps around its
     seed that reach it. The order of the steps, and so the tie rule, cannot
-    change that run; it is grown here leftward first, then rightward.
+    change that run; it is grown here leftward first, then rightward, by
+    the one-row call of the walk that eval_time_prediction runs per chunk.
     """
     check_coalesce_parameters(k, tau)
+    scores = np.asarray(scores, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(scores))
     if len(bad):
         raise NonFiniteScoreError(f"non-finite score {scores[bad[0]]} at timestamp {bad[0]}")
-    z = scores - np.max(scores)
-    p = np.exp(z)
-    p /= p.sum()
-    # consumed timestamps hold -inf in both copies: `free` gives each seed by
-    # argmax, and in `probs` they fall below every threshold (>= 0)
-    free = p.astype(np.float64)
-    probs = p.tolist()
-    n = len(probs)
-    n_free = n
-    intervals: list[Interval] = []
-    for _ in range(k):
-        if not n_free:
-            break
-        seed = int(free.argmax())
-        threshold = float(tau * p[seed])
-        lo = hi = seed
-        while lo > 0 and probs[lo - 1] >= threshold:
-            lo -= 1
-        while hi + 1 < n and probs[hi + 1] >= threshold:
-            hi += 1
-        free[lo : hi + 1] = -np.inf
-        probs[lo : hi + 1] = [-np.inf] * (hi - lo + 1)
-        n_free -= hi - lo + 1
-        intervals.append(Interval(lo, hi))
-    return intervals
+    flat = _coalesce_rows(scores[None, :], k, tau)[0]
+    return [Interval(lo, hi) for lo, hi in zip(flat[0::2], flat[1::2])]
 
 
 def duration_bucket(duration: int) -> str:
@@ -575,13 +603,15 @@ def eval_time_prediction(
     and report each metric at rank 1 and best-of-k, overall and by gold
     duration bucket.
 
-    Evaluable statements are grouped by relation, in order of first
-    appearance, and each group is scored in chunks of time_chunk_size
-    statements (one _chunk_timelines call each). A chunk's timelines are
-    coalesced at once and only their integer bounds are kept, by statement
-    index, so memory is set by the chunk. If a timeline holds NaN or
-    infinity, NonFiniteScoreError is raised for the first such statement
-    in statement order.
+    Evaluable statements are grouped by relation, and within a relation by
+    subject, both in order of first appearance, so that one subject's
+    statements share chunks and their timeline box. Each group is scored in
+    chunks of time_chunk_size statements (one _chunk_timelines call each).
+    A chunk's timelines are coalesced at once (one softmax and one argsort)
+    and only their integer bounds are kept, by statement index, so memory
+    is set by the chunk. If a timeline holds NaN or infinity,
+    NonFiniteScoreError is raised for the first such statement in
+    statement order.
 
     The metrics then run once over all (statement, prediction) pairs in
     statement order: @1 is read at each statement's first prediction and
@@ -590,30 +620,31 @@ def eval_time_prediction(
     """
     check_coalesce_parameters(k, tau)
     variant = variant or Variant()
-    groups: dict[int, list[int]] = {}
+    groups: dict[int, dict[int, list[int]]] = {}
     for i, stmt in enumerate(statements):
         if gold_interval(stmt) is not None:
-            groups.setdefault(stmt.r, []).append(i)
+            groups.setdefault(stmt.r, {}).setdefault(stmt.s, []).append(i)
     # per statement index: lo, hi of each prediction in rank order, flat
     bounds: list[list[int] | None] = [None] * len(statements)
     size = time_chunk_size(kb.axis.length, params.d)
     bad: tuple[int, np.ndarray] | None = None  # first non-finite statement so far
-    for r, group in groups.items():
-        if bad is not None and group[0] > bad[0]:
-            break  # groups start in statement order: none can hold an earlier one
+    for r, by_subject in groups.items():
+        group = [i for same in by_subject.values() for i in same]
         for lo in range(0, len(group), size):
             chunk = group[lo : lo + size]
+            if bad is not None and min(chunk) > bad[0]:
+                continue  # cannot hold an earlier non-finite statement
             s = np.array([statements[i].s for i in chunk], dtype=np.intp)
             o = np.array([statements[i].o for i in chunk], dtype=np.intp)
             timelines = _chunk_timelines(s, r, o, params, variant, kb.axis.length)
             finite = np.isfinite(timelines).all(axis=1)
             if not finite.all():
-                j = int(np.argmin(finite))
+                j = min(np.flatnonzero(~finite), key=chunk.__getitem__)
                 if bad is None or chunk[j] < bad[0]:
                     bad = (chunk[j], timelines[j])
-                break
-            for i, timeline in zip(chunk, timelines):
-                bounds[i] = [b for iv in greedy_coalesce(timeline, k, tau) for b in (iv.lo, iv.hi)]
+                continue
+            for i, flat in zip(chunk, _coalesce_rows(timelines, k, tau)):
+                bounds[i] = flat
     if bad is not None:
         i, timeline = bad
         t = int(np.flatnonzero(~np.isfinite(timeline))[0])

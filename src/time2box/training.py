@@ -9,6 +9,7 @@ timestamps and score the true object against the rebuilt box.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -54,8 +55,22 @@ class TrainConfig:
     eval_every: int = 200
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
+        """Reject a configuration that could only fail, or train nothing,
+        before any data is loaded."""
+        for name in ("d", "k", "batch", "steps", "eval_every"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        for name in ("lr", "gamma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and above 0, got {value}")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError(f"beta must be finite and at least 0, got {self.beta}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         m = self.time_negatives
         if not 0 <= m <= self.k:
             raise ValueError("m must satisfy 0 <= m <= k (time negatives replace entity ones)")

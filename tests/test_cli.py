@@ -172,6 +172,31 @@ class TestTrain:
         assert code == 1
         assert "unknown variant" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--eval-every", "0", "eval_every must be at least 1, got 0"),
+            ("--d", "0", "d must be at least 1, got 0"),
+            ("--steps", "-1", "steps must be at least 1, got -1"),
+            ("--batch", "0", "batch must be at least 1, got 0"),
+            ("--alpha", "2", "alpha must lie in [0, 1], got 2.0"),
+            ("--gamma", "-5", "gamma must be finite and above 0, got -5.0"),
+            ("--lr", "inf", "lr must be finite and above 0, got inf"),
+            ("--beta", "-0.5", "beta must be finite and at least 0, got -0.5"),
+            ("--seed", "-1", "seed must be at least 0, got -1"),
+        ],
+    )
+    def test_bad_config_fails_before_loading(self, tmp_path, capsys, flag, value, message):
+        """The data directory does not exist: the configuration is rejected
+        before it is read, and nothing is written."""
+        out = tmp_path / "run"
+        code, _, err = run(
+            capsys, "train", "--data", tmp_path / "no-data", "--out", out, flag, value
+        )
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_config_snapshot_round_trip(self, dataset_dir, run_dir, tmp_path, capsys):
         out = tmp_path / "replay"
         code, _, _ = run(
@@ -422,6 +447,25 @@ class TestMetrics:
         code, _, _ = run(capsys, "metrics", "--input", src, "--output", dst)
         assert code == 0
         assert dst.read_text().count("\t") == 6
+
+    def test_bad_line_leaves_no_output(self, tmp_path, capsys):
+        src = tmp_path / "in.tsv"
+        src.write_text("0\t5\t2\t3\n5\t2\t0\t1\n")
+        dst = tmp_path / "out" / "out.tsv"
+        dst.parent.mkdir()
+        code, out, err = run(capsys, "metrics", "--input", src, "--output", dst)
+        assert code == 1
+        assert "in.tsv:2: interval lo 5 > hi 2" in err
+        assert list(dst.parent.iterdir()) == []
+        code, out, _ = run(capsys, "metrics", "--input", src)
+        assert code == 1 and out == ""
+
+    def test_missing_input_leaves_no_output(self, tmp_path, capsys):
+        dst = tmp_path / "out.tsv"
+        code, _, err = run(capsys, "metrics", "--input", tmp_path / "absent.tsv", "--output", dst)
+        assert code == 1
+        assert "absent.tsv" in err
+        assert not dst.exists()
 
     def test_reversed_interval_fails(self, tmp_path, capsys):
         src = tmp_path / "bad.tsv"

@@ -40,6 +40,11 @@ def interval(lo, hi):
     return Interval(lo, hi)
 
 
+#: timeline scores for coalescing: few distinct values force ties and
+#: plateaus, and -1000 underflows to p = 0
+TIED_VALUE = st.one_of(st.sampled_from([-1000.0, -2.0, 0.0, 0.5, 3.0]), st.floats(-5, 5))
+
+
 def former_greedy_coalesce(scores, k, tau=0.5):
     """greedy_coalesce as it was before the walk moved to Python floats:
     a boolean consumed mask, numpy scalars and one masked argmax per round."""
@@ -86,7 +91,9 @@ def former_score_timeline(s, r, o, params, kb, variant):
     return box_scores(obj, box.center_value(), box.offset_value(), params.gamma, params.alpha)
 
 
-def former_eval_time_prediction(statements, params, kb, variant=None, k=10, tau=0.5):
+def former_eval_time_prediction(
+    statements, params, kb, variant=None, k=10, tau=0.5, coalesce=former_greedy_coalesce
+):
     """eval_time_prediction as a per-statement loop of scalar metric calls,
     as it was before the metrics ran once per call over all predictions."""
     rows = []
@@ -97,7 +104,7 @@ def former_eval_time_prediction(statements, params, kb, variant=None, k=10, tau=
             n_skipped += 1
             continue
         timeline = score_timeline(stmt.s, stmt.r, stmt.o, params, kb, variant)
-        predicted = former_greedy_coalesce(timeline, k, tau)
+        predicted = coalesce(timeline, k, tau)
         values = {}
         for name, fn in (("giou", giou), ("aeiou", aeiou), ("gaeiou", gaeiou)):
             per_pred = [fn(gold, iv) for iv in predicted]
@@ -307,12 +314,7 @@ class TestGreedyCoalesce:
         got = [(iv.lo, iv.hi) for iv in greedy_coalesce(scores, k, tau)]
         assert got == self.reference(scores, k, tau)
 
-    # few distinct values force ties and plateaus; -1000 underflows to p = 0
-    tied_scores = st.lists(
-        st.one_of(st.sampled_from([-1000.0, -2.0, 0.0, 0.5, 3.0]), st.floats(-5, 5)),
-        min_size=1,
-        max_size=30,
-    )
+    tied_scores = st.lists(TIED_VALUE, min_size=1, max_size=30)
 
     @settings(max_examples=300, deadline=None)
     @given(tied_scores, st.integers(1, 40), st.sampled_from([1e-6, 0.3, 0.95, 1.0]))
@@ -852,6 +854,139 @@ class TestTimeChunks:
             match=re.escape("at timestamp 0 of statement (0, 0, 4)"),
         ):
             eval_time_prediction(statements[:1] + statements[2:], params, kb)
+
+
+class TestSharedTimelineBoxes:
+    """Statements of one subject share a timeline box. Subjects 0 and 2 have
+    several objects in relations 0 and 1, interleaved with other subjects
+    in statement order; with 3 statements per chunk, subject 0's statements
+    of relation 0 fill more than one chunk, and some chunks hold one
+    subject more than once."""
+
+    D = 16
+    CHUNK = 3
+
+    @staticmethod
+    def statements():
+        closed, instant = TimeScope.closed, TimeScope.instant
+        return [
+            Statement(0, 0, 1, closed(2, 5)),
+            Statement(0, 1, 7, closed(10, 12)),
+            Statement(3, 0, 1, instant(4)),
+            Statement(0, 0, 2, instant(20)),
+            Statement(2, 1, 8, closed(0, 39)),
+            Statement(0, 0, 3, closed(30, 31)),
+            Statement(2, 0, 9, closed(5, 9)),
+            Statement(0, 1, 11, instant(3)),
+            Statement(0, 0, 4, closed(1, 1)),
+            Statement(3, 0, 6, TimeScope.right_open(3)),  # not evaluable
+            Statement(2, 1, 12, closed(15, 25)),
+            Statement(0, 0, 5, closed(7, 8)),
+            Statement(0, 1, 13, closed(33, 36)),
+        ]
+
+    def params(self, kb, seed=0):
+        return ParameterStore.initialize(
+            self.D, kb.n_entities, kb.n_relations, kb.axis.length, rng=np.random.default_rng(seed)
+        )
+
+    def chunked(self, monkeypatch, kb, chunk=CHUNK):
+        monkeypatch.setattr(ev, "TIME_CHUNK_ELEMENTS", chunk * kb.axis.length * self.D)
+
+    @pytest.mark.parametrize("variant", ["te,tns", "dm,tr,si", "te,tr"])
+    def test_timelines_equal_single_statement_builds(self, c07_kb, monkeypatch, variant):
+        kb = c07_kb
+        params, v = self.params(kb), Variant.parse(variant)
+        self.chunked(monkeypatch, kb)
+        calls = TestTimeChunks.spy(monkeypatch)
+        built = []
+        build = ev.query_box
+
+        def recording_build(params, variant, s, *args):
+            built.append(np.size(s))
+            return build(params, variant, s, *args)
+
+        monkeypatch.setattr(ev, "query_box", recording_build)
+        statements = self.statements()
+        eval_time_prediction(statements, params, kb, v)
+        chunks, boxes = list(calls), list(built)  # score_timeline below records its own calls
+
+        scored = []
+        for subjects, r, objects, timelines in chunks:
+            for s, o, timeline in zip(subjects, objects, timelines):
+                assert np.array_equal(timeline, former_score_timeline(s, r, o, params, kb, v))
+                assert np.array_equal(timeline, score_timeline(s, r, o, params, kb, v))
+                scored.append((s, r, o))
+        evaluable = [(s.s, s.r, s.o) for s in statements if gold_interval(s) is not None]
+        assert sorted(scored) == sorted(evaluable)
+        # the case under test: repeated subjects inside a chunk, and one
+        # subject's statements of a relation over more than one chunk
+        assert any(len(set(subjects)) < len(subjects) for subjects, _, _, _ in chunks)
+        assert sum(0 in subjects for subjects, r, _, _ in chunks if r == 0) > 1
+        # a relation's statements come grouped by subject, in order of first
+        # appearance, and a chunk builds one box per run of equal subjects
+        for relation in {r for _, r, _, _ in chunks}:
+            order = [s for subjects, r, _, _ in chunks if r == relation for s in subjects]
+            assert order == sorted(order, key=order.index)
+        runs = [1 + sum(a != b for a, b in zip(s, s[1:])) for s, _, _, _ in chunks]
+        assert boxes == runs
+
+    @pytest.mark.parametrize("k, tau", [(10, 0.95), (3, 0.5), (50, 1e-3), (1, 1.0)])
+    def test_report_equals_per_statement_loop(self, c07_kb, monkeypatch, k, tau):
+        kb = c07_kb
+        params, v = self.params(kb, seed=1), Variant.parse("te,tns")
+        self.chunked(monkeypatch, kb)
+        statements = self.statements()
+        got = eval_time_prediction(statements, params, kb, v, k=k, tau=tau)
+        for coalesce in (greedy_coalesce, former_greedy_coalesce):
+            want = former_eval_time_prediction(statements, params, kb, v, k, tau, coalesce)
+            assert got.to_text() == want.to_text()
+            assert got.breakdown_tsv() == want.breakdown_tsv()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 4])
+    def test_non_finite_names_first_statement_in_statement_order(
+        self, c07_kb, monkeypatch, chunk
+    ):
+        """Objects 4 and 5 have NaN embeddings. Grouped by subject, relation
+        0's statements run 0, 2, 3, 1: statement 2, (0, 0, 4), is scored
+        before statement 1, (2, 0, 5), and with chunk 4 in the same chunk
+        at an earlier row. Without statement 1, the first non-finite one is
+        (0, 0, 4), whose subject's earlier statement is finite."""
+        kb = c07_kb
+        params = self.params(kb)
+        params.arrays["entity_emb"][[4, 5]] = np.nan
+        self.chunked(monkeypatch, kb, chunk)
+        gold = TimeScope.closed(2, 5)
+        statements = [
+            Statement(0, 0, 1, gold),
+            Statement(2, 0, 5, gold),
+            Statement(0, 0, 4, gold),
+            Statement(0, 0, 6, gold),
+        ]
+        with pytest.raises(
+            ev.NonFiniteScoreError, match=re.escape("at timestamp 0 of statement (2, 0, 5)")
+        ):
+            eval_time_prediction(statements, params, kb)
+        with pytest.raises(
+            ev.NonFiniteScoreError, match=re.escape("at timestamp 0 of statement (0, 0, 4)")
+        ):
+            eval_time_prediction(statements[:1] + statements[2:], params, kb)
+
+    # (B, T) timelines of tied scores
+    tied_rows = st.integers(1, 30).flatmap(
+        lambda n: st.lists(st.lists(TIED_VALUE, min_size=n, max_size=n), min_size=1, max_size=6)
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_rows, st.integers(1, 40), st.sampled_from([1e-6, 0.3, 0.95, 1.0]))
+    def test_batched_coalescing_equals_rows(self, rows, k, tau):
+        timelines = np.array(rows)
+        flat = ev._coalesce_rows(timelines, k, tau)
+        assert len(flat) == len(rows)
+        for row, bounds in zip(timelines, flat):
+            want = greedy_coalesce(row, k, tau)
+            assert want == former_greedy_coalesce(row, k, tau)
+            assert bounds == [b for iv in want for b in (iv.lo, iv.hi)]
 
 
 class TestTimeMemory:

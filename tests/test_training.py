@@ -57,6 +57,24 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(k=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("d", 0), ("batch", 0), ("steps", 0), ("steps", -1), ("eval_every", 0),
+            ("lr", 0.0), ("lr", -1e-3), ("lr", float("nan")), ("lr", float("inf")),
+            ("gamma", 0.0), ("gamma", -5.0), ("gamma", float("inf")),
+            ("alpha", -0.1), ("alpha", 2.0), ("alpha", float("nan")),
+            ("beta", -0.5), ("beta", float("nan")), ("beta", float("inf")), ("seed", -1),
+        ],
+    )
+    def test_rejects_bad_values(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            TrainConfig(**{field: value})
+
+    def test_edge_values_accepted(self):
+        TrainConfig(d=1, k=1, batch=1, steps=1, eval_every=1, alpha=0.0, beta=0.0, seed=0)
+        TrainConfig(alpha=1.0, lr=1e160, gamma=1e-300)
+
 
 class TestPlans:
     def test_closed_samples_inside_interval(self):
