@@ -12,8 +12,11 @@ queries span several of eval_link_prediction's chunks), and of the time
 report text on the training split's forward statements (they span
 several relation groups and chunks of eval_time_prediction, and several
 statements share a subject), both at the default tau=0.5 and at the
-benchmark's k=10, tau=0.95. Run it on
-two commits and diff the output to check that a change leaves parameters,
+benchmark's k=10, tau=0.95. A last line, synth=, holds the SHA-256 of
+the manifests generate_synthetic draws for that dataset and for the c07
+acceptance config (50 entities, 5 relations, 40 years, 85 rules), which
+the benchmark's c07 workloads also use. Run it on two commits and diff
+the output to check that a change leaves generated data, parameters,
 checkpoints, logs and reports byte-identical:
 
     PYTHONPATH=src python scripts/determinism_digest.py > digest.txt
@@ -29,6 +32,9 @@ from time2box.model import PARAM_ORDER, Variant
 from time2box.training import TrainConfig, save_checkpoint, train
 
 SYNTH = SynthConfig(seed=5, n_entities=20, n_relations=3, axis_length=12, n_rules=25)
+C07_SYNTH = SynthConfig(
+    seed=7, n_entities=50, n_relations=5, axis_length=40, n_rules=85, instant_echoes=2
+)
 VARIANTS = ("te", "te,tns", "dm,tr,si,tns", "te,si,tns", "te,tr", "dm,tr,si")
 
 
@@ -77,6 +83,9 @@ def main():
     with tempfile.TemporaryDirectory() as work_dir:
         for spec in VARIANTS:
             print(digest_line(kb, spec, work_dir), flush=True)
+    manifests = [generate_synthetic(cfg)[1] for cfg in (SYNTH, C07_SYNTH)]
+    rows = "".join("\t".join(row) + "\n" for manifest in manifests for row in manifest)
+    print(f"synth={sha256(rows.encode())}")
 
 
 if __name__ == "__main__":

@@ -47,21 +47,6 @@ class Node:
     def shape(self):
         return self.value.shape
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
     def __repr__(self):
         return f"Node({self.op}, shape={np.shape(self.value)})"
 

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -86,15 +87,18 @@ def write_snapshot(out_dir: str, values: dict) -> None:
             fh.write(f"{key}={values[key]}\n")
 
 
-def resolve(args, file_keys: dict[str, str], name: str, cast, default):
-    """Precedence: explicit CLI flag > config file > default."""
+def resolve(args, file_keys: dict[str, str], name: str):
+    """Precedence: explicit CLI flag > config file (raw text) > None."""
     cli_value = getattr(args, name.replace("-", "_"), None)
-    if cli_value is not None:
-        return cli_value
-    if name in file_keys:
-        raw = file_keys[name]
-        return cast(raw) if cast is not None else raw
-    return default
+    return cli_value if cli_value is not None else file_keys.get(name)
+
+
+#: train keys a flag or config file may set, with their parsers; unset keys
+#: take TrainConfig's defaults
+TRAIN_KEYS = {
+    "d": int, "k": int, "m": int, "lr": float, "batch": int, "steps": int, "gamma": float,
+    "alpha": float, "beta": float, "variant": Variant.parse, "seed": int, "eval-every": int,
+}
 
 
 def _split_arg(value: str) -> tuple[str, ...]:
@@ -155,50 +159,27 @@ def cmd_gen_synthetic(args) -> int:
 
 def _train_config_from(args) -> tuple[TrainConfig, str, str]:
     file_keys = read_config_file(args.config) if args.config else {}
-    data_dir = resolve(args, file_keys, "data", str, None)
-    missing = resolve(args, file_keys, "missing", str, "-")
+    data_dir = resolve(args, file_keys, "data")
+    missing = resolve(args, file_keys, "missing")
     if data_dir is None:
         raise UsageError("--data is required (flag or config file)")
-    cfg = TrainConfig(
-        d=resolve(args, file_keys, "d", int, 64),
-        k=resolve(args, file_keys, "k", int, 16),
-        m=resolve(args, file_keys, "m", int, None),
-        lr=resolve(args, file_keys, "lr", float, 1e-3),
-        batch=resolve(args, file_keys, "batch", int, 256),
-        steps=resolve(args, file_keys, "steps", int, 2000),
-        gamma=resolve(args, file_keys, "gamma", float, 24.0),
-        alpha=resolve(args, file_keys, "alpha", float, 0.5),
-        beta=resolve(args, file_keys, "beta", float, 0.0),
-        variant=Variant.parse(resolve(args, file_keys, "variant", str, "te")),
-        seed=resolve(args, file_keys, "seed", int, 0),
-        eval_every=resolve(args, file_keys, "eval-every", int, 200),
-    )
-    return cfg, data_dir, missing
+    settings = {}
+    for key, parse in TRAIN_KEYS.items():
+        raw = resolve(args, file_keys, key)
+        if raw is not None:
+            settings[key.replace("-", "_")] = parse(raw)
+    return TrainConfig(**settings), data_dir, "-" if missing is None else missing
 
 
 def cmd_train(args) -> int:
     cfg, data_dir, missing = _train_config_from(args)
     kb = add_inverse_relations(load_kb(data_dir, missing))
     os.makedirs(args.out, exist_ok=True)
-    snapshot = {
-        "command": "train",
-        "data": data_dir,
-        "missing": missing,
-        "d": cfg.d,
-        "k": cfg.k,
-        "m": "" if cfg.m is None else cfg.m,
-        "lr": cfg.lr,
-        "batch": cfg.batch,
-        "steps": cfg.steps,
-        "gamma": cfg.gamma,
-        "alpha": cfg.alpha,
-        "beta": cfg.beta,
-        "variant": str(cfg.variant),
-        "seed": cfg.seed,
-        "eval-every": cfg.eval_every,
-    }
-    if cfg.m is None:
-        del snapshot["m"]
+    snapshot = {"command": "train", "data": data_dir, "missing": missing}
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if value is not None:  # only m may be None
+            snapshot[f.name.replace("_", "-")] = value
     write_snapshot(args.out, snapshot)
 
     log_path = os.path.join(args.out, "train.log")

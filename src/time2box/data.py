@@ -9,7 +9,7 @@ time axis is the contiguous range of years observed in the training split.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -122,9 +122,6 @@ class Vocab:
         except KeyError:
             raise KeyError(f"unknown label {label!r}") from None
 
-    def __contains__(self, label: str) -> bool:
-        return label in self._ids
-
     def __len__(self) -> int:
         return len(self.labels)
 
@@ -206,13 +203,12 @@ def parse_statement(
     relations: Vocab,
     line_no: int | None = None,
     missing: str = MISSING,
-    axis: TimeAxis | None = None,
 ) -> Statement:
     """Parse one 5-column TSV line, assigning vocabulary ids as needed.
 
     Scope classification: (-,-) no time; (y,y) instant; (y,-) right-open;
-    (-,y) left-open; (y1,y2) with y1<y2 closed. When `axis` is given, years
-    are converted to axis indices, clamping to the axis endpoints.
+    (-,y) left-open; (y1,y2) with y1<y2 closed. Years stay years; build_kb
+    converts them to axis indices.
     """
     where = f" (line {line_no})" if line_no is not None else ""
     cols = line.rstrip("\n").split("\t")
@@ -241,8 +237,6 @@ def parse_statement(
         scope = TimeScope.closed(start, end)
     else:
         raise DatasetError(f"closed interval with start {start} > end {end}{where}")
-    if axis is not None:
-        scope = scope_to_axis(scope, axis)
     return Statement(entities.add(s_lab), relations.add(r_lab), entities.add(o_lab), scope)
 
 
@@ -283,7 +277,11 @@ def scope_to_axis(scope: TimeScope, axis: TimeAxis) -> TimeScope:
 
 def scope_span(scope: TimeScope, axis: TimeAxis | None = None) -> tuple[int, int]:
     """First and last timestamp of a temporal scope's discretization: the
-    known endpoint for half-open intervals, start..end otherwise."""
+    known endpoint for half-open intervals, start..end otherwise.
+
+    This and discretize are the one rule turning a scope into timestamps:
+    the filter index, training's query plans and entity negatives, link
+    queries and gold intervals all read it."""
     if scope.kind is ScopeKind.NO_TIME:
         raise ValueError("cannot discretize a statement without a temporal scope")
     if scope.kind is ScopeKind.RIGHT_OPEN:
@@ -414,10 +412,11 @@ class SynthConfig:
     axis_length: int
     n_rules: int
     origin_year: int = 1980
-    max_segments: int = 4
     instant_echoes: int = 1  # train-split instant statements per segment
-    bipartite: bool = True  # subjects and objects drawn from disjoint pools
-    n_atemporal_pairs: int = field(default=0)  # 0 -> n_rules // 4
+
+
+#: most objects on one planted timeline
+MAX_SEGMENTS = 4
 
 
 #: manifest row: (s, r, o, start, end, split) as TSV-ready strings
@@ -431,22 +430,23 @@ def generate_synthetic(config: SynthConfig) -> tuple[TemporalKB, list[ManifestRo
     instant/half-open echoes; valid/test hold instants, sub-intervals,
     half-open and no-time statements inferable from the training timeline.
     Splits are disjoint. The manifest records every emitted statement with
-    its split. In bipartite mode (default) subjects come from the first
-    half of the entity range and objects from the second half, which keeps
-    the two roles geometrically separable.
+    its split. Subjects come from the first half of the entity range and
+    objects from the second half, which keeps the two roles geometrically
+    separable. A timeline has 2 to MAX_SEGMENTS segments, and
+    max(1, n_rules // 4) no-time training facts are drawn off the rule grid.
     """
     E, R, L = config.n_entities, config.n_relations, config.axis_length
     if E < 2 or R < 2 or L < 2:
         raise DatasetError("synthetic generation needs at least 2 entities, relations and years")
     if config.n_rules < 1:
         raise DatasetError("need at least one rule")
-    n_subjects = E // 2 if config.bipartite else E
+    n_subjects = E // 2
     if config.n_rules > n_subjects * R:
         raise DatasetError(
             f"{config.n_rules} rules exceed the {n_subjects}x{R} subject-relation capacity"
         )
-    object_pool = np.arange(E - E // 2, E) if config.bipartite else np.arange(E)
-    max_segments = min(config.max_segments, len(object_pool) - (0 if config.bipartite else 1), L)
+    object_pool = np.arange(E - E // 2, E)
+    max_segments = min(MAX_SEGMENTS, len(object_pool), L)
     rng = np.random.default_rng(config.seed)
 
     entities, relations = Vocab(), Vocab()
@@ -473,9 +473,7 @@ def generate_synthetic(config: SynthConfig) -> tuple[TemporalKB, list[ManifestRo
         n_seg = int(rng.integers(2, max_segments + 1))
         cuts = np.sort(rng.choice(np.arange(1, L), size=n_seg - 1, replace=False))
         bounds = [0, *cuts.tolist(), L]
-        # a subject is never its own timeline object
-        candidates = np.setdiff1d(object_pool, [s])
-        objects = rng.choice(candidates, size=n_seg, replace=False)
+        objects = rng.choice(object_pool, size=n_seg, replace=False)
         for i in range(n_seg):
             a, b = bounds[i], bounds[i + 1] - 1
             o = int(objects[i])
@@ -509,9 +507,9 @@ def generate_synthetic(config: SynthConfig) -> tuple[TemporalKB, list[ManifestRo
                 emit("train", s, r, o, TimeScope.right_open(int(rng.choice(span))))
 
     # purely atemporal facts, train-only noise off the rule grid
-    n_atemporal = config.n_atemporal_pairs or max(1, config.n_rules // 4)
+    n_atemporal = max(1, config.n_rules // 4)
     free = np.setdiff1d(np.arange(n_subjects * R), rule_keys)
-    if len(free) and n_atemporal:
+    if len(free):
         picks = rng.choice(free, size=min(n_atemporal, len(free)), replace=False)
         for key in picks:
             s, r = int(key) // R, int(key) % R
@@ -523,7 +521,7 @@ def generate_synthetic(config: SynthConfig) -> tuple[TemporalKB, list[ManifestRo
     mentioned_r = {stmt.r for stmt, sp in rows if sp == "train"}
     for e in range(E):
         if e not in mentioned_e:
-            if config.bipartite and e >= E - E // 2:
+            if e >= E - E // 2:
                 emit("train", int(rng.integers(0, n_subjects)), int(rng.integers(0, R)), e, TimeScope.no_time())
             else:
                 emit("train", e, int(rng.integers(0, R)), int(rng.choice(object_pool)), TimeScope.no_time())

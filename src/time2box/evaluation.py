@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ScopeKind, Statement, TemporalKB
+from .data import ScopeKind, Statement, TemporalKB, discretize, scope_span
 from .model import BoxEmbedding, ParameterStore, Variant, box_scores, query_box, score_entities
 
 DEFAULT_FILTER_SPLITS = ("train", "valid")
@@ -39,16 +39,6 @@ class Interval:
     @property
     def duration(self) -> int:
         return self.hi - self.lo + 1
-
-
-@dataclass
-class RankResult:
-    query: tuple
-    per_timestamp: list[int]
-
-    @property
-    def averaged(self) -> float:
-        return float(np.mean(self.per_timestamp))
 
 
 # ---------------------------------------------------------------------------
@@ -185,16 +175,10 @@ def link_chunk_size(n_entities: int) -> int:
 
 
 def link_query_times(stmt: Statement) -> list[int | None]:
-    """Timestamps of a statement's link queries: None for no-time, the known
-    endpoint for instants and half-open scopes, every year of a closed interval."""
-    scope = stmt.scope
-    if scope.kind is ScopeKind.NO_TIME:
-        return [None]
-    if scope.kind is ScopeKind.LEFT_OPEN:
-        return [scope.end]
-    if scope.kind is ScopeKind.CLOSED:
-        return list(range(scope.start, scope.end + 1))
-    return [scope.start]
+    """Timestamps of a statement's link queries: None for no-time, else its
+    discretization (the known endpoint for instants and half-open scopes,
+    every year of a closed interval)."""
+    return discretize(stmt.scope) if stmt.scope.is_temporal else [None]
 
 
 def _chunk_scores(queries, params: ParameterStore, variant: Variant) -> np.ndarray:
@@ -276,19 +260,6 @@ def rank_queries(
     return ranks
 
 
-def rank_entity(
-    query: tuple[int, int, int | None],
-    gold: int,
-    params: ParameterStore,
-    kb: TemporalKB,
-    filter_splits=DEFAULT_FILTER_SPLITS,
-    variant=None,
-) -> int:
-    """Filtered rank of the gold entity for one query (s, r, t-or-None);
-    see rank_queries."""
-    return int(rank_queries([query], [gold], params, kb, filter_splits, variant)[0])
-
-
 @dataclass
 class MetricBlock:
     count: int = 0
@@ -354,20 +325,6 @@ class LinkPredReport:
             block = self.by_type.get(name, MetricBlock())
             rows.append("\t".join([name] + block.row()))
         return "\n".join([header] + rows) + "\n"
-
-
-def statement_rank(
-    stmt: Statement,
-    params: ParameterStore,
-    kb: TemporalKB,
-    filter_splits=DEFAULT_FILTER_SPLITS,
-    variant=None,
-) -> RankResult:
-    """Per-statement ranks, one per query of link_query_times (averaged by
-    the caller)."""
-    queries = [(stmt.s, stmt.r, t) for t in link_query_times(stmt)]
-    ranks = rank_queries(queries, [stmt.o] * len(queries), params, kb, filter_splits, variant)
-    return RankResult((stmt.s, stmt.r, stmt.o), ranks.tolist())
 
 
 def eval_link_prediction(
@@ -583,11 +540,8 @@ class TimePredReport:
 def gold_interval(stmt: Statement) -> Interval | None:
     """Closed gold interval of a statement; instants become [t, t];
     half-open and no-time scopes have no evaluable gold."""
-    scope = stmt.scope
-    if scope.kind is ScopeKind.INSTANT:
-        return Interval(scope.start, scope.start)
-    if scope.kind is ScopeKind.CLOSED:
-        return Interval(scope.start, scope.end)
+    if stmt.scope.kind in (ScopeKind.INSTANT, ScopeKind.CLOSED):
+        return Interval(*scope_span(stmt.scope))
     return None
 
 

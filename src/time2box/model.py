@@ -57,10 +57,6 @@ class BoxEmbedding:
     def offset_value(self) -> np.ndarray:
         return self.offset.value if isinstance(self.offset, Node) else self.offset
 
-    def contains(self, point: np.ndarray) -> np.ndarray:
-        c, o = self.center_value(), self.offset_value()
-        return np.all((c - o <= point) & (point <= c + o), axis=-1)
-
 
 @dataclass(frozen=True)
 class QueryPlan:

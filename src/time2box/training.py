@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape
-from .data import ScopeKind, Statement, TemporalKB
+from .data import ScopeKind, Statement, TemporalKB, discretize, scope_span
 from .model import (
     PARAM_ORDER,
     BoxEmbedding,
@@ -99,12 +99,8 @@ def plan_for_statement(stmt: Statement, variant: Variant, rng: np.random.Generat
     scope = stmt.scope
     if scope.kind is ScopeKind.NO_TIME:
         times: tuple[int, ...] = ()
-    elif scope.kind is ScopeKind.INSTANT:
-        times = (scope.start,)
-    elif scope.kind is ScopeKind.RIGHT_OPEN:
-        times = (scope.start,)
-    elif scope.kind is ScopeKind.LEFT_OPEN:
-        times = (scope.end,)
+    elif scope.kind is not ScopeKind.CLOSED:
+        times = scope_span(scope)[:1]
     elif variant.use_si:
         a = int(rng.integers(scope.start, scope.end + 1))
         b = int(rng.integers(scope.start, scope.end + 1))
@@ -137,7 +133,7 @@ def sample_entity_negatives(
     remaining slots are filled uniformly from all non-positive entities.
     """
     if timestamps is None:
-        timestamps = _scope_timestamps(stmt.scope) if stmt.scope.is_temporal else ()
+        timestamps = discretize(stmt.scope) if stmt.scope.is_temporal else ()
     positives = _known_positives(stmt, kb, timestamps)
     n = kb.n_entities
     if n < k + len(positives):
@@ -164,14 +160,6 @@ def sample_entity_negatives(
         picks = rng.permutation(len(allowed))[: k - len(chosen)]
         chosen.extend(int(allowed[i]) for i in picks)
     return chosen
-
-
-def _scope_timestamps(scope) -> tuple[int, ...]:
-    if scope.kind is ScopeKind.LEFT_OPEN:
-        return (scope.end,)
-    if scope.kind is ScopeKind.CLOSED:
-        return tuple(range(scope.start, scope.end + 1))
-    return (scope.start,)
 
 
 def sample_time_negatives(
@@ -496,6 +484,13 @@ def save_checkpoint(params: ParameterStore, path, variant: Variant = Variant()) 
 
 
 def load_checkpoint(path) -> tuple[ParameterStore, Variant]:
+    """Read a checkpoint written by save_checkpoint.
+
+    Raises CheckpointError for a bad magic, for a header whose d, |E|, |R|
+    or |T| is below 1, whose gamma is not finite and above 0 or whose alpha
+    lies outside [0, 1] (all before any block is read), and for a
+    truncated, non-finite or overlong block section.
+    """
     header_size = struct.calcsize("<4s5i2d")
     with open(path, "rb") as fh:
         header = fh.read(header_size)
@@ -504,6 +499,13 @@ def load_checkpoint(path) -> tuple[ParameterStore, Variant]:
         magic, d, n_e, n_r, n_t, code, gamma, alpha = struct.unpack("<4s5i2d", header)
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
+        for name, value in (("d", d), ("|E|", n_e), ("|R|", n_r), ("|T|", n_t)):
+            if value < 1:
+                raise CheckpointError(f"bad checkpoint header: {name} is {value}, below 1")
+        if not (math.isfinite(gamma) and gamma > 0):
+            raise CheckpointError(f"bad checkpoint header: gamma {gamma} is not finite and above 0")
+        if not 0.0 <= alpha <= 1.0:
+            raise CheckpointError(f"bad checkpoint header: alpha {alpha} is outside [0, 1]")
         shapes = {
             "entity_emb": (n_e, d),
             "relation_emb": (n_r, d),

@@ -22,8 +22,11 @@ from time2box.data import (
     generate_synthetic,
     load_dataset,
     parse_statement,
+    scope_span,
 )
-from time2box.training import sample_time_negatives
+from time2box.evaluation import Interval, gold_interval, link_query_times
+from time2box.model import Variant
+from time2box.training import plan_for_statement, sample_entity_negatives, sample_time_negatives
 
 
 def parse_line(line):
@@ -491,3 +494,41 @@ def test_filter_memory_grows_with_statements_not_years():
     assert len(aug.splits["train"]) == 2 * n
     assert aug.filter.timed_objects(n, 1, 500) == set(range(0, n, 50))
     assert peak < 4 * 2**20, f"filter build peaked at {peak / 2**20:.1f} MiB"
+
+
+SCOPE_OF_KIND = {
+    ScopeKind.NO_TIME: TimeScope.no_time(),
+    ScopeKind.INSTANT: TimeScope.instant(4),
+    ScopeKind.RIGHT_OPEN: TimeScope.right_open(3),
+    ScopeKind.LEFT_OPEN: TimeScope.left_open(6),
+    ScopeKind.CLOSED: TimeScope.closed(2, 5),
+}
+
+
+@pytest.mark.parametrize("kind", list(ScopeKind), ids=lambda kind: kind.value)
+def test_scope_readers_follow_scope_span(kind):
+    """Link queries, query plans, gold intervals, filter rows and entity
+    negatives all take a scope's timestamps from scope_span/discretize."""
+    scope = SCOPE_OF_KIND[kind]
+    stmt = Statement(0, 0, 1, scope)
+    # entity 2 + t is the only other answer of (0, 0) at year t
+    timeline = [Statement(0, 0, 2 + t, TimeScope.instant(t)) for t in range(10)]
+    kb = axis_kb([stmt, *timeline], n_entities=12, n_relations=1)
+    times = discretize(scope) if scope.is_temporal else []
+    span = scope_span(scope) if scope.is_temporal else (None, None)
+
+    assert link_query_times(stmt) == (times or [None])
+    plan = plan_for_statement(stmt, Variant(), np.random.default_rng(0))
+    if kind is ScopeKind.CLOSED:
+        assert span[0] <= plan.time_projections[0] <= span[1]
+    else:
+        assert plan.time_projections == tuple(times[:1])
+    closed_gold = kind in (ScopeKind.INSTANT, ScopeKind.CLOSED)
+    assert gold_interval(stmt) == (Interval(*span) if closed_gold else None)
+    assert (1, *span) in kb.filter.rows["train"][(0, 0)]
+    # drawing every non-positive entity leaves exactly the complement of the
+    # answers at the discretized timestamps (of every answer without time)
+    positives = {1, *(2 + t for t in times)} if times else set(range(1, 12))
+    expected = sorted(set(range(12)) - positives)
+    negatives = sample_entity_negatives(stmt, len(expected), kb, np.random.default_rng(0))
+    assert sorted(negatives) == expected

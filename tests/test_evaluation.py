@@ -27,11 +27,11 @@ from time2box.evaluation import (
     giou,
     gold_interval,
     greedy_coalesce,
+    link_query_times,
     property_p_check,
     random_interval_baseline,
-    rank_entity,
+    rank_queries,
     score_timeline,
-    statement_rank,
 )
 from time2box.model import ParameterStore, Variant
 
@@ -387,7 +387,7 @@ class TestRanking:
             r = int(rng.integers(0, kb.n_relations))
             t = int(rng.integers(0, kb.axis.length)) if rng.random() < 0.7 else None
             gold = int(rng.integers(0, kb.n_entities))
-            got = rank_entity((s, r, t), gold, params, kb)
+            (got,) = rank_queries([(s, r, t)], [gold], params, kb)
             scores = score_entities(
                 box_of_query(QueryPlan(s, r, () if t is None else (t,)), params), params
             )
@@ -405,7 +405,7 @@ class TestRanking:
         params.arrays["relation_emb"][:] = [[0.0, 0.0]]
         params.arrays["relation_off"][:] = [[0.1, 0.1]]
         # gold b (id 1) sits at the box center; others are far away
-        assert rank_entity((0, 0, None), 1, params, kb, filter_splits=()) <= 2
+        assert rank_queries([(0, 0, None)], [1], params, kb, filter_splits=())[0] <= 2
 
     def test_pessimistic_ties(self):
         kb = kb_from_lines(["a\tr\tb\t0\t1"], n_entities=4)
@@ -414,23 +414,24 @@ class TestRanking:
         params.arrays["relation_emb"][:] = [[0.0, 0.0]]
         params.arrays["relation_off"][:] = [[0.1, 0.1]]
         # all four entities tie: pessimistic rank is 4 even for the gold
-        assert rank_entity((0, 0, None), 1, params, kb, filter_splits=()) == 4
+        assert rank_queries([(0, 0, None)], [1], params, kb, filter_splits=())[0] == 4
 
     def test_filtering_removes_known_competitors(self, ranking_setup):
         kb, params = ranking_setup
         a, r = kb.entities.id_of("a"), kb.relations.id_of("r")
         b = kb.entities.id_of("b")
         t = 2
-        unfiltered = rank_entity((a, r, t), b, params, kb, filter_splits=())
-        filtered = rank_entity((a, r, t), b, params, kb, filter_splits=("train", "valid"))
+        (unfiltered,) = rank_queries([(a, r, t)], [b], params, kb, filter_splits=())
+        (filtered,) = rank_queries([(a, r, t)], [b], params, kb, filter_splits=("train", "valid"))
         assert filtered <= unfiltered
 
     def test_closed_statement_average(self, ranking_setup):
         kb, params = ranking_setup
         stmt = kb.splits["test"][0]  # a r b [2,3]
-        res = statement_rank(stmt, params, kb)
-        assert len(res.per_timestamp) == 2
-        assert res.averaged == pytest.approx(np.mean(res.per_timestamp))
+        queries = [(stmt.s, stmt.r, t) for t in link_query_times(stmt)]
+        ranks = rank_queries(queries, [stmt.o] * len(queries), params, kb)
+        assert len(ranks) == 2
+        assert eval_link_prediction([stmt], params, kb).overall.mr == pytest.approx(np.mean(ranks))
 
     def test_nan_model_raises_instead_of_ranking_first(self, ranking_setup):
         kb, params = ranking_setup
@@ -438,7 +439,7 @@ class TestRanking:
         for arr in nan_params.arrays.values():
             arr[:] = np.nan
         with pytest.raises(ev.NonFiniteScoreError, match="non-finite score"):
-            rank_entity((0, 0, None), 1, nan_params, kb)
+            rank_queries([(0, 0, None)], [1], nan_params, kb)
         with pytest.raises(ev.NonFiniteScoreError, match="non-finite score"):
             eval_link_prediction(kb.splits["test"], nan_params, kb)
 
@@ -533,14 +534,14 @@ class TestNonFiniteCompetitor:
         with pytest.raises(ev.NonFiniteScoreError, match=f"non-finite score .* for entity {bad} "):
             eval_link_prediction(statements, params, kb, Variant.parse("te"))
 
-    def test_rank_entity_raises_on_competitor(self, ranking_setup):
+    def test_single_query_raises_on_competitor(self, ranking_setup):
         kb, params = ranking_setup
         params = params.copy()
         params.arrays["entity_emb"][8] = np.nan  # a padding entity
         with pytest.raises(ev.NonFiniteScoreError, match="non-finite score"):
-            rank_entity((0, 0, None), 1, params, kb)
+            rank_queries([(0, 0, None)], [1], params, kb)
         with pytest.raises(ev.NonFiniteScoreError, match="non-finite score"):
-            statement_rank(kb.splits["test"][0], params, kb)
+            eval_link_prediction(kb.splits["test"][:1], params, kb)
 
     def test_error_names_first_query_in_statement_order(self, ranking_setup):
         kb, params = ranking_setup

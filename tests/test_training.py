@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from time2box.data import ScopeKind, Statement, SynthConfig, TimeScope, generate
 from time2box.model import PROJECTOR_DM, ParameterStore, QueryPlan
 from time2box.training import (
     ADAM_BLOCK_ELEMENTS,
+    CHECKPOINT_MAGIC,
     Adam,
     CheckpointError,
     TrainConfig,
@@ -628,6 +632,34 @@ class TestCheckpoint:
         blob[-4:] = np.array([np.nan], dtype="<f4").tobytes()  # last w_ds_out entry
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="non-finite.*w_ds_out"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("d", 0),
+            ("|E|", 0),
+            ("|R|", -1),
+            ("|T|", 0),
+            ("gamma", 0.0),
+            ("gamma", np.nan),
+            ("gamma", np.inf),
+            ("alpha", 7.0),
+            ("alpha", -0.5),
+            ("alpha", np.nan),
+        ],
+    )
+    def test_bad_header_rejected_before_blocks(self, tmp_path, field, value):
+        # the file ends after its header, so a block read would fail instead
+        h = {"d": 4, "|E|": 3, "|R|": 2, "|T|": 2, "gamma": 24.0, "alpha": 0.5, field: value}
+        path = tmp_path / "header.t2b"
+        path.write_bytes(
+            struct.pack(
+                "<4s5i2d", CHECKPOINT_MAGIC, h["d"], h["|E|"], h["|R|"], h["|T|"], 0,
+                h["gamma"], h["alpha"],
+            )
+        )
+        with pytest.raises(CheckpointError, match=re.escape(f"header: {field} ")):
             load_checkpoint(path)
 
     def test_dimension_mismatch_vs_kb(self, tmp_path, overfit_kb):
