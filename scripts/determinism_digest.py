@@ -12,19 +12,30 @@ queries span several of eval_link_prediction's chunks), and of the time
 report text on the training split's forward statements (they span
 several relation groups and chunks of eval_time_prediction, and several
 statements share a subject), both at the default tau=0.5 and at the
-benchmark's k=10, tau=0.95. A last line, synth=, holds the SHA-256 of
-the manifests generate_synthetic draws for that dataset and for the c07
+benchmark's k=10, tau=0.95. A line synth= holds the SHA-256 of the
+manifests generate_synthetic draws for that dataset and for the c07
 acceptance config (50 entities, 5 relations, 40 years, 85 rules), which
-the benchmark's c07 workloads also use. Run it on two commits and diff
-the output to check that a change leaves generated data, parameters,
-checkpoints, logs and reports byte-identical:
+the benchmark's c07 workloads also use. A last line, c07=, holds the
+SHA-256 of the float64 parameters after 60 steps on that c07 dataset at
+the benchmark's learning config (d=64, k=16, lr=0.01, batch 64, gamma 24,
+alpha 0.5, seed 0, no validation), for te,tns and for dm,tr,si with the
+benchmark's beta of 0.01. Run it on two commits and diff the output to
+check that a change leaves generated data, parameters, checkpoints, logs
+and reports byte-identical:
 
     PYTHONPATH=src python scripts/determinism_digest.py > digest.txt
+
+BLAS runs on one thread, as in the benchmark: at d=64 the c07 te,tns
+parameters differ in their last bits between one and two threads.
 """
 
+import dataclasses
 import hashlib
 import os
 import tempfile
+
+# must be set before numpy is imported; the values of perfbench/run.py's THREAD_ENV
+os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 
 from time2box.data import SynthConfig, add_inverse_relations, generate_synthetic
 from time2box.evaluation import eval_link_prediction, eval_time_prediction
@@ -36,10 +47,16 @@ C07_SYNTH = SynthConfig(
     seed=7, n_entities=50, n_relations=5, axis_length=40, n_rules=85, instant_echoes=2
 )
 VARIANTS = ("te", "te,tns", "dm,tr,si,tns", "te,si,tns", "te,tr", "dm,tr,si")
+#: (variant, beta) of the benchmark's c07 workloads
+C07_VARIANTS = (("te,tns", 0.0), ("dm,tr,si", 0.01))
 
 
 def sha256(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
+
+
+def params_digest(params) -> str:
+    return sha256(b"".join(params.arrays[name].tobytes() for name in PARAM_ORDER))
 
 
 def digest_line(kb, spec: str, work_dir: str) -> str:
@@ -66,7 +83,7 @@ def digest_line(kb, spec: str, work_dir: str) -> str:
     tau95_report = eval_time_prediction(train_forward, params, kb, cfg.variant, k=10, tau=0.95)
     fields = [
         f"checkpoint={sha256(checkpoint)}",
-        f"params={sha256(b''.join(params.arrays[name].tobytes() for name in PARAM_ORDER))}",
+        f"params={params_digest(params)}",
         f"train.log={sha256(''.join(log_lines).encode())}",
         f"link={sha256(link_report.to_text().encode())}",
         f"link.train={sha256(train_link_report.to_text().encode())}",
@@ -77,6 +94,20 @@ def digest_line(kb, spec: str, work_dir: str) -> str:
     return f"{spec:<13} " + " ".join(fields)
 
 
+def c07_line() -> str:
+    kb = add_inverse_relations(generate_synthetic(C07_SYNTH)[0])
+    kb = dataclasses.replace(kb, splits={**kb.splits, "valid": []})
+    fields = []
+    for spec, beta in C07_VARIANTS:
+        cfg = TrainConfig(
+            d=64, k=16, lr=0.01, batch=64, gamma=24.0, alpha=0.5, seed=0, steps=60,
+            beta=beta, variant=Variant.parse(spec),
+        )
+        params, _ = train(kb, cfg)
+        fields.append(f"{spec}:{params_digest(params)}")
+    return "c07=" + " ".join(fields)
+
+
 def main():
     kb, _ = generate_synthetic(SYNTH)
     kb = add_inverse_relations(kb)
@@ -85,7 +116,8 @@ def main():
             print(digest_line(kb, spec, work_dir), flush=True)
     manifests = [generate_synthetic(cfg)[1] for cfg in (SYNTH, C07_SYNTH)]
     rows = "".join("\t".join(row) + "\n" for manifest in manifests for row in manifest)
-    print(f"synth={sha256(rows.encode())}")
+    print(f"synth={sha256(rows.encode())}", flush=True)
+    print(c07_line())
 
 
 if __name__ == "__main__":

@@ -2,8 +2,14 @@
 
 Only the primitives the box model needs are provided. Everything runs in
 float64. Subgradient conventions are fixed so gradients are deterministic:
-relu/abs/clamp give derivative 0 exactly at their kink, and min-pooling
-routes the gradient to the first minimizing index on ties.
+relu gives derivative 0 exactly at its kink, box_distance routes the
+gradient of a point on a box face to the face, and min-pooling routes the
+gradient to the first minimizing index on ties.
+
+A vjp is called as vjp(g, out, *inputs): the gradient of the node's
+output, the output itself, and the parents' values. It returns one
+gradient per parent, and backward adds them into the parents' running
+sums in parent order.
 
 Nodes created without a tape evaluate eagerly and record nothing, which
 gives the evaluation path the same numerics as training without the
@@ -117,7 +123,7 @@ def add(a, b) -> Node:
         "add",
         (a, b),
         lambda x, y: x + y,
-        lambda g, x, y: (_unbroadcast(g, x.shape), _unbroadcast(g, y.shape)),
+        lambda g, _, x, y: (_unbroadcast(g, x.shape), _unbroadcast(g, y.shape)),
     )
 
 
@@ -127,7 +133,7 @@ def sub(a, b) -> Node:
         "sub",
         (a, b),
         lambda x, y: x - y,
-        lambda g, x, y: (_unbroadcast(g, x.shape), _unbroadcast(-g, y.shape)),
+        lambda g, _, x, y: (_unbroadcast(g, x.shape), _unbroadcast(-g, y.shape)),
     )
 
 
@@ -137,20 +143,20 @@ def mul(a, b) -> Node:
         "mul",
         (a, b),
         lambda x, y: x * y,
-        lambda g, x, y: (_unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)),
+        lambda g, _, x, y: (_unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)),
     )
 
 
 def neg(a) -> Node:
     a = wrap(a)
-    return _op("neg", (a,), lambda x: -x, lambda g, x: (-g,))
+    return _op("neg", (a,), lambda x: -x, lambda g, *_: (-g,))
 
 
 def linear(x, w) -> Node:
     """x @ w.T for w of shape (d_out, d_in); x has shape (..., d_in)."""
     x, w = wrap(x), wrap(w)
 
-    def vjp(g, xv, wv):
+    def vjp(g, _, xv, wv):
         gx = g @ wv
         g2 = g.reshape(-1, g.shape[-1])
         x2 = xv.reshape(-1, xv.shape[-1])
@@ -161,7 +167,7 @@ def linear(x, w) -> Node:
 
 def relu(a) -> Node:
     a = wrap(a)
-    return _op("relu", (a,), lambda x: np.maximum(x, 0.0), lambda g, x: (g * (x > 0.0),))
+    return _op("relu", (a,), lambda x: np.maximum(x, 0.0), lambda g, _, x: (g * (x > 0.0),))
 
 
 def sigmoid(a) -> Node:
@@ -175,8 +181,7 @@ def sigmoid(a) -> Node:
         out[~pos] = ex / (1.0 + ex)
         return out
 
-    def vjp(g, x):
-        s = fwd(x)
+    def vjp(g, s, _):
         return (g * s * (1.0 - s),)
 
     return _op("sigmoid", (a,), fwd, vjp)
@@ -191,15 +196,86 @@ def log_sigmoid_value(x: np.ndarray) -> np.ndarray:
 def log_sigmoid(a) -> Node:
     a = wrap(a)
 
-    def vjp(g, x):
-        # d/dx log sigmoid(x) = sigmoid(-x)
-        s = np.empty_like(x)
-        pos = x >= 0
-        s[pos] = np.exp(-x[pos]) / (1.0 + np.exp(-x[pos]))
-        s[~pos] = 1.0 / (1.0 + np.exp(x[~pos]))
-        return (g * s,)
+    def vjp(g, _, x):
+        # d/dx log sigmoid(x) = sigmoid(-x), from e = exp(-|x|) on both sides
+        e = np.exp(-np.abs(x))
+        d = 1.0 + e
+        return (g * np.where(x >= 0, e / d, 1.0 / d),)
 
     return _op("log_sigmoid", (a,), log_sigmoid_value, vjp)
+
+
+def box_distance_value(points, center, b_min, b_max, alpha, clamped, diff) -> np.ndarray:
+    """alpha*inside + outside, computed in the two preallocated buffers: the
+    one distance kernel, shared by training's box_distance and the tape-free
+    scoring in model.box_scores and model.score_entities.
+
+    With k the point clamped onto the box, inside is sum|c - k| and
+    outside is sum|e - k|. For a nonnegative offset the latter equals
+    sum(relu(e - b_max) + relu(b_min - e)) bit for bit: at most one of the
+    two terms is nonzero, and IEEE subtraction is antisymmetric.
+    """
+    np.maximum(points, b_min, out=clamped)
+    np.minimum(clamped, b_max, out=clamped)
+    np.subtract(center, clamped, out=diff)
+    inside = np.abs(diff, out=diff).sum(axis=-1)
+    np.subtract(points, clamped, out=diff)
+    outside = np.abs(diff, out=diff).sum(axis=-1)
+    return inside * alpha + outside
+
+
+def box_distance(point, center, offset, alpha: float) -> Node:
+    """Two-part L1 distance of points to boxes, alpha*inside + outside
+    (box_distance_value), over the last axis; leading dimensions broadcast.
+    Offsets must be nonnegative.
+
+    The gradient is that of the primitive form: outside as
+    relu(p - b_max) + relu(b_min - p), inside as |c - clamp(p, b_min,
+    b_max)|, where the clamp sends the gradient to an exact upper face
+    first, then to an exact lower face, and otherwise through to the
+    point. The parents are listed once per contribution, in the order the
+    primitive ops added them: point (relu(b_min - p), relu(p - b_max), the
+    clamp), center (the inside term, b_max, b_min) and offset (b_max,
+    -b_min). Each contribution is unbroadcast on its own, so backward's
+    running sums get the same bits as from the primitive ops.
+    """
+    point, center, offset = wrap(point), wrap(center), wrap(offset)
+    p, c, o = point.value, center.value, offset.value
+    b_min, b_max = c - o, c + o
+    shape = np.broadcast_shapes(p.shape, b_min.shape)
+    clamped = np.empty(shape)
+    value = box_distance_value(p, c, b_min, b_max, alpha, clamped, np.empty(shape))
+    tape = _tape_of(point, center, offset)
+    if tape is None:
+        return Node(value, "box_distance")
+
+    def vjp(g, *_):
+        g_out = g[..., None]
+        # relu(b_min - p)'s gradient is -down at p and +down at b_min
+        down = g_out * (b_min > p)
+        up = g_out * (p > b_max)
+        # the inside term's gradient at the clamped point is -alpha*g*sign(c - k)
+        through = (g * -alpha)[..., None] * np.sign(c - clamped)
+        to_hi = clamped == b_max
+        to_lo = p <= b_min
+        to_lo &= ~to_hi
+        to_x = ~to_hi
+        to_x ^= to_lo
+        g_min = _unbroadcast(down, b_min.shape) + _unbroadcast(through * to_lo, b_min.shape)
+        g_max = _unbroadcast(-up, b_max.shape) + _unbroadcast(through * to_hi, b_max.shape)
+        return (
+            _unbroadcast(-down, p.shape),
+            _unbroadcast(up, p.shape),
+            _unbroadcast(through * to_x, p.shape),
+            -_unbroadcast(through, c.shape),
+            _unbroadcast(g_max, c.shape),
+            _unbroadcast(g_min, c.shape),
+            _unbroadcast(g_max, o.shape),
+            _unbroadcast(-g_min, o.shape),
+        )
+
+    parents = (point,) * 3 + (center,) * 3 + (offset,) * 2
+    return Node(value, "box_distance", parents, tape, vjp)
 
 
 def softmax(a, axis: int) -> Node:
@@ -210,8 +286,7 @@ def softmax(a, axis: int) -> Node:
         e = np.exp(z)
         return e / e.sum(axis=axis, keepdims=True)
 
-    def vjp(g, x):
-        s = fwd(x)
+    def vjp(g, s, _):
         return (s * (g - (g * s).sum(axis=axis, keepdims=True)),)
 
     return _op("softmax", (a,), fwd, vjp)
@@ -221,46 +296,26 @@ def amin(a, axis: int) -> Node:
     """Elementwise min-pool along an axis; ties route to the first index."""
     a = wrap(a)
 
-    def vjp(g, x):
-        idx = np.expand_dims(np.argmin(x, axis=axis), axis)
+    def vjp(g, out, x):
+        # one pass per item: g goes where the item equals the minimum and no
+        # earlier item did; elsewhere gx stays +0.0
         gx = np.zeros_like(x)
-        np.put_along_axis(gx, idx, np.expand_dims(g, axis), axis)
+        free = np.ones(out.shape, dtype=bool)
+        lead = (slice(None),) * (axis % x.ndim)
+        for i in range(x.shape[axis]):
+            hit = x[lead + (i,)] == out
+            hit &= free
+            np.copyto(gx[lead + (i,)], g, where=hit)
+            free ^= hit
         return (gx,)
 
     return _op("amin", (a,), lambda x: np.min(x, axis=axis), vjp)
 
 
-def clamp(x, lo, hi) -> Node:
-    """min(hi, max(lo, x)); at an exact boundary the gradient goes to the
-    boundary tensor, so d/dx is 0 there."""
-    x, lo, hi = wrap(x), wrap(lo), wrap(hi)
-
-    def fwd(xv, lov, hiv):
-        return np.minimum(np.maximum(xv, lov), hiv)
-
-    def vjp(g, xv, lov, hiv):
-        after_max = np.maximum(xv, lov)
-        to_hi = after_max >= hiv
-        to_lo = ~to_hi & (xv <= lov)
-        to_x = ~to_hi & ~to_lo
-        return (
-            _unbroadcast(g * to_x, xv.shape),
-            _unbroadcast(g * to_lo, lov.shape),
-            _unbroadcast(g * to_hi, hiv.shape),
-        )
-
-    return _op("clamp", (x, lo, hi), fwd, vjp)
-
-
-def absolute(a) -> Node:
-    a = wrap(a)
-    return _op("abs", (a,), np.abs, lambda g, x: (g * np.sign(x),))
-
-
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Node:
     a = wrap(a)
 
-    def vjp(g, x):
+    def vjp(g, _, x):
         if axis is None:
             return (np.broadcast_to(g, x.shape).copy(),)
         gg = g if keepdims else np.expand_dims(g, axis)
@@ -272,7 +327,7 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Node:
 def reduce_mean(a, axis: int) -> Node:
     a = wrap(a)
 
-    def vjp(g, x):
+    def vjp(g, _, x):
         return (np.broadcast_to(np.expand_dims(g, axis), x.shape) / x.shape[axis],)
 
     return _op("mean", (a,), lambda x: np.mean(x, axis=axis), vjp)
@@ -282,7 +337,7 @@ def stack(nodes, axis: int) -> Node:
     """Stack along a new axis after broadcasting the inputs to one shape."""
     nodes = [wrap(n) for n in nodes]
 
-    def vjp(g, *xs):
+    def vjp(g, _, *xs):
         return tuple(_unbroadcast(np.take(g, i, axis=axis), x.shape) for i, x in enumerate(xs))
 
     return _op("stack", nodes, lambda *xs: np.stack(np.broadcast_arrays(*xs), axis=axis), vjp)
@@ -290,7 +345,7 @@ def stack(nodes, axis: int) -> Node:
 
 def reshape(a, shape) -> Node:
     a = wrap(a)
-    return _op("reshape", (a,), lambda x: x.reshape(shape), lambda g, x: (g.reshape(x.shape),))
+    return _op("reshape", (a,), lambda x: x.reshape(shape), lambda g, _, x: (g.reshape(x.shape),))
 
 
 def backward(tape: Tape, root: Node | None = None) -> GradientMap:
@@ -320,7 +375,7 @@ def backward(tape: Tape, root: Node | None = None) -> GradientMap:
             else:
                 entries.append((indices, g))
             continue
-        parent_grads = node._vjp(g, *(p.value for p in node.parents))
+        parent_grads = node._vjp(g, node.value, *(p.value for p in node.parents))
         for parent, pg in zip(node.parents, parent_grads):
             if parent.tape is None or pg is None:
                 continue

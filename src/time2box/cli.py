@@ -157,8 +157,21 @@ def cmd_gen_synthetic(args) -> int:
     return 0
 
 
+#: keys a train config file may set; config.resolved also holds command=train
+TRAIN_FILE_KEYS = ("data", "missing", *TRAIN_KEYS)
+
+
 def _train_config_from(args) -> tuple[TrainConfig, str, str]:
     file_keys = read_config_file(args.config) if args.config else {}
+    command = file_keys.pop("command", "train")
+    if command != "train":
+        raise UsageError(f"{args.config} is a {command} config, not a train config")
+    unknown = [key for key in file_keys if key not in TRAIN_FILE_KEYS]
+    if unknown:
+        raise UsageError(
+            f"unknown key(s) {', '.join(map(repr, unknown))} in {args.config}; "
+            f"allowed keys: {', '.join(TRAIN_FILE_KEYS)}"
+        )
     data_dir = resolve(args, file_keys, "data")
     missing = resolve(args, file_keys, "missing")
     if data_dir is None:

@@ -436,8 +436,8 @@ def generate_synthetic(config: SynthConfig) -> tuple[TemporalKB, list[ManifestRo
     max(1, n_rules // 4) no-time training facts are drawn off the rule grid.
     """
     E, R, L = config.n_entities, config.n_relations, config.axis_length
-    if E < 2 or R < 2 or L < 2:
-        raise DatasetError("synthetic generation needs at least 2 entities, relations and years")
+    if R < 2 or L < 2:
+        raise DatasetError("synthetic generation needs at least 2 relations and years")
     if config.n_rules < 1:
         raise DatasetError("need at least one rule")
     n_subjects = E // 2
@@ -445,6 +445,9 @@ def generate_synthetic(config: SynthConfig) -> tuple[TemporalKB, list[ManifestRo
         raise DatasetError(
             f"{config.n_rules} rules exceed the {n_subjects}x{R} subject-relation capacity"
         )
+    if E < 4:
+        # a timeline needs two distinct objects from the upper half
+        raise DatasetError(f"synthetic generation needs at least 4 entities, got {E}")
     object_pool = np.arange(E - E // 2, E)
     max_segments = min(MAX_SEGMENTS, len(object_pool), L)
     rng = np.random.default_rng(config.seed)

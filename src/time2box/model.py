@@ -4,7 +4,8 @@ A query (s, r, ?o, t*) is answered by projecting the subject to a
 relation box (all objects related to s under r), optionally to one or two
 time boxes (all objects co-occurring with s at a timestamp), and taking
 an attention/DeepSets intersection. Candidate objects are ranked by a
-two-part point-to-box distance.
+two-part point-to-box distance (autodiff.box_distance on the training
+tape, box_scores and score_entities without one).
 
 `query_box` is the only place query boxes are built: training's positive
 and time-negative boxes, evaluation's link queries and timelines,
@@ -299,40 +300,9 @@ def box_of_query(plan: QueryPlan, params: ParameterStore, tape: Tape | None = No
     return query_box(params, variant, plan.subject, plan.relation, plan.time_projections, tape)
 
 
-@dataclass
-class DistanceParts:
-    """Outside distance to the box boundary, inside distance from the
-    boundary-clamped point to the center, and their weighted total."""
-
-    outside: "Node | np.ndarray"
-    inside: "Node | np.ndarray"
-    total: "Node | np.ndarray"
-
-
 def _check_alpha(alpha: float) -> None:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-
-
-def distance(point, box: BoxEmbedding, alpha: float) -> DistanceParts:
-    """Two-part L1 distance of a point to a box: total = alpha*inside + outside."""
-    _check_alpha(alpha)
-    point = ad.wrap(point)
-    center, offset = ad.wrap(box.center), ad.wrap(box.offset)
-    b_min = ad.sub(center, offset)
-    b_max = ad.add(center, offset)
-    inside = ad.reduce_sum(ad.absolute(ad.sub(center, ad.clamp(point, b_min, b_max))), axis=-1)
-    outside = ad.reduce_sum(
-        ad.add(ad.relu(ad.sub(point, b_max)), ad.relu(ad.sub(b_min, point))), axis=-1
-    )
-    total = ad.add(ad.mul(inside, ad.constant(alpha)), outside)
-    return DistanceParts(outside, inside, total)
-
-
-def score(point, box: BoxEmbedding, gamma: float, alpha: float) -> "Node":
-    """log sigmoid(gamma - distance); strictly decreasing in the distance."""
-    total = distance(point, box, alpha).total
-    return ad.log_sigmoid(ad.sub(ad.constant(gamma), total))
 
 
 #: float64 elements per scoring work buffer (512 KiB): a row block of
@@ -340,30 +310,16 @@ def score(point, box: BoxEmbedding, gamma: float, alpha: float) -> "Node":
 SCORE_BLOCK_ELEMENTS = 1 << 16
 
 
-def _box_distance(points, center, b_min, b_max, alpha, clamped, diff) -> np.ndarray:
-    """alpha*inside + outside, computed in the two preallocated buffers.
-
-    With k the point clamped onto the box, inside is sum|c - k| and
-    outside is sum|e - k|. For a nonnegative offset the latter equals
-    sum(relu(e - b_max) + relu(b_min - e)) bit for bit: at most one of the
-    two terms is nonzero, and IEEE subtraction is antisymmetric.
-    """
-    np.maximum(points, b_min, out=clamped)
-    np.minimum(clamped, b_max, out=clamped)
-    np.subtract(center, clamped, out=diff)
-    inside = np.abs(diff, out=diff).sum(axis=-1)
-    np.subtract(points, clamped, out=diff)
-    outside = np.abs(diff, out=diff).sum(axis=-1)
-    return inside * alpha + outside
-
-
 def box_scores(points, center, offset, gamma: float, alpha: float) -> np.ndarray:
-    """Tape-free score(points, BoxEmbedding(center, offset), gamma, alpha).value,
-    bit-identical to it for nonnegative offsets; leading dimensions broadcast."""
+    """log sigmoid(gamma - distance) of points to boxes with nonnegative
+    offsets, without a tape; leading dimensions broadcast. The distance is
+    ad.box_distance_value, the kernel training's ad.box_distance runs, so a
+    score here equals log_sigmoid(gamma - box_distance) on the tape bit for
+    bit."""
     _check_alpha(alpha)
     points, center, offset = (np.asarray(a, dtype=np.float64) for a in (points, center, offset))
     shape = np.broadcast_shapes(points.shape, center.shape, offset.shape)
-    total = _box_distance(
+    total = ad.box_distance_value(
         points, center, center - offset, center + offset, alpha, np.empty(shape), np.empty(shape)
     )
     return ad.log_sigmoid_value(gamma - total)
@@ -397,7 +353,7 @@ def score_entities(box: BoxEmbedding, params: ParameterStore) -> np.ndarray:
         for lo in range(0, n, rows):
             block = emb[lo : lo + rows]
             m = len(block)
-            scores[qs, lo : lo + m] = _box_distance(
+            scores[qs, lo : lo + m] = ad.box_distance_value(
                 block, queries[qs], b_min[qs], b_max[qs], params.alpha,
                 clamped[:k, :m], diff[:k, :m],
             )

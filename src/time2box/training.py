@@ -20,11 +20,9 @@ from .autodiff import Tape
 from .data import ScopeKind, Statement, TemporalKB, discretize, scope_span
 from .model import (
     PARAM_ORDER,
-    BoxEmbedding,
     ParameterStore,
     QueryPlan,
     Variant,
-    distance,
     query_box,
 )
 
@@ -258,19 +256,18 @@ def batch_loss(
         box = query_box(params, variant, s_idx, r_idx, t_idx, tape)
         o_idx = np.array([g.statement.o for g in group])
         o_emb = params.rows(tape, "entity_emb", o_idx)
-        d_pos = distance(o_emb, box, params.alpha).total  # (n,)
+        d_pos = ad.box_distance(o_emb, box.center, box.offset, params.alpha)  # (n,)
         pos_term = ad.neg(ad.log_sigmoid(ad.sub(ad.constant(gamma), d_pos)))
 
         d = params.d
-        box_b = BoxEmbedding(
-            ad.reshape(box.center, (n, 1, d)), ad.reshape(box.offset, (n, 1, d))
-        )
         neg_sum = None
         k_total = len(group[0].negatives_entities) + n_tneg
         if group[0].negatives_entities:
+            center_b = ad.reshape(box.center, (n, 1, d))
+            offset_b = ad.reshape(box.offset, (n, 1, d))
             ne_idx = np.array([g.negatives_entities for g in group])  # (n, k_e)
             ne_emb = params.rows(tape, "entity_emb", ne_idx)
-            d_neg = distance(ne_emb, box_b, params.alpha).total  # (n, k_e)
+            d_neg = ad.box_distance(ne_emb, center_b, offset_b, params.alpha)  # (n, k_e)
             neg_sum = ad.reduce_sum(ad.log_sigmoid(ad.sub(d_neg, ad.constant(gamma))), axis=-1)
         if n_tneg:
             # one single-timestamp box per (statement, corrupted timestamp);
@@ -280,7 +277,7 @@ def batch_loss(
                 params, variant, s_idx[:, None], r_idx[:, None], tneg_idx[..., None], tape
             )
             o_b = ad.reshape(o_emb, (n, 1, d))
-            d_tneg = distance(o_b, tbox, params.alpha).total  # (n, m)
+            d_tneg = ad.box_distance(o_b, tbox.center, tbox.offset, params.alpha)  # (n, m)
             t_sum = ad.reduce_sum(ad.log_sigmoid(ad.sub(d_tneg, ad.constant(gamma))), axis=-1)
             neg_sum = t_sum if neg_sum is None else ad.add(neg_sum, t_sum)
 

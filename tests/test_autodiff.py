@@ -7,11 +7,13 @@ from time2box import autodiff as ad
 
 
 def test_l1_norm_gradient():
+    # the distance to a box shrunk to the origin is the point's L1 norm
     x = np.array([[2.0, -3.0]])
     tape = ad.Tape()
     xs = ad.param_rows(tape, x, "x", [0])
-    loss = ad.reduce_sum(ad.absolute(xs))
-    grads = ad.densify(ad.backward(tape, loss), {"x": x})
+    loss = ad.box_distance(xs, ad.constant(np.zeros(2)), ad.constant(np.zeros(2)), 0.5)
+    assert loss.value == 5.0
+    grads = ad.densify(ad.backward(tape, ad.reduce_sum(loss)), {"x": x})
     np.testing.assert_array_equal(grads["x"][0], [1.0, -1.0])
 
 
@@ -38,17 +40,61 @@ def test_min_pool_ties_route_to_first_index():
     np.testing.assert_array_equal(grads["x"][2], [0.0, 0.0])
 
 
+def test_min_pool_tie_leaves_positive_zeros():
+    # 3 items on axis -2, tied in every column, with a negative gradient: the
+    # first minimum takes g, and every other entry is +0.0, not -0.0
+    x = np.array([[[1.0, 2.0], [1.0, 0.5], [3.0, 0.5]]])
+    tape = ad.Tape()
+    xs = ad.param_full(tape, x, "x")
+    pooled = ad.amin(xs, axis=-2)
+    loss = ad.reduce_sum(ad.mul(pooled, ad.constant([-2.0, -3.0])))
+    ((indices, gx),) = ad.backward(tape, loss)["x"]
+    assert indices is None
+    np.testing.assert_array_equal(gx[0], [[-2.0, 0.0], [0.0, -3.0], [0.0, 0.0]])
+    zeros = gx == 0.0
+    assert zeros.sum() == 4 and not np.signbit(gx[zeros]).any()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_min_pool_equals_argmin_routing(seed):
+    """The mask-routed vjp gives the former argmin + put_along_axis bits,
+    on integer-valued items with many ties, for the pooled axis in any place."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 3, size=(4, 3, 5, 6)).astype(float)
+    for axis in (-2, 0, 2):
+        shape = np.delete(np.array(x.shape), axis)
+        g = rng.normal(size=tuple(shape))
+        node = ad.amin(ad.param_full(ad.Tape(), x, "x"), axis=axis)
+        (got,) = node._vjp(g, node.value, x)
+        expected = np.zeros_like(x)
+        idx = np.expand_dims(np.argmin(x, axis=axis), axis)
+        np.put_along_axis(expected, idx, np.expand_dims(g, axis), axis)
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_log_sigmoid_gradient_equals_former_scatter():
+    x = np.array([-800.0, -30.0, -1.5, -1e-300, -0.0, 0.0, 1e-300, 2.0, 40.0, 800.0])
+    node = ad.log_sigmoid(ad.param_full(ad.Tape(), x, "x"))
+    g = np.linspace(-2.0, 3.0, x.size)
+    (got,) = node._vjp(g, node.value, x)
+    s = np.empty_like(x)
+    pos = x >= 0
+    s[pos] = np.exp(-x[pos]) / (1.0 + np.exp(-x[pos]))
+    s[~pos] = 1.0 / (1.0 + np.exp(x[~pos]))
+    assert got.tobytes() == (g * s).tobytes()
+
+
 def test_clamp_zero_derivative_at_boundary():
-    point = np.array([[2.0, -1.0, 0.5]])
-    lo = np.array([-1.0, -1.0, -1.0])
-    hi = np.array([2.0, 2.0, 2.0])
+    # the box [-1, 2] per dimension: a point exactly on a face has derivative
+    # 0 (the clamp sends the inside term to the face), one strictly inside
+    # has alpha * sign(p - c)
+    point = np.array([[2.0, -1.0, 1.0]])
     tape = ad.Tape()
     p = ad.param_rows(tape, point, "p", [0])
-    out = ad.clamp(p, ad.constant(lo), ad.constant(hi))
-    loss = ad.reduce_sum(out)
-    grads = ad.densify(ad.backward(tape, loss), {"p": point})
-    # 2.0 sits exactly on hi, -1.0 exactly on lo: derivative 0 there
-    np.testing.assert_array_equal(grads["p"][0], [0.0, 0.0, 1.0])
+    center, offset = ad.constant(np.full(3, 0.5)), ad.constant(np.full(3, 1.5))
+    loss = ad.box_distance(p, center, offset, 0.25)
+    grads = ad.densify(ad.backward(tape, ad.reduce_sum(loss)), {"p": point})
+    np.testing.assert_array_equal(grads["p"][0], [0.0, 0.0, 0.25])
 
 
 def test_relu_zero_derivative_at_kink():
@@ -169,7 +215,7 @@ class TestFiniteDiffCheck:
             h = ad.relu(ad.linear(xs, wn))
             att = ad.softmax(h, axis=0)
             mixed = ad.reduce_sum(ad.mul(att, xs), axis=0)
-            d = ad.reduce_sum(ad.absolute(ad.clamp(mixed, ad.constant(-0.5), ad.constant(0.5))))
+            d = ad.box_distance(mixed, ad.constant(np.zeros(5)), ad.constant(np.full(5, 0.5)), 0.3)
             loss = ad.add(ad.neg(ad.log_sigmoid(d)), ad.reduce_sum(ad.amin(h, axis=0)))
             return loss.value, ad.backward(tape, loss)
 
@@ -225,7 +271,7 @@ def former_backward_densify(tape, root, params):
                 slot = (name, int(row))
                 slots[slot] = slots.get(slot, 0.0) + buf[j]
             continue
-        parent_grads = node._vjp(g, *(p.value for p in node.parents))
+        parent_grads = node._vjp(g, node.value, *(p.value for p in node.parents))
         for parent, pg in zip(node.parents, parent_grads):
             if parent.tape is None or pg is None:
                 continue
@@ -275,3 +321,159 @@ def test_densify_bit_identical_to_per_row_slots(n_rows_leaves, n_full_leaves, n,
     assert set(ours) == set(ref) == {"emb", "w"}
     for name in ref:
         assert ours[name].tobytes() == ref[name].tobytes(), name
+
+
+def former_clamp(x, lo, hi):
+    """The former clamp op: min(hi, max(lo, x)), with the gradient at an
+    exact boundary going to the boundary tensor."""
+
+    def vjp(g, _, xv, lov, hiv):
+        to_hi = np.maximum(xv, lov) >= hiv
+        to_lo = ~to_hi & (xv <= lov)
+        to_x = ~to_hi & ~to_lo
+        return (
+            ad._unbroadcast(g * to_x, xv.shape),
+            ad._unbroadcast(g * to_lo, lov.shape),
+            ad._unbroadcast(g * to_hi, hiv.shape),
+        )
+
+    return ad._op("clamp", (x, lo, hi), lambda xv, lov, hiv: np.minimum(np.maximum(xv, lov), hiv), vjp)
+
+
+def former_absolute(a):
+    return ad._op("abs", (a,), np.abs, lambda g, _, x: (g * np.sign(x),))
+
+
+def former_box_distance(point, center, offset, alpha):
+    """The distance as the tape recorded it before box_distance fused it:
+    14 primitive nodes, kept as the reference box_distance's value and
+    gradient must equal bit for bit."""
+    b_min = ad.sub(center, offset)
+    b_max = ad.add(center, offset)
+    inside = ad.reduce_sum(former_absolute(ad.sub(center, former_clamp(point, b_min, b_max))), axis=-1)
+    outside = ad.reduce_sum(ad.add(ad.relu(ad.sub(point, b_max)), ad.relu(ad.sub(b_min, point))), axis=-1)
+    return ad.add(ad.mul(inside, ad.constant(alpha)), outside)
+
+
+#: batch_loss's three (point, box) layouts at n = 5 statements, 3 negatives,
+#: d = 4: the positive object, entity negatives against a (n, 1, d) box, and
+#: the object as (n, 1, d) against one box per corrupted timestamp
+DISTANCE_LAYOUTS = {
+    "positive": ((5,), (5,)),
+    "entity-negatives": ((5, 3), (5, 1)),
+    "time-negatives": ((5, 1), (5, 3)),
+}
+
+
+def distance_loss(distance, params, layout, seed, alpha=0.5):
+    """A batch_loss-like loss over one distance call. Point, center and
+    offset are also used by terms recorded after the distance, so backward
+    adds the distance's contributions onto running sums, as in batch_loss."""
+    point_lead, box_lead = DISTANCE_LAYOUTS[layout]
+    rng = np.random.default_rng(seed)
+    tape = ad.Tape()
+    point = ad.param_rows(tape, params["point"], "point", rng.integers(0, 6, size=point_lead))
+    rows = rng.integers(0, 6, size=box_lead)
+    center = ad.param_rows(tape, params["center"], "center", rows)
+    offset = ad.param_rows(tape, params["offset"], "offset", rows)
+    dist = distance(point, center, offset, alpha)
+    weights = rng.uniform(-1.0, 1.0, size=dist.shape)
+    loss = ad.reduce_sum(ad.mul(ad.log_sigmoid(ad.sub(ad.constant(3.0), dist)), ad.constant(weights)))
+    for node in (point, center, offset):
+        later = ad.reduce_sum(ad.mul(node, ad.constant(rng.normal(size=node.shape))))
+        loss = ad.add(loss, later)
+    return loss, tape
+
+
+def kinked_distance_params(seed):
+    """Tables on a coarse grid, so points fall exactly on faces and centers,
+    and a third of the offsets are 0."""
+    rng = np.random.default_rng(seed)
+    center = rng.integers(-4, 5, size=(6, 4)) / 4.0
+    offset = rng.integers(0, 3, size=(6, 4)) / 4.0
+    point = rng.integers(-6, 7, size=(6, 4)) / 4.0
+    return {"point": point, "center": center, "offset": offset}
+
+
+@pytest.mark.parametrize("kinked", [False, True])
+@pytest.mark.parametrize("layout", sorted(DISTANCE_LAYOUTS))
+@pytest.mark.parametrize("seed", range(4))
+def test_box_distance_equals_former_composite(layout, kinked, seed):
+    """Value and every gradient bit of the fused op equal the former
+    14-node composite's, with the contributions added onto running sums."""
+    if kinked:
+        params = kinked_distance_params(seed)
+    else:
+        rng = np.random.default_rng(100 + seed)
+        params = {
+            "point": rng.normal(size=(6, 4)),
+            "center": rng.normal(size=(6, 4)),
+            "offset": rng.uniform(0.0, 1.0, size=(6, 4)),
+        }
+    fused_loss, fused_tape = distance_loss(ad.box_distance, params, layout, seed)
+    former_loss, former_tape = distance_loss(former_box_distance, params, layout, seed)
+    assert fused_loss.value.tobytes() == former_loss.value.tobytes()
+    assert len(former_tape.nodes) - len(fused_tape.nodes) == 13
+    fused = ad.backward(fused_tape, fused_loss)
+    former = ad.backward(former_tape, former_loss)
+    assert fused.keys() == former.keys() == {"point", "center", "offset"}
+    for name in former:
+        for (fi, fg), (ri, rg) in zip(fused[name], former[name], strict=True):
+            assert np.array_equal(fi, ri)
+            # equal values; a zero's sign may differ, and densify, which adds
+            # every entry into +0.0, removes it
+            assert np.array_equal(fg, rg), name
+        dense_fused = ad.densify({name: fused[name]}, params)[name]
+        dense_former = ad.densify({name: former[name]}, params)[name]
+        assert dense_fused.tobytes() == dense_former.tobytes(), name
+
+
+def test_box_distance_value_is_the_scoring_kernel():
+    rng = np.random.default_rng(8)
+    points = rng.normal(size=(7, 3, 16))
+    center, offset = rng.normal(size=(7, 1, 16)), rng.uniform(0.0, 1.0, size=(7, 1, 16))
+    offset[:, :, ::4] = 0.0
+    shape = points.shape
+    kernel = ad.box_distance_value(
+        points, center, center - offset, center + offset, 0.3, np.empty(shape), np.empty(shape)
+    )
+    tape = ad.Tape()
+    node = ad.box_distance(ad.param_rows(tape, points, "p", np.arange(7)), center, offset, 0.3)
+    assert node.value.tobytes() == kernel.tobytes()
+    assert ad.box_distance(points, center, offset, 0.3).value.tobytes() == kernel.tobytes()
+
+
+@pytest.mark.parametrize("layout", sorted(DISTANCE_LAYOUTS))
+def test_box_distance_gradient_matches_finite_differences(layout):
+    rng = np.random.default_rng(21)
+    params = {
+        "point": rng.normal(size=(6, 4)),
+        "center": rng.normal(size=(6, 4)),
+        "offset": rng.uniform(0.1, 1.0, size=(6, 4)),
+    }
+
+    def loss_fn():
+        loss, tape = distance_loss(ad.box_distance, params, layout, 3)
+        return loss.value, ad.backward(tape, loss)
+
+    report = ad.finite_diff_check(loss_fn, params, eps=1e-5, samples=120, rng=rng)
+    assert report.n_checked > 100
+    assert report.max_rel_error < 1e-5
+
+
+@pytest.mark.parametrize("layout", sorted(DISTANCE_LAYOUTS))
+def test_box_distance_gradient_at_kinks(layout):
+    """Points on faces and zero-offset dimensions: coordinates on a kink are
+    flagged by their one-sided slopes, and all others match."""
+    params = kinked_distance_params(5)
+
+    def loss_fn():
+        loss, tape = distance_loss(ad.box_distance, params, layout, 5)
+        return loss.value, ad.backward(tape, loss)
+
+    report = ad.finite_diff_check(
+        loss_fn, params, eps=1e-5, samples=150, rng=np.random.default_rng(2)
+    )
+    assert report.n_kinks_skipped > 0
+    assert report.n_checked > 50
+    assert report.max_rel_error < 1e-5

@@ -130,6 +130,23 @@ class TestGenSynthetic:
         assert code == 1
         assert "capacity" in err
 
+    @pytest.mark.parametrize("entities", [2, 3])
+    def test_too_few_entities_named(self, entities, tmp_path, capsys):
+        """Below 4 entities the object half cannot hold a two-object timeline."""
+        out = tmp_path / "x"
+        code, _, err = run(
+            capsys, "gen-synthetic", "--out", out, "--entities", entities, "--rules", "1",
+        )
+        assert code == 1
+        assert err == f"error: synthetic generation needs at least 4 entities, got {entities}\n"
+        assert not out.exists()
+
+    def test_four_entities_suffice(self, tmp_path, capsys):
+        code, _, _ = run(
+            capsys, "gen-synthetic", "--out", tmp_path / "x", "--entities", "4", "--rules", "1",
+        )
+        assert code == 0
+
 
 class TestTrain:
     def test_writes_outputs(self, run_dir):
@@ -195,6 +212,25 @@ class TestTrain:
         )
         assert code == 1
         assert err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
+        """A typo is rejected before the data directory, which does not
+        exist, is read, and nothing is written."""
+        config = tmp_path / "run.cfg"
+        config.write_text(f"data={tmp_path / 'no-data'}\neval-every=1\nlearning_rate=0.5\n")
+        out = tmp_path / "run"
+        code, _, err = run(capsys, "train", "--config", config, "--out", out)
+        assert code == 2
+        assert "'learning_rate'" in err
+        assert "allowed keys: data, missing, d, k, m, lr," in err
+        assert not out.exists()
+
+    def test_other_command_snapshot_is_usage_error(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        code, _, err = run(capsys, "train", "--config", dataset_dir / "config.resolved", "--out", out)
+        assert code == 2
+        assert "gen-synthetic config, not a train config" in err
         assert not out.exists()
 
     def test_config_snapshot_round_trip(self, dataset_dir, run_dir, tmp_path, capsys):

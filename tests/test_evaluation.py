@@ -675,7 +675,8 @@ class TestLinkMemory:
 class TestTimePrediction:
     def test_score_timeline_length_and_monotonicity(self, ranking_setup):
         kb, params = ranking_setup
-        from time2box.model import QueryPlan, box_of_query, box_scores, distance
+        from time2box import autodiff as ad
+        from time2box.model import QueryPlan, box_of_query, box_scores
 
         timeline = score_timeline(0, 0, 1, params, kb)
         assert timeline.shape == (kb.axis.length,)
@@ -684,7 +685,7 @@ class TestTimePrediction:
         obj = params.arrays["entity_emb"][1]
         for t in range(kb.axis.length):
             box = box_of_query(QueryPlan(0, 0, (t,)), params)
-            dists.append(float(distance(obj, box, params.alpha).total.value))
+            dists.append(float(ad.box_distance(obj, box.center, box.offset, params.alpha).value))
             singles.append(
                 box_scores(obj, box.center_value(), box.offset_value(), params.gamma, params.alpha)
             )

@@ -16,10 +16,8 @@ from time2box.model import (
     Variant,
     box_of_query,
     box_scores,
-    distance,
     intersect,
     query_box,
-    score,
     score_entities,
 )
 
@@ -258,20 +256,28 @@ class TestQueryBoxBatch:
         np.testing.assert_array_equal(shared.offset_value(), full.offset_value())
 
 
+def box_distance(point, box: BoxEmbedding, alpha: float) -> np.ndarray:
+    return ad.box_distance(point, box.center, box.offset, alpha).value
+
+
+def tape_score(point, box: BoxEmbedding, gamma: float, alpha: float):
+    """The training loss's score: log sigmoid(gamma - distance) on the tape."""
+    distance = ad.box_distance(point, box.center, box.offset, alpha)
+    return ad.log_sigmoid(ad.sub(ad.constant(gamma), distance))
+
+
 class TestDistance:
     def test_point_at_center(self):
         box = BoxEmbedding(np.array([1.0, -2.0]), np.array([0.5, 0.5]))
-        parts = distance(np.array([1.0, -2.0]), box, alpha=0.5)
-        assert parts.total.value == 0.0
-        assert parts.inside.value == 0.0
-        assert parts.outside.value == 0.0
+        for alpha in (0.0, 0.5, 1.0):
+            assert box_distance(np.array([1.0, -2.0]), box, alpha) == 0.0
 
     def test_one_dimensional_hand_case(self):
+        # outside 1 (3 to the face at 2), inside 2 (the face to the center)
         box = BoxEmbedding(np.array([0.0]), np.array([2.0]))
-        parts = distance(np.array([3.0]), box, alpha=0.5)
-        assert parts.outside.value == 1.0
-        assert parts.inside.value == 2.0
-        assert parts.total.value == 2.0
+        assert box_distance(np.array([3.0]), box, alpha=0.0) == 1.0
+        assert box_distance(np.array([3.0]), box, alpha=0.5) == 2.0
+        assert box_distance(np.array([3.0]), box, alpha=1.0) == 3.0
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000), st.floats(0.0, 1.0), st.integers(1, 6))
@@ -280,28 +286,26 @@ class TestDistance:
         center = rng.normal(size=d)
         offset = rng.uniform(0.5, 2.0, size=d)
         point = center + rng.uniform(-0.49, 0.49, size=d) * offset
-        parts = distance(point, BoxEmbedding(center, offset), alpha)
-        assert parts.outside.value == 0.0
-        np.testing.assert_allclose(
-            parts.total.value, alpha * np.abs(center - point).sum(), rtol=1e-12
-        )
+        total = box_distance(point, BoxEmbedding(center, offset), alpha)
+        assert box_distance(point, BoxEmbedding(center, offset), 0.0) == 0.0
+        np.testing.assert_allclose(total, alpha * np.abs(center - point).sum(), rtol=1e-12)
 
     def test_batched_points_broadcast(self):
         box = BoxEmbedding(np.zeros(3), np.ones(3))
         pts = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        parts = distance(pts, box, alpha=0.2)
-        np.testing.assert_allclose(parts.total.value, [0.0, 0.2 * 1.0 + 1.0])
+        np.testing.assert_allclose(box_distance(pts, box, alpha=0.2), [0.0, 0.2 * 1.0 + 1.0])
 
 
 class TestScore:
     def test_at_margin(self):
         box = BoxEmbedding(np.zeros(1), np.zeros(1))
-        val = score(np.array([24.0]), box, gamma=24.0, alpha=0.0).value
+        val = tape_score(np.array([24.0]), box, gamma=24.0, alpha=0.0).value
         assert val == pytest.approx(math.log(0.5), rel=1e-12)
+        assert box_scores(np.array([24.0]), box.center, box.offset, 24.0, 0.0) == val
 
     def test_zero_distance_near_zero_score(self):
         box = BoxEmbedding(np.zeros(2), np.ones(2))
-        val = score(np.zeros(2), box, gamma=24.0, alpha=0.5).value
+        val = tape_score(np.zeros(2), box, gamma=24.0, alpha=0.5).value
         assert val == pytest.approx(-3.8e-11, rel=0.05)
 
     @settings(max_examples=50, deadline=None)
@@ -312,22 +316,38 @@ class TestScore:
         p1 = rng.normal(size=3)
         p2 = p1 * rng.uniform(1.5, 3.0)  # further out along the same ray
         alpha = 0.5
-        d1 = distance(p1, box, alpha).total.value
-        d2 = distance(p2, box, alpha).total.value
-        s1 = score(p1, box, 12.0, alpha).value
-        s2 = score(p2, box, 12.0, alpha).value
+        d1 = box_distance(p1, box, alpha)
+        d2 = box_distance(p2, box, alpha)
+        s1 = tape_score(p1, box, 12.0, alpha).value
+        s2 = tape_score(p2, box, 12.0, alpha).value
         if d1 < d2:
             assert s1 > s2
         elif d1 == d2:
             assert s1 == s2
 
 
+def former_distance(points, center, offset, alpha):
+    """The distance as the training tape computed it before it shared the
+    scoring kernel, op for op: clamp, inside |c - k| and outside
+    relu(e - b_max) + relu(b_min - e)."""
+    b_min, b_max = center - offset, center + offset
+    clamped = np.minimum(np.maximum(points, b_min), b_max)
+    inside = np.abs(center - clamped).sum(axis=-1)
+    outside = (np.maximum(points - b_max, 0.0) + np.maximum(b_min - points, 0.0)).sum(axis=-1)
+    return inside * alpha + outside
+
+
 def tape_scores(points, center, offset, gamma=24.0, alpha=0.5):
-    return score(points, BoxEmbedding(center, offset), gamma, alpha).value
+    """Scores from the former distance arithmetic, equal to the tape's."""
+    former = ad.log_sigmoid_value(gamma - former_distance(points, center, offset, alpha))
+    tape = tape_score(points, BoxEmbedding(center, offset), gamma, alpha).value
+    assert np.array_equal(former, tape)
+    return tape
 
 
 class TestBoxScores:
-    """The tape-free kernel must equal the autodiff score to the last bit."""
+    """The tape-free kernel must equal the former distance arithmetic and
+    the training tape's score to the last bit."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_boxes(self, seed):
@@ -387,7 +407,9 @@ class TestScoreEntities:
         ps = ParameterStore.initialize(64, n_entities, 3, 4, rng=np.random.default_rng(n_entities))
         for plan in (QueryPlan(0, 1), QueryPlan(0, 2, (3,)), QueryPlan(0, 0, (1, 2), use_tr=True)):
             box = box_of_query(plan, ps)
-            expected = score(ps.arrays["entity_emb"], box, ps.gamma, ps.alpha).value
+            expected = tape_scores(
+                ps.arrays["entity_emb"], box.center_value(), box.offset_value(), ps.gamma, ps.alpha
+            )
             got = score_entities(box, ps)
             assert got.shape == (n_entities,)
             assert np.array_equal(got, expected)
@@ -407,7 +429,7 @@ class TestScoreEntities:
             single = score_entities(BoxEmbedding(center[i], offset[i]), ps)
             assert np.array_equal(got[i], single)
         last = BoxEmbedding(center[-1], offset[-1])
-        expected = score(ps.arrays["entity_emb"], last, ps.gamma, ps.alpha).value
+        expected = tape_scores(ps.arrays["entity_emb"], last.center, last.offset, ps.gamma, ps.alpha)
         assert np.array_equal(got[-1], expected)
 
 
@@ -438,7 +460,7 @@ def test_gradients_flow_through_full_query():
     plan = QueryPlan(subject=1, relation=0, time_projections=(2,), use_tr=True)
     box = box_of_query(plan, ps, tape)
     obj = ps.rows(tape, "entity_emb", 3)
-    loss = ad.neg(score(obj, box, ps.gamma, ps.alpha))
+    loss = ad.neg(tape_score(obj, box, ps.gamma, ps.alpha))
     touched = set(ad.densify(ad.backward(tape, loss), ps.arrays))
     assert touched == {
         "entity_emb",
@@ -460,7 +482,7 @@ def test_query_gradient_matches_finite_differences():
         tape = ad.Tape()
         box = box_of_query(QueryPlan(0, 1, (1, 3)), ps, tape)
         obj = ps.rows(tape, "entity_emb", 2)
-        loss = ad.neg(score(obj, box, ps.gamma, ps.alpha))
+        loss = ad.neg(tape_score(obj, box, ps.gamma, ps.alpha))
         return loss.value, ad.backward(tape, loss)
 
     report = ad.finite_diff_check(
