@@ -15,7 +15,13 @@ statements share a subject), both at the default tau=0.5 and at the
 benchmark's k=10, tau=0.95. A line synth= holds the SHA-256 of the
 manifests generate_synthetic draws for that dataset and for the c07
 acceptance config (50 entities, 5 relations, 40 years, 85 rules), which
-the benchmark's c07 workloads also use. A last line, c07=, holds the
+the benchmark's c07 workloads also use. A line load= holds, for each of
+those two datasets, the SHA-256 of the KB that
+add_inverse_relations(load_dataset(...)) reads back from its TSVs, written
+by write_dataset with one valid and one test line whose years lie off the
+training axis: the vocabulary labels, the axis, every split's statements
+in order, and every split's filter rows, keys sorted and the row order
+under each key kept. A last line, c07=, holds the
 SHA-256 of the float64 parameters after 60 steps on that c07 dataset at
 the benchmark's learning config (d=64, k=16, lr=0.01, batch 64, gamma 24,
 alpha 0.5, seed 0, no validation), for te,tns and for dm,tr,si with the
@@ -37,7 +43,14 @@ import tempfile
 # must be set before numpy is imported; the values of perfbench/run.py's THREAD_ENV
 os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 
-from time2box.data import SynthConfig, add_inverse_relations, generate_synthetic
+from time2box.data import (
+    SPLITS,
+    SynthConfig,
+    add_inverse_relations,
+    generate_synthetic,
+    load_dataset,
+    write_dataset,
+)
 from time2box.evaluation import eval_link_prediction, eval_time_prediction
 from time2box.model import PARAM_ORDER, Variant
 from time2box.training import TrainConfig, save_checkpoint, train
@@ -94,6 +107,33 @@ def digest_line(kb, spec: str, work_dir: str) -> str:
     return f"{spec:<13} " + " ".join(fields)
 
 
+def kb_digest(kb) -> str:
+    parts = [*kb.entities.labels, *kb.relations.labels, f"axis {kb.axis.origin} {kb.axis.length}"]
+    for sp in SPLITS:
+        parts += (f"{sp} {st.s} {st.r} {st.o} {st.scope}" for st in kb.splits[sp])
+        rows = kb.filter.rows[sp]
+        parts += (f"{sp} {key} {rows[key]}" for key in sorted(rows))
+    return sha256("\n".join(parts).encode())
+
+
+def load_line(work_dir: str) -> str:
+    fields = []
+    for name, cfg in (("det", SYNTH), ("c07", C07_SYNTH)):
+        kb, _ = generate_synthetic(cfg)
+        out_dir = os.path.join(work_dir, name)
+        write_dataset(kb, out_dir)
+        s, r, o = kb.entities.labels[0], kb.relations.labels[0], kb.entities.labels[-1]
+        first, last = kb.axis.origin, kb.axis.last_year
+        # years off the training axis, which loading clamps onto it
+        off_axis = {"valid": f"{first - 9}\t{first - 2}", "test": f"{last + 3}\t-"}
+        for sp, years in off_axis.items():
+            with open(os.path.join(out_dir, f"{sp}.txt"), "a", encoding="utf-8") as fh:
+                fh.write(f"{s}\t{r}\t{o}\t{years}\n")
+        paths = [os.path.join(out_dir, f"{sp}.txt") for sp in SPLITS]
+        fields.append(f"{name}:{kb_digest(add_inverse_relations(load_dataset(*paths)))}")
+    return "load=" + " ".join(fields)
+
+
 def c07_line() -> str:
     kb = add_inverse_relations(generate_synthetic(C07_SYNTH)[0])
     kb = dataclasses.replace(kb, splits={**kb.splits, "valid": []})
@@ -117,6 +157,8 @@ def main():
     manifests = [generate_synthetic(cfg)[1] for cfg in (SYNTH, C07_SYNTH)]
     rows = "".join("\t".join(row) + "\n" for manifest in manifests for row in manifest)
     print(f"synth={sha256(rows.encode())}", flush=True)
+    with tempfile.TemporaryDirectory() as work_dir:
+        print(load_line(work_dir), flush=True)
     print(c07_line())
 
 

@@ -35,6 +35,7 @@ from .evaluation import (
     eval_time_prediction,
     gaeiou,
     giou,
+    gold_interval,
 )
 from .model import Variant, query_box, score_entities
 from .training import (
@@ -42,6 +43,7 @@ from .training import (
     TrainConfig,
     TrainingDiverged,
     check_dimensions,
+    check_negative_sampling,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -187,6 +189,10 @@ def _train_config_from(args) -> tuple[TrainConfig, str, str]:
 def cmd_train(args) -> int:
     cfg, data_dir, missing = _train_config_from(args)
     kb = add_inverse_relations(load_kb(data_dir, missing))
+    try:
+        check_negative_sampling(kb, cfg)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     os.makedirs(args.out, exist_ok=True)
     snapshot = {"command": "train", "data": data_dir, "missing": missing}
     for f in dataclasses.fields(cfg):
@@ -211,6 +217,10 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _test_path(args) -> str:
+    return os.path.join(args.data, SPLIT_FILES[2])
+
+
 def _load_model_and_kb(args, augment: bool = True):
     params, variant = load_checkpoint(args.checkpoint)
     kb = load_kb(args.data, args.missing)
@@ -223,6 +233,8 @@ def _load_model_and_kb(args, augment: bool = True):
 def cmd_eval_link(args) -> int:
     splits = _split_arg(args.filter)
     params, variant, kb = _load_model_and_kb(args)
+    if not kb.splits["test"]:
+        raise DatasetError(f"the test split {_test_path(args)} has no statements to evaluate")
     report = eval_link_prediction(
         kb.splits["test"], params, kb, variant, filter_splits=splits
     )
@@ -257,6 +269,11 @@ def cmd_eval_time(args) -> int:
     params, variant, kb = _load_model_and_kb(args)
     # each original statement is predicted once, in the forward direction
     statements = [s for s in kb.splits["test"] if s.r < kb.n_base_relations]
+    if all(gold_interval(s) is None for s in statements):
+        raise DatasetError(
+            f"the test split {_test_path(args)} has no statement with an instant or closed "
+            "scope to predict"
+        )
     report = eval_time_prediction(statements, params, kb, variant, k=args.k, tau=args.tau)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "time_report.txt"), "w", encoding="utf-8") as fh:

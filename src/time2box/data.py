@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -133,18 +134,43 @@ class FilterIndex:
     temporal one covers the axis indices lo..hi of its discretization (the
     known endpoint for half-open scopes, every year for closed ones).
     Atemporal lookups see every row, timed lookups stab the intervals.
+    An index belongs to one axis: add() checks each distinct scope against
+    it and takes its (lo, hi) from scope_span once.
     """
 
     def __init__(self):
         self.rows: dict[str, dict[tuple[int, int], list[tuple[int, int | None, int | None]]]] = {
             sp: {} for sp in SPLITS
         }
+        self._spans: dict[TimeScope, tuple[int | None, int | None]] = {}
 
     def add(self, split: str, stmt: Statement, axis: TimeAxis) -> None:
-        lo = hi = None
-        if stmt.scope.is_temporal:
-            lo, hi = scope_span(stmt.scope, axis)
-        self.rows[split].setdefault((stmt.s, stmt.r), []).append((stmt.o, lo, hi))
+        span = self._spans.get(stmt.scope)
+        if span is None:
+            span = scope_span(stmt.scope, axis) if stmt.scope.is_temporal else (None, None)
+            self._spans[stmt.scope] = span
+        self.rows[split].setdefault((stmt.s, stmt.r), []).append((stmt.o, *span))
+
+    def copy(self) -> "FilterIndex":
+        """An index on the same axis with copies of this one's row lists,
+        which the copy's add() extends without touching this index."""
+        out = FilterIndex()
+        out.rows = {
+            sp: {key: rows.copy() for key, rows in keyed.items()} for sp, keyed in self.rows.items()
+        }
+        out._spans = dict(self._spans)
+        return out
+
+    @cached_property
+    def max_train_objects(self) -> int:
+        """Most distinct training objects under one (s, r) key, computed on
+        first use; read it only once the index is complete."""
+        most = 0
+        for rows in self.rows["train"].values():
+            # a key with no more rows than the best count cannot beat it
+            if len(rows) > most:
+                most = max(most, len({o for o, _, _ in rows}))
+        return most
 
     def atemporal_objects(self, s: int, r: int, splits=SPLITS) -> set[int]:
         return {o for sp in splits for o, _, _ in self.rows[sp].get((s, r), ())}
@@ -304,25 +330,53 @@ def discretize(scope: TimeScope, axis: TimeAxis | None = None) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _read_split(path, entities: Vocab, relations: Vocab, missing: str) -> list[Statement]:
-    statements = []
+def _read_split(
+    path, entities: Vocab, relations: Vocab, missing: str, scopes: dict
+) -> list[tuple[int, int, int, TimeScope]]:
+    """(s, r, o, year scope) per non-blank line, vocabulary ids assigned as
+    parse_statement assigns them.
+
+    `scopes` maps each (start, end) column text pair, and each TimeScope
+    value, to the one TimeScope object that all equal scopes share. Only
+    a line with an unseen text pair, or with a wrong column count (its
+    columns past the third never form a pair), goes through
+    parse_statement, which classifies its scope or raises.
+    """
+    rows = []
+    add_entity, add_relation = entities.add, relations.add
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            statements.append(parse_statement(line, entities, relations, line_no, missing))
-    return statements
+            cols = line.rstrip("\n").split("\t")
+            pair = tuple(cols[3:])
+            scope = scopes.get(pair)
+            if scope is None:
+                stmt = parse_statement(line, entities, relations, line_no, missing)
+                scope = scopes[pair] = scopes.setdefault(stmt.scope, stmt.scope)
+                rows.append((stmt.s, stmt.r, stmt.o, scope))
+            else:
+                s, r, o = add_entity(cols[0]), add_relation(cols[1]), add_entity(cols[2])
+                rows.append((s, r, o, scope))
+    return rows
 
 
-def _train_year_span(statements: list[Statement]) -> tuple[int, int]:
-    years = []
-    for stmt in statements:
-        for y in (stmt.scope.start, stmt.scope.end):
-            if y is not None:
-                years.append(y)
+def _train_year_span(scopes) -> tuple[int, int]:
+    years = [y for scope in scopes for y in (scope.start, scope.end) if y is not None]
     if not years:
         raise DatasetError("training split has no temporal statements; time axis is undefined")
     return min(years), max(years)
+
+
+def _axis_scopes(scopes, axis: TimeAxis) -> dict[TimeScope, TimeScope]:
+    """Each year scope's axis scope, converted once; equal axis scopes
+    share one object."""
+    shared: dict[TimeScope, TimeScope] = {}
+    out = {}
+    for scope in scopes:
+        converted = scope_to_axis(scope, axis)
+        out[scope] = shared.setdefault(converted, converted)
+    return out
 
 
 def build_kb(
@@ -334,16 +388,19 @@ def build_kb(
     scopes_in_years: bool = True,
 ) -> TemporalKB:
     """Assemble a TemporalKB from parsed statements, indexing all splits."""
+    given = {sp: split_statements.get(sp, []) for sp in SPLITS}
+    if scopes_in_years:
+        to_axis = _axis_scopes({stmt.scope for stmts in given.values() for stmt in stmts}, axis)
+        given = {
+            sp: [Statement(st.s, st.r, st.o, to_axis[st.scope]) for st in stmts]
+            for sp, stmts in given.items()
+        }
     filt = FilterIndex()
     splits: dict[str, list[Statement]] = {}
-    for sp in SPLITS:
-        out = []
-        for stmt in split_statements.get(sp, []):
-            if scopes_in_years:
-                stmt = Statement(stmt.s, stmt.r, stmt.o, scope_to_axis(stmt.scope, axis))
+    for sp, stmts in given.items():
+        for stmt in stmts:
             filt.add(sp, stmt, axis)
-            out.append(stmt)
-        splits[sp] = out
+        splits[sp] = list(stmts)
     return TemporalKB(
         entities=entities,
         relations=relations,
@@ -356,29 +413,38 @@ def build_kb(
 
 def load_dataset(train_path, valid_path, test_path, missing: str = MISSING) -> TemporalKB:
     """Load a TSV dataset. The axis spans the training split's year range;
-    validation/test years outside it are clamped to the nearest endpoint."""
+    validation/test years outside it are clamped to the nearest endpoint.
+
+    Each distinct scope is classified and converted to the axis once, and
+    each statement is created once, with its axis scope."""
     entities, relations = Vocab(), Vocab()
-    raw = {
-        "train": _read_split(train_path, entities, relations, missing),
-        "valid": _read_split(valid_path, entities, relations, missing),
-        "test": _read_split(test_path, entities, relations, missing),
-    }
+    scopes: dict = {}
+    raw = {"train": _read_split(train_path, entities, relations, missing, scopes)}
+    train_scopes = set(scopes.values())
+    # ids are assigned in first-seen order and the training split is read
+    # first, so the ids it assigned are exactly its entities and relations
+    n_train_e, n_train_r = len(entities), len(relations)
+    raw["valid"] = _read_split(valid_path, entities, relations, missing, scopes)
+    raw["test"] = _read_split(test_path, entities, relations, missing, scopes)
     if not raw["train"]:
         raise DatasetError(f"training split {train_path} is empty")
-    lo, hi = _train_year_span(raw["train"])
+    lo, hi = _train_year_span(train_scopes)
     axis = TimeAxis(origin=lo, length=hi - lo + 1)
 
-    seen_train_e = {x for st in raw["train"] for x in (st.s, st.o)}
-    seen_train_r = {st.r for st in raw["train"]}
-    only_eval_e = len(entities) - len(seen_train_e)
-    only_eval_r = len(relations) - len(seen_train_r)
+    only_eval_e = len(entities) - n_train_e
+    only_eval_r = len(relations) - n_train_r
     if only_eval_e or only_eval_r:
         logger.info(
             "%d entities and %d relations appear only outside the training split",
             only_eval_e,
             only_eval_r,
         )
-    return build_kb(raw, entities, relations, axis)
+    to_axis = _axis_scopes(set(scopes.values()), axis)
+    splits = {
+        sp: [Statement(s, r, o, to_axis[scope]) for s, r, o, scope in rows]
+        for sp, rows in raw.items()
+    }
+    return build_kb(splits, entities, relations, axis, scopes_in_years=False)
 
 
 def add_inverse_relations(kb: TemporalKB) -> TemporalKB:
@@ -392,14 +458,26 @@ def add_inverse_relations(kb: TemporalKB) -> TemporalKB:
     for label in kb.relations.labels:
         relations.add(f"{label}^-1")
     n_base = kb.n_base_relations
+    # forward and inverse keys are disjoint, so copying the base rows and
+    # adding the mirrors gives every key its rows in statement order
+    filt = kb.filter.copy()
     splits = {}
     for sp in SPLITS:
         out = []
         for stmt in kb.splits[sp]:
+            mirror = Statement(stmt.o, stmt.r + n_base, stmt.s, stmt.scope)
+            filt.add(sp, mirror, kb.axis)
             out.append(stmt)
-            out.append(Statement(stmt.o, stmt.r + n_base, stmt.s, stmt.scope))
+            out.append(mirror)
         splits[sp] = out
-    return build_kb(splits, kb.entities, relations, kb.axis, n_base, scopes_in_years=False)
+    return TemporalKB(
+        entities=kb.entities,
+        relations=relations,
+        axis=kb.axis,
+        splits=splits,
+        filter=filt,
+        n_base_relations=n_base,
+    )
 
 
 @dataclass(frozen=True)

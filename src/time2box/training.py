@@ -201,6 +201,18 @@ def query_weight(stmt: Statement, plan: QueryPlan, kb: TemporalKB) -> float:
     return 1.0 / max(n_q, 1)
 
 
+def check_negative_sampling(kb: TemporalKB, config: TrainConfig) -> None:
+    """Raise ValueError when some training query could run out of entity
+    negatives: k plus the most distinct training objects under one
+    (s, r) key must not exceed |E|. The bound is computed once per KB."""
+    most = kb.filter.max_train_objects
+    if config.k + most > kb.n_entities:
+        raise ValueError(
+            f"cannot draw {config.k} negatives: only {kb.n_entities} entities and up to "
+            f"{most} known positives per (subject, relation)"
+        )
+
+
 def make_training_sample(
     stmt: Statement, kb: TemporalKB, config: TrainConfig, rng: np.random.Generator
 ) -> TrainingSample:
@@ -381,11 +393,14 @@ def train(
     Returns the parameters at the best validation MRR seen (the final ones
     if the validation split is empty) and the training log. Randomness
     derives from config.seed via two spawned streams: one for
-    initialization, one for batch/negative/timestamp sampling.
+    initialization, one for batch/negative/timestamp sampling. Raises
+    ValueError before the first step when the negative sampler could fail
+    (see check_negative_sampling).
     """
     # cycle-free: evaluation imports model only
     from .evaluation import NonFiniteScoreError, eval_link_prediction
 
+    check_negative_sampling(kb, config)
     init_rng, batch_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(2)
     )

@@ -233,6 +233,25 @@ class TestTrain:
         assert "gen-synthetic config, not a train config" in err
         assert not out.exists()
 
+    def test_infeasible_negative_count_is_usage_error(self, tmp_path, capsys):
+        """k plus a key's training objects exceed |E|: the run stops before
+        it writes anything, instead of failing at its first sample."""
+        data = tmp_path / "data"
+        code, _, _ = run(
+            capsys, "gen-synthetic", "--out", data, "--entities", "20", "--relations", "3",
+            "--axis-length", "10", "--rules", "12",
+        )
+        assert code == 0
+        out = tmp_path / "run"
+        code, stdout, err = run(
+            capsys, "train", "--data", data, "--out", out, "--k", "30", "--steps", "2", "--quiet"
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("usage error: cannot draw 30 negatives: only 20 entities and up to ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_config_snapshot_round_trip(self, dataset_dir, run_dir, tmp_path, capsys):
         out = tmp_path / "replay"
         code, _, _ = run(
@@ -341,6 +360,38 @@ class TestEval:
         assert code == 2
         assert stdout == ""
         assert f"{flag[0][2:]} must" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, test_lines, message",
+        [
+            ("eval-link", "", "test.txt has no statements to evaluate"),
+            ("eval-time", "", "test.txt has no statement with an instant or closed scope to predict"),
+            (
+                "eval-time",
+                "e00\trel0\te24\t-\t-\ne01\trel1\te23\t1990\t-\n",
+                "test.txt has no statement with an instant or closed scope to predict",
+            ),
+        ],
+        ids=["link-empty", "time-empty", "time-no-closed-gold"],
+    )
+    def test_nothing_to_evaluate_fails(
+        self, command, test_lines, message, dataset_dir, run_dir, tmp_path, capsys
+    ):
+        import shutil
+
+        clone = tmp_path / "clone"
+        shutil.copytree(dataset_dir, clone)
+        (clone / "test.txt").write_text(test_lines)
+        out = tmp_path / "ev"
+        code, stdout, err = run(
+            capsys, command, "--checkpoint", run_dir / "checkpoint.t2b", "--data", clone,
+            "--out", out,
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: the test split ") and err.endswith(message + "\n")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_dimension_mismatch_fails(self, dataset_dir, run_dir, tmp_path, capsys):

@@ -532,3 +532,142 @@ def test_scope_readers_follow_scope_span(kind):
     expected = sorted(set(range(12)) - positives)
     negatives = sample_entity_negatives(stmt, len(expected), kb, np.random.default_rng(0))
     assert sorted(negatives) == expected
+
+
+def per_line_construction(paths, missing=data.MISSING):
+    """The loader's reference: every line through parse_statement, the
+    axis from the training years, build_kb, then a mirrored build_kb that
+    indexes every statement and its mirror anew."""
+    ents, rels = Vocab(), Vocab()
+    raw = {}
+    for sp, path in zip(data.SPLITS, paths):
+        with open(path, encoding="utf-8") as fh:
+            raw[sp] = [
+                parse_statement(line, ents, rels, line_no, missing)
+                for line_no, line in enumerate(fh, start=1)
+                if line.strip()
+            ]
+    years = [y for st in raw["train"] for y in (st.scope.start, st.scope.end) if y is not None]
+    axis = TimeAxis(min(years), max(years) - min(years) + 1)
+    base = build_kb(raw, ents, rels, axis)
+    inv = Vocab()
+    for label in [*rels.labels, *(f"{label}^-1" for label in rels.labels)]:
+        inv.add(label)
+    n = len(rels)
+    mirrored = {
+        sp: [x for st in base.splits[sp] for x in (st, Statement(st.o, st.r + n, st.s, st.scope))]
+        for sp in data.SPLITS
+    }
+    return base, build_kb(mirrored, ents, inv, axis, n, scopes_in_years=False)
+
+
+def kb_state(kb):
+    """Everything a KB holds; list equality keeps the row order under each key."""
+    return (
+        kb.entities.labels,
+        kb.relations.labels,
+        kb.axis,
+        kb.n_base_relations,
+        kb.splits,
+        {sp: kb.filter.rows[sp] for sp in data.SPLITS},
+    )
+
+
+@pytest.fixture
+def mixed_dataset(tmp_path):
+    """All five scope kinds under the sentinel '?', blank lines, equal
+    scopes written differently, and valid and test years off the axis."""
+    (tmp_path / "train.txt").write_text(
+        "a\tworksFor\tx\t1990\t1995\n"
+        "a\tworksFor\ty\t1996\t2000\n"
+        "b\tworksFor\tx\t1992\t1992\n"
+        "\n"
+        "a\tbornIn\tz\t?\t?\n"
+        "b\tlivesIn\tz\t1991\t?\n"
+        "c\tlivesIn\tz\t?\t1999\n"
+        "  \t \n"
+        "b\tworksFor\ty\t1990\t1995\n"
+        "c\tworksFor\tx\t01992\t1992\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "valid.txt").write_text(
+        "a\tworksFor\tx\t1985\t1991\n\nd\tworksFor\ty\t1991\t1991\nc\tbornIn\ta\t?\t?\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "test.txt").write_text(
+        "a\tworksFor\ty\t2003\t?\n"
+        "e\tnewRel\tx\t1980\t1980\n"
+        "b\tlivesIn\tz\t1991\t?\n"
+        "a\tworksFor\tx\t1975\t2010\n"
+        "c\tlivesIn\tz\t?\t1970\n",
+        encoding="utf-8",
+    )
+    return [tmp_path / f"{sp}.txt" for sp in data.SPLITS]
+
+
+class TestLoaderWork:
+    def test_equals_per_line_construction(self, mixed_dataset):
+        base = load_dataset(*mixed_dataset, missing="?")
+        aug = add_inverse_relations(base)
+        want_base, want_aug = per_line_construction(mixed_dataset, missing="?")
+        assert kb_state(base) == kb_state(want_base)
+        assert kb_state(aug) == kb_state(want_aug)
+        kinds = {st.scope.kind for sp in data.SPLITS for st in base.splits[sp]}
+        assert kinds == set(ScopeKind)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "a\tworksFor\tx\t1990\t1995\textra",
+            "a\tworksFor\tx\t1990\t1995\t",
+            "a\tworksFor\t1990\t1995",
+            "a\tworksFor\tx\t1990\t19x5",
+            "a\tworksFor\tx\t1995\t1990",
+        ],
+        ids=["six-columns", "trailing-tab", "four-columns", "non-integer", "start-after-end"],
+    )
+    @pytest.mark.parametrize("split", data.SPLITS)
+    def test_bad_row_after_its_pair_was_seen(self, tmp_path, bad, split):
+        """Good rows with the years 1990 and 1995 come first in every split,
+        yet the bad row fails as parse_statement fails on it, with its own
+        line number."""
+        good = ["a\tworksFor\tx\t1990\t1995", "b\tr\ty\t1995\t1995"]
+        lines = {sp: list(good) for sp in data.SPLITS}
+        lines[split] += ["", bad]
+        for sp in data.SPLITS:
+            write_split(tmp_path / f"{sp}.txt", lines[sp])
+        with pytest.raises(DatasetError) as want:
+            parse_statement(bad, Vocab(), Vocab(), line_no=4)
+        with pytest.raises(DatasetError) as got:
+            load_dataset(*(tmp_path / f"{sp}.txt" for sp in data.SPLITS))
+        assert str(got.value) == str(want.value)
+        assert "(line 4)" in str(got.value)
+
+    def test_inverse_leaves_base_rows_untouched(self, mixed_dataset):
+        import copy
+
+        base = load_dataset(*mixed_dataset, missing="?")
+        before = copy.deepcopy(kb_state(base))
+        aug = add_inverse_relations(base)
+        assert kb_state(base) == before
+        for sp in data.SPLITS:
+            for key, rows in base.filter.rows[sp].items():
+                assert aug.filter.rows[sp][key] == rows
+                assert aug.filter.rows[sp][key] is not rows
+        assert len(aug.filter.rows["train"]) > len(base.filter.rows["train"])
+
+    def test_equal_scopes_share_one_object(self, mixed_dataset):
+        base = load_dataset(*mixed_dataset, missing="?")
+        aug = add_inverse_relations(base)
+        scopes = [st.scope for sp in data.SPLITS for st in aug.splits[sp]]
+        assert len({id(scope) for scope in scopes}) == len(set(scopes)) < len(scopes)
+        # '1992 1992' and '01992 1992' are one instant
+        train = base.splits["train"]
+        assert train[7].scope is train[2].scope == TimeScope.instant(2)
+
+    def test_max_train_objects(self, mixed_dataset):
+        aug = add_inverse_relations(load_dataset(*mixed_dataset, missing="?"))
+        want = max(
+            len({o for o, _, _ in rows}) for rows in aug.filter.rows["train"].values()
+        )
+        assert aug.filter.max_train_objects == want == 3  # x worksFor^-1: a, b, c

@@ -575,6 +575,27 @@ class TestTrain:
         assert lam1 < lam0
         assert log1[-1].smoothness is not None
 
+    def test_infeasible_negative_count_fails_before_the_first_step(self, overfit_kb, monkeypatch):
+        """Two training objects share a key among 8 entities, so k = 7 could
+        leave the sampler short; the run fails before sampling anything."""
+        from time2box import training as tr
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("a sample was drawn before the check")
+
+        monkeypatch.setattr(tr, "make_training_sample", no_sampling)
+        cfg = TrainConfig(d=4, k=7, batch=2, steps=1, seed=0)
+        with pytest.raises(
+            ValueError,
+            match=re.escape("cannot draw 7 negatives: only 8 entities and up to 2 known positives"),
+        ):
+            train(overfit_kb, cfg)
+
+    def test_negative_count_at_the_bound_trains(self, overfit_kb):
+        assert overfit_kb.filter.max_train_objects == 2
+        _, log = train(overfit_kb, TrainConfig(d=4, k=6, batch=8, steps=20, seed=0, eval_every=20))
+        assert [entry.step for entry in log] == [1, 20]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts(self, overfit_kb):
         cfg = TrainConfig(
