@@ -21,13 +21,15 @@ add_inverse_relations(load_dataset(...)) reads back from its TSVs, written
 by write_dataset with one valid and one test line whose years lie off the
 training axis: the vocabulary labels, the axis, every split's statements
 in order, and every split's filter rows, keys sorted and the row order
-under each key kept. A last line, c07=, holds the
-SHA-256 of the float64 parameters after 60 steps on that c07 dataset at
-the benchmark's learning config (d=64, k=16, lr=0.01, batch 64, gamma 24,
-alpha 0.5, seed 0, no validation), for te,tns and for dm,tr,si with the
-benchmark's beta of 0.01. Run it on two commits and diff the output to
-check that a change leaves generated data, parameters, checkpoints, logs
-and reports byte-identical:
+under each key kept. A line c07= holds the SHA-256 of the float64
+parameters after 60 steps on that c07 dataset at the benchmark's learning
+config (d=64, k=16, lr=0.01, batch 64, gamma 24, alpha 0.5, seed 0, no
+validation), for te,tns and for dm,tr,si with the benchmark's beta of
+0.01. A last line, c07time=, holds the SHA-256 of each of those models'
+time report text (k=10, tau=0.95) on the c07 test split's forward
+statements: the d=64 time path the benchmark runs. Run it on two commits
+and diff the output to check that a change leaves generated data,
+parameters, checkpoints, logs and reports byte-identical:
 
     PYTHONPATH=src python scripts/determinism_digest.py > digest.txt
 
@@ -134,10 +136,11 @@ def load_line(work_dir: str) -> str:
     return "load=" + " ".join(fields)
 
 
-def c07_line() -> str:
+def c07_lines() -> list[str]:
     kb = add_inverse_relations(generate_synthetic(C07_SYNTH)[0])
     kb = dataclasses.replace(kb, splits={**kb.splits, "valid": []})
-    fields = []
+    forward = [s for s in kb.splits["test"] if s.r < kb.n_base_relations]
+    fields, time_fields = [], []
     for spec, beta in C07_VARIANTS:
         cfg = TrainConfig(
             d=64, k=16, lr=0.01, batch=64, gamma=24.0, alpha=0.5, seed=0, steps=60,
@@ -145,7 +148,9 @@ def c07_line() -> str:
         )
         params, _ = train(kb, cfg)
         fields.append(f"{spec}:{params_digest(params)}")
-    return "c07=" + " ".join(fields)
+        report = eval_time_prediction(forward, params, kb, cfg.variant, k=10, tau=0.95)
+        time_fields.append(f"{spec}:{sha256(report.to_text().encode())}")
+    return ["c07=" + " ".join(fields), "c07time=" + " ".join(time_fields)]
 
 
 def main():
@@ -159,7 +164,8 @@ def main():
     print(f"synth={sha256(rows.encode())}", flush=True)
     with tempfile.TemporaryDirectory() as work_dir:
         print(load_line(work_dir), flush=True)
-    print(c07_line())
+    for line in c07_lines():
+        print(line)
 
 
 if __name__ == "__main__":

@@ -174,12 +174,9 @@ def sigmoid(a) -> Node:
     a = wrap(a)
 
     def fwd(x):
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
+        # 1/(1 + e) for x >= 0 and e/(1 + e) below, with e = exp(-|x|)
+        e = np.exp(-np.abs(x))
+        return np.maximum(e, x >= 0) / (1.0 + e)
 
     def vjp(g, s, _):
         return (g * s * (1.0 - s),)
@@ -199,8 +196,7 @@ def log_sigmoid(a) -> Node:
     def vjp(g, _, x):
         # d/dx log sigmoid(x) = sigmoid(-x), from e = exp(-|x|) on both sides
         e = np.exp(-np.abs(x))
-        d = 1.0 + e
-        return (g * np.where(x >= 0, e / d, 1.0 / d),)
+        return (g * (np.maximum(e, x < 0) / (1.0 + e)),)
 
     return _op("log_sigmoid", (a,), log_sigmoid_value, vjp)
 
@@ -278,16 +274,39 @@ def box_distance(point, center, offset, alpha: float) -> Node:
     return Node(value, "box_distance", parents, tape, vjp)
 
 
+def _item_max(x: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
+    """np.max(x, axis) for an axis other than the last, one item at a time:
+    numpy reduces such an axis by successive np.maximum from the first
+    item, so the bits are the same."""
+    lead = (slice(None),) * (axis % x.ndim)
+    out = x[lead + (0,)].copy()
+    for i in range(1, x.shape[axis]):
+        np.maximum(out, x[lead + (i,)], out=out)
+    return out[lead + (None,)] if keepdims else out
+
+
+def _item_sum(x: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
+    """np.sum(x, axis) for an axis other than the last, one item at a time:
+    numpy adds such an axis's items in order onto its identity +0.0 (which
+    turns a first item of -0.0 into +0.0), so the bits are the same."""
+    lead = (slice(None),) * (axis % x.ndim)
+    out = x[lead + (0,)] + 0.0
+    for i in range(1, x.shape[axis]):
+        out += x[lead + (i,)]
+    return out[lead + (None,)] if keepdims else out
+
+
 def softmax(a, axis: int) -> Node:
+    """Softmax along an axis other than the last (the intersection's item
+    axis), whose max and sums run item by item."""
     a = wrap(a)
 
     def fwd(x):
-        z = x - np.max(x, axis=axis, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=axis, keepdims=True)
+        e = np.exp(x - _item_max(x, axis, keepdims=True))
+        return e / _item_sum(e, axis, keepdims=True)
 
     def vjp(g, s, _):
-        return (s * (g - (g * s).sum(axis=axis, keepdims=True)),)
+        return (s * (g - _item_sum(g * s, axis, keepdims=True)),)
 
     return _op("softmax", (a,), fwd, vjp)
 
@@ -312,25 +331,30 @@ def amin(a, axis: int) -> Node:
     return _op("amin", (a,), lambda x: np.min(x, axis=axis), vjp)
 
 
-def reduce_sum(a, axis=None, keepdims: bool = False) -> Node:
+def reduce_sum(a, axis=None) -> Node:
+    """Sum over all elements, over the last axis, or item by item over the
+    item axis -2 (see _item_sum)."""
     a = wrap(a)
 
+    def fwd(x):
+        return _item_sum(x, axis) if axis == -2 else np.sum(x, axis=axis)
+
     def vjp(g, _, x):
-        if axis is None:
-            return (np.broadcast_to(g, x.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, x.shape).copy(),)
 
-    return _op("sum", (a,), lambda x: np.sum(x, axis=axis, keepdims=keepdims), vjp)
+    return _op("sum", (a,), fwd, vjp)
 
 
 def reduce_mean(a, axis: int) -> Node:
+    """Mean along an axis other than the last: np.mean's bits, from the
+    item-by-item sum divided by the item count."""
     a = wrap(a)
 
     def vjp(g, _, x):
         return (np.broadcast_to(np.expand_dims(g, axis), x.shape) / x.shape[axis],)
 
-    return _op("mean", (a,), lambda x: np.mean(x, axis=axis), vjp)
+    return _op("mean", (a,), lambda x: _item_sum(x, axis) / x.shape[axis], vjp)
 
 
 def stack(nodes, axis: int) -> Node:

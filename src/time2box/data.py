@@ -233,8 +233,9 @@ def parse_statement(
     """Parse one 5-column TSV line, assigning vocabulary ids as needed.
 
     Scope classification: (-,-) no time; (y,y) instant; (y,-) right-open;
-    (-,y) left-open; (y1,y2) with y1<y2 closed. Years stay years; build_kb
-    converts them to axis indices.
+    (-,y) left-open; (y1,y2) with y1<y2 closed. A year is an optional "-"
+    followed by ASCII digits. Years stay years; build_kb converts them to
+    axis indices.
     """
     where = f" (line {line_no})" if line_no is not None else ""
     cols = line.rstrip("\n").split("\t")
@@ -245,10 +246,11 @@ def parse_statement(
     def year(text: str) -> int | None:
         if text == missing:
             return None
-        try:
-            return int(text)
-        except ValueError:
-            raise DatasetError(f"non-integer year {text!r}{where}") from None
+        # int() alone would also take "19_92", " 1992", "+1992" and non-ASCII digits
+        digits = text[1:] if text.startswith("-") else text
+        if not (digits.isascii() and digits.isdigit()):
+            raise DatasetError(f"non-integer year {text!r}{where}")
+        return int(text)
 
     start, end = year(start_s), year(end_s)
     if start is None and end is None:

@@ -372,10 +372,10 @@ def eval_link_prediction(
 
 #: float64 elements of a time-prediction chunk's (statements, axis, d) box
 #: centers: at most TIME_CHUNK_ELEMENTS // (T*d) statements, but at least one,
-#: share one query_box call (12 on c07 with d=64, 2 on a 200-year axis); a
-#: te,tns evaluation of c07's test split at d=64 then peaks at about 2.4 MiB
+#: share one query_box call (25 on c07 with d=64, 5 on a 200-year axis); a
+#: te,tns evaluation of c07's test split at d=64 then peaks at about 4.5 MiB
 #: under tracemalloc
-TIME_CHUNK_ELEMENTS = 1 << 15
+TIME_CHUNK_ELEMENTS = 1 << 16
 
 
 def time_chunk_size(n_times: int, d: int) -> int:
@@ -384,31 +384,32 @@ def time_chunk_size(n_times: int, d: int) -> int:
 
 
 def _chunk_timelines(
-    s: np.ndarray, r: int, o: np.ndarray, params: ParameterStore, variant: Variant, n_times: int
+    s: np.ndarray, r: np.ndarray, o: np.ndarray, params: ParameterStore, variant: Variant,
+    n_times: int,
 ) -> np.ndarray:
-    """(B, T) timelines of the statements (s[i], r, o[i]) of one relation.
+    """(B, T) timelines of the statements (s[i], r[i], o[i]).
 
-    One query_box call with a scalar relation: the offset half depends only
-    on (r, t), so it is built once as a (T, d) array, and only the centers
-    take the (U, T, d) shape. The box does not depend on the object, so
-    statements of one subject that follow each other share one timeline
-    box: U counts the runs of equal subjects, and the centers are gathered
-    back to (B, T, d) only when some run is longer than one. Each timeline
-    equals a one-statement build bit for bit: the offsets run the same
-    (T, 2, d) computation, and the center maps keep their
-    per-(subject, timestamp) matmuls.
+    The box does not depend on the object, so statements of one (relation,
+    subject) pair that follow each other share one timeline box: U counts
+    the runs of equal pairs, one query_box call builds the (U, T) boxes,
+    and they are gathered back to (B, T) only when some run is longer than
+    one. Each timeline equals a one-statement build bit for bit: every
+    item-axis op is elementwise across boxes, and each matmul keeps its
+    per-(box, timestamp) or per-box slice, so the DeepSets gate's pooled
+    (U, T, d) array is U stacked (T, d) products, the one-statement build's.
     """
-    starts = s[1:] != s[:-1]  # where a new run of subjects starts
+    starts = (s[1:] != s[:-1]) | (r[1:] != r[:-1])  # where a new run starts
     shared = not starts.all()
     if shared:
         first = np.concatenate(([True], starts))
-        s = s[first]
-    box = query_box(params, variant, s[:, None], r, np.arange(n_times)[:, None])
-    center = box.center_value()
+        s, r = s[first], r[first]
+    box = query_box(params, variant, s[:, None], r[:, None], np.arange(n_times)[:, None])
+    center, offset = box.center_value(), box.offset_value()
     if shared:
-        center = center[np.cumsum(first) - 1]
+        runs = np.cumsum(first) - 1
+        center, offset = center[runs], offset[runs]
     obj = params.arrays["entity_emb"][o][:, None, :]
-    return box_scores(obj, center, box.offset_value(), params.gamma, params.alpha)
+    return box_scores(obj, center, offset, params.gamma, params.alpha)
 
 
 def score_timeline(
@@ -416,10 +417,8 @@ def score_timeline(
 ) -> np.ndarray:
     """Score of the fixed object o against the instant query box of
     (s, r, t) for every timestamp t on the axis."""
-    timelines = _chunk_timelines(
-        np.array([s], dtype=np.intp), r, np.array([o], dtype=np.intp),
-        params, variant or Variant(), kb.axis.length,
-    )
+    s, r, o = (np.array([i], dtype=np.intp) for i in (s, r, o))
+    timelines = _chunk_timelines(s, r, o, params, variant or Variant(), kb.axis.length)
     return timelines[0]
 
 
@@ -558,9 +557,10 @@ def eval_time_prediction(
     duration bucket.
 
     Evaluable statements are grouped by relation, and within a relation by
-    subject, both in order of first appearance, so that one subject's
-    statements share chunks and their timeline box. Each group is scored in
-    chunks of time_chunk_size statements (one _chunk_timelines call each).
+    subject, both in order of first appearance, so that the statements of
+    one (relation, subject) pair share chunks and their timeline box. The
+    grouped statements are scored in chunks of time_chunk_size statements
+    (one _chunk_timelines call each), which run across relations.
     A chunk's timelines are coalesced at once (one softmax and one argsort)
     and only their integer bounds are kept, by statement index, so memory
     is set by the chunk. If a timeline holds NaN or infinity,
@@ -582,23 +582,24 @@ def eval_time_prediction(
     bounds: list[list[int] | None] = [None] * len(statements)
     size = time_chunk_size(kb.axis.length, params.d)
     bad: tuple[int, np.ndarray] | None = None  # first non-finite statement so far
-    for r, by_subject in groups.items():
-        group = [i for same in by_subject.values() for i in same]
-        for lo in range(0, len(group), size):
-            chunk = group[lo : lo + size]
-            if bad is not None and min(chunk) > bad[0]:
-                continue  # cannot hold an earlier non-finite statement
-            s = np.array([statements[i].s for i in chunk], dtype=np.intp)
-            o = np.array([statements[i].o for i in chunk], dtype=np.intp)
-            timelines = _chunk_timelines(s, r, o, params, variant, kb.axis.length)
-            finite = np.isfinite(timelines).all(axis=1)
-            if not finite.all():
-                j = min(np.flatnonzero(~finite), key=chunk.__getitem__)
-                if bad is None or chunk[j] < bad[0]:
-                    bad = (chunk[j], timelines[j])
-                continue
-            for i, flat in zip(chunk, _coalesce_rows(timelines, k, tau)):
-                bounds[i] = flat
+    order = [i for by_subject in groups.values() for same in by_subject.values() for i in same]
+    for lo in range(0, len(order), size):
+        chunk = order[lo : lo + size]
+        if bad is not None and min(chunk) > bad[0]:
+            continue  # cannot hold an earlier non-finite statement
+        rows = [statements[i] for i in chunk]
+        s = np.array([stmt.s for stmt in rows], dtype=np.intp)
+        r = np.array([stmt.r for stmt in rows], dtype=np.intp)
+        o = np.array([stmt.o for stmt in rows], dtype=np.intp)
+        timelines = _chunk_timelines(s, r, o, params, variant, kb.axis.length)
+        finite = np.isfinite(timelines).all(axis=1)
+        if not finite.all():
+            j = min(np.flatnonzero(~finite), key=chunk.__getitem__)
+            if bad is None or chunk[j] < bad[0]:
+                bad = (chunk[j], timelines[j])
+            continue
+        for i, flat in zip(chunk, _coalesce_rows(timelines, k, tau)):
+            bounds[i] = flat
     if bad is not None:
         i, timeline = bad
         t = int(np.flatnonzero(~np.isfinite(timeline))[0])
@@ -640,14 +641,15 @@ def eval_time_prediction(
         columns[f"{name}@1"] = values[starts]
         columns[f"{name}@{k}"] = np.maximum.reduceat(values, starts)
 
-    def means(rows) -> dict[str, float]:
-        return {key: float(np.mean(column[rows])) for key, column in columns.items()}
+    def means(rows, n: int) -> dict[str, float]:
+        # np.mean's bits without its Python wrapper: the same sum, divided by n
+        return {key: float(np.add.reduce(column[rows]) / n) for key, column in columns.items()}
 
-    report.overall = means(slice(None))
+    report.overall = means(slice(None), report.n_evaluated)
     labels = np.array(buckets)
     for bucket in DURATION_BUCKETS:
         if report.counts[bucket]:
-            report.by_duration[bucket] = means(labels == bucket)
+            report.by_duration[bucket] = means(labels == bucket, report.counts[bucket])
     return report
 
 

@@ -477,3 +477,89 @@ def test_box_distance_gradient_at_kinks(layout):
     assert report.n_kinks_skipped > 0
     assert report.n_checked > 50
     assert report.max_rel_error < 1e-5
+
+
+#: values that stress the item-axis kernels: NaN, infinities, signed zeros,
+#: |x| > 745 (exp underflows to 0), ties and large magnitudes
+SPECIAL = np.array(
+    [np.nan, np.inf, -np.inf, 0.0, -0.0, 746.0, -746.0, 800.0, -800.0, 1e16, -1e16,
+     1e-300, -1e-300, 1.0, 1.0, -1.0, 2.5, -30.0]
+)
+
+
+def item_inputs(n, seed):
+    """(x, g) pairs with n items on axis -2: one drawn from SPECIAL and one
+    of finite values with ties, so that both the special cases and ordinary
+    sums are pinned."""
+    rng = np.random.default_rng(seed)
+    shape = (3, 4, n, 6)
+    special = rng.choice(SPECIAL, size=shape), rng.choice(SPECIAL, size=shape)
+    finite = np.round(rng.normal(size=shape) * 4, 1), rng.normal(size=shape)
+    return [special, finite]
+
+
+def same_bits(a, b):
+    """Equal bits, except that a NaN may carry either sign: the mask-free
+    sigmoid turns the NaN input into a NaN of the other sign."""
+    nan = np.isnan(a)
+    return (
+        a.shape == b.shape
+        and a.dtype == b.dtype
+        and np.array_equal(nan, np.isnan(b))
+        and a[~nan].tobytes() == b[~nan].tobytes()
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("seed", range(3))
+class TestItemAxisKernels:
+    """The intersection's item-axis ops run item by item; forward and vjp
+    give the bits of numpy's reductions over axis -2."""
+
+    def test_softmax(self, n, seed):
+        for x, g in item_inputs(n, seed):
+            node = ad.softmax(ad.param_full(ad.Tape(), x, "x"), axis=-2)
+            e = np.exp(x - np.max(x, axis=-2, keepdims=True))
+            want = e / e.sum(axis=-2, keepdims=True)
+            assert same_bits(node.value, want)
+            (got,) = node._vjp(g, node.value, x)
+            assert same_bits(got, want * (g - (g * want).sum(axis=-2, keepdims=True)))
+
+    def test_sum(self, n, seed):
+        for x, g in item_inputs(n, seed):
+            node = ad.reduce_sum(ad.param_full(ad.Tape(), x, "x"), axis=-2)
+            assert same_bits(node.value, np.sum(x, axis=-2))
+            (got,) = node._vjp(g[..., 0, :], node.value, x)
+            assert same_bits(got, np.broadcast_to(g[..., :1, :], x.shape).copy())
+
+    def test_mean(self, n, seed):
+        for x, g in item_inputs(n, seed):
+            node = ad.reduce_mean(ad.param_full(ad.Tape(), x, "x"), axis=-2)
+            assert same_bits(node.value, np.mean(x, axis=-2))
+            (got,) = node._vjp(g[..., 0, :], node.value, x)
+            assert same_bits(got, np.broadcast_to(g[..., :1, :], x.shape) / n)
+
+    def test_max(self, n, seed):
+        for x, _ in item_inputs(n, seed):
+            assert same_bits(ad._item_max(x, -2), np.max(x, axis=-2))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mask_free_sigmoid_and_log_sigmoid_vjp_match_masked_formulas():
+    x = np.concatenate([SPECIAL, -SPECIAL, np.linspace(-40.0, 40.0, 97)])
+    g = np.linspace(-2.0, 3.0, x.size)
+    node = ad.sigmoid(ad.param_full(ad.Tape(), x, "x"))
+    want = np.empty_like(x)
+    pos = x >= 0
+    want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    want[~pos] = ex / (1.0 + ex)
+    assert np.isnan(want).sum() == 2
+    assert same_bits(node.value, want)
+
+    node = ad.log_sigmoid(ad.param_full(ad.Tape(), x, "x"))
+    (got,) = node._vjp(g, node.value, x)
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    assert same_bits(got, g * np.where(x >= 0, e / d, 1.0 / d))

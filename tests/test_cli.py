@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -610,3 +612,96 @@ def test_alternate_missing_sentinel(tmp_path, capsys):
     assert code == 0
     rows = {tuple(l.split("\t")[:2]): l.split("\t")[2] for l in out.splitlines()[3:]}
     assert int(rows[("train", "#end time only")]) == 1
+
+
+# ---------------------------------------------------------------------------
+# fault matrix: each row is a bad input to one entry point and its exit code
+
+
+def _with_line(data_dir, tmp_path, split, line):
+    """A copy of the dataset with one line appended to a split; the line's
+    number in that file."""
+    clone = tmp_path / "data"
+    shutil.copytree(data_dir, clone)
+    path = clone / f"{split}.txt"
+    n_lines = len(path.read_text().splitlines())
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    return clone, n_lines + 1
+
+
+def _bad_year(command, split, text):
+    def build(data_dir, run_dir, tmp_path):
+        data, line_no = _with_line(data_dir, tmp_path, split, f"e00\trel0\te01\t1985\t{text}")
+        out = tmp_path / "out"
+        argv = {
+            "stats": ["stats", data],
+            "train": ["train", "--data", data, "--out", out, "--steps", "2", "--quiet"],
+            "eval-link": ["eval-link", "--checkpoint", run_dir / "checkpoint.t2b",
+                          "--data", data, "--out", out],
+            "eval-time": ["eval-time", "--checkpoint", run_dir / "checkpoint.t2b",
+                          "--data", data, "--out", out],
+        }[command]
+        return argv, out, f"non-integer year {text!r} (line {line_no})"
+
+    return build
+
+
+def _few_entities(data_dir, run_dir, tmp_path):
+    out = tmp_path / "out"
+    argv = ["gen-synthetic", "--out", out, "--entities", "3", "--rules", "1"]
+    return argv, out, "synthetic generation needs at least 4 entities, got 3"
+
+
+def _unknown_train_key(data_dir, run_dir, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"data={data_dir}\nlearning_rate=0.5\n")
+    out = tmp_path / "out"
+    return ["train", "--config", config, "--out", out], out, "unknown key(s) 'learning_rate'"
+
+
+def _sampler_bound(data_dir, run_dir, tmp_path):
+    out = tmp_path / "out"
+    argv = ["train", "--data", data_dir, "--out", out, "--k", "30", "--steps", "2", "--quiet"]
+    return argv, out, "cannot draw 30 negatives: only 25 entities"
+
+
+def _empty_test(command):
+    def build(data_dir, run_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        (data / "test.txt").write_text("")
+        out = tmp_path / "out"
+        argv = [command, "--checkpoint", run_dir / "checkpoint.t2b", "--data", data, "--out", out]
+        return argv, out, f"the test split {data / 'test.txt'} has no statement"
+
+    return build
+
+
+FAULTS = [
+    ("year-underscore", _bad_year("train", "train", "19_92"), 1),
+    ("year-leading-space", _bad_year("stats", "valid", " 1992"), 1),
+    ("year-trailing-space", _bad_year("eval-link", "test", "1992 "), 1),
+    ("year-plus-sign", _bad_year("eval-time", "test", "+1992"), 1),
+    ("year-non-ascii-digits", _bad_year("train", "valid", "\u0661\u0669\u0669\u0662"), 1),
+    ("gen-synthetic-3-entities", _few_entities, 1),
+    ("train-unknown-config-key", _unknown_train_key, 2),
+    ("train-sampler-bound", _sampler_bound, 2),
+    ("eval-link-empty-test", _empty_test("eval-link"), 1),
+    ("eval-time-empty-test", _empty_test("eval-time"), 1),
+]
+
+
+@pytest.mark.parametrize("build, code", [row[1:] for row in FAULTS], ids=[row[0] for row in FAULTS])
+def test_fault_matrix(build, code, dataset_dir, run_dir, tmp_path, capsys):
+    """Every row exits with its code, prints one error line and nothing
+    else, and writes no output."""
+    argv, out, message = build(dataset_dir, run_dir, tmp_path)
+    got, stdout, err = run(capsys, *argv)
+    assert got == code
+    assert stdout == ""
+    assert err.startswith("error: " if code == 1 else "usage error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()

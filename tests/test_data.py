@@ -64,6 +64,18 @@ class TestParse:
             parse_statement(line, Vocab(), Vocab(), line_no=17)
         assert "line 17" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["19_92", " 1992", "1992 ", "+1992", "\u0661\u0669\u0669\u0662", "1992\r", "--1992", "1e3"],
+    )
+    @pytest.mark.parametrize("column", ["start", "end"])
+    def test_year_is_optional_minus_and_ascii_digits(self, text, column):
+        """int() takes all but the last two; a year column takes none."""
+        cols = (text, "2000") if column == "start" else ("1900", text)
+        with pytest.raises(DatasetError) as exc:
+            parse_statement("a\tr\tb\t" + "\t".join(cols), Vocab(), Vocab(), line_no=9)
+        assert str(exc.value) == f"non-integer year {text!r} (line 9)"
+
     def test_vocab_ids_first_seen(self):
         ents, rels = Vocab(), Vocab()
         parse_statement("x\tr\ty\t-\t-", ents, rels)
@@ -642,6 +654,23 @@ class TestLoaderWork:
             load_dataset(*(tmp_path / f"{sp}.txt" for sp in data.SPLITS))
         assert str(got.value) == str(want.value)
         assert "(line 4)" in str(got.value)
+
+    @pytest.mark.parametrize(
+        "text", ["19_92", " 1992", "1992 ", "+1992", "\u0661\u0669\u0669\u0662"]
+    )
+    @pytest.mark.parametrize("split", data.SPLITS)
+    def test_malformed_year_names_its_line(self, tmp_path, text, split):
+        """A year int() would take fails loading as parse_statement fails on
+        it, after rows with the same year written plainly."""
+        good = ["a\tworksFor\tx\t1990\t1992", "b\tr\ty\t1992\t1992"]
+        lines = {sp: list(good) for sp in data.SPLITS}
+        bad = f"c\tr\tx\t1990\t{text}"
+        lines[split] += [bad]
+        for sp in data.SPLITS:
+            write_split(tmp_path / f"{sp}.txt", lines[sp])
+        with pytest.raises(DatasetError) as got:
+            load_dataset(*(tmp_path / f"{sp}.txt" for sp in data.SPLITS))
+        assert str(got.value) == f"non-integer year {text!r} (line 3)"
 
     def test_inverse_leaves_base_rows_untouched(self, mixed_dataset):
         import copy

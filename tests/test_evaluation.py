@@ -755,9 +755,10 @@ class TestTimePrediction:
 
 
 class TestTimeChunks:
-    """Time prediction scores the statements of one relation in chunks; each
-    chunk's timelines equal one-statement builds bit for bit, whatever the
-    chunk size, with relations interleaved in statement order."""
+    """Time prediction scores the statements, grouped by relation, in chunks
+    that run across relations; each chunk's timelines equal one-statement
+    builds bit for bit, whatever the chunk size, with relations interleaved
+    in statement order."""
 
     @staticmethod
     def spy(monkeypatch):
@@ -766,7 +767,7 @@ class TestTimeChunks:
 
         def recording(s, r, o, *args):
             timelines = scorer(s, r, o, *args)
-            calls.append((s.tolist(), r, o.tolist(), timelines))
+            calls.append((s.tolist(), r.tolist(), o.tolist(), timelines))
             return timelines
 
         monkeypatch.setattr(ev, "_chunk_timelines", recording)
@@ -788,10 +789,12 @@ class TestTimeChunks:
         report = eval_time_prediction(statements, params, kb, v)
 
         assert max(len(s) for s, _, _, _ in calls) == chunk
+        if chunk > 1:
+            assert any(len(set(relations)) > 1 for _, relations, _, _ in calls)
         scored = []
-        for subjects, r, objects, timelines in calls:
+        for subjects, relations, objects, timelines in calls:
             assert timelines.shape == (len(subjects), kb.axis.length)
-            for s, o, timeline in zip(subjects, objects, timelines):
+            for s, r, o, timeline in zip(subjects, relations, objects, timelines):
                 assert np.array_equal(timeline, former_score_timeline(s, r, o, params, kb, v))
                 scored.append((s, r, o))
         evaluable = [(s.s, s.r, s.o) for s in statements if gold_interval(s) is not None]
@@ -825,14 +828,15 @@ class TestTimeChunks:
         assert calls == []
 
     def test_chunk_size(self):
-        assert ev.time_chunk_size(40, 64) == 12
-        assert ev.time_chunk_size(200, 64) == 2
+        assert ev.time_chunk_size(40, 64) == 25
+        assert ev.time_chunk_size(200, 64) == 5
         assert ev.time_chunk_size(10**6, 64) == 1
 
-    def test_non_finite_names_first_statement_in_statement_order(self, c07_kb):
+    def test_non_finite_names_first_statement_in_statement_order(self, c07_kb, monkeypatch):
         """Statement 1 (relation 1) is the first non-finite one, but its
         relation group is scored after relation 0's, whose only non-finite
-        statement comes later."""
+        statement comes later: in a later chunk, or with chunk 5 at an
+        earlier row of the same chunk."""
         kb = c07_kb
         params = ParameterStore.initialize(
             8, kb.n_entities, kb.n_relations, kb.axis.length, rng=np.random.default_rng(0)
@@ -846,24 +850,27 @@ class TestTimeChunks:
             Statement(0, 0, 4, gold),
             Statement(2, 1, 6, gold),
         ]
-        with pytest.raises(
-            ev.NonFiniteScoreError,
-            match=re.escape("at timestamp 0 of statement (0, 1, 3)"),
-        ):
-            eval_time_prediction(statements, params, kb)
-        with pytest.raises(
-            ev.NonFiniteScoreError,
-            match=re.escape("at timestamp 0 of statement (0, 0, 4)"),
-        ):
-            eval_time_prediction(statements[:1] + statements[2:], params, kb)
+        for chunk in (1, 2, 5):
+            monkeypatch.setattr(ev, "TIME_CHUNK_ELEMENTS", chunk * kb.axis.length * 8)
+            with pytest.raises(
+                ev.NonFiniteScoreError,
+                match=re.escape("at timestamp 0 of statement (0, 1, 3)"),
+            ):
+                eval_time_prediction(statements, params, kb)
+            with pytest.raises(
+                ev.NonFiniteScoreError,
+                match=re.escape("at timestamp 0 of statement (0, 0, 4)"),
+            ):
+                eval_time_prediction(statements[:1] + statements[2:], params, kb)
 
 
 class TestSharedTimelineBoxes:
-    """Statements of one subject share a timeline box. Subjects 0 and 2 have
-    several objects in relations 0 and 1, interleaved with other subjects
-    in statement order; with 3 statements per chunk, subject 0's statements
-    of relation 0 fill more than one chunk, and some chunks hold one
-    subject more than once."""
+    """Statements of one (relation, subject) pair share a timeline box.
+    Subjects 0 and 2 have several objects in relations 0 and 1, interleaved
+    with other subjects in statement order; with 3 statements per chunk,
+    subject 0's statements of relation 0 fill more than one chunk, some
+    chunks hold one subject more than once, and one chunk holds both
+    relations."""
 
     D = 16
     CHUNK = 3
@@ -914,24 +921,70 @@ class TestSharedTimelineBoxes:
         chunks, boxes = list(calls), list(built)  # score_timeline below records its own calls
 
         scored = []
-        for subjects, r, objects, timelines in chunks:
-            for s, o, timeline in zip(subjects, objects, timelines):
+        for subjects, relations, objects, timelines in chunks:
+            for s, r, o, timeline in zip(subjects, relations, objects, timelines):
                 assert np.array_equal(timeline, former_score_timeline(s, r, o, params, kb, v))
                 assert np.array_equal(timeline, score_timeline(s, r, o, params, kb, v))
                 scored.append((s, r, o))
         evaluable = [(s.s, s.r, s.o) for s in statements if gold_interval(s) is not None]
         assert sorted(scored) == sorted(evaluable)
-        # the case under test: repeated subjects inside a chunk, and one
-        # subject's statements of a relation over more than one chunk
+        pairs = [list(zip(relations, subjects)) for subjects, relations, _, _ in chunks]
+        # the case under test: repeated subjects inside a chunk, one
+        # subject's statements of a relation over more than one chunk, and a
+        # chunk that holds two relations
         assert any(len(set(subjects)) < len(subjects) for subjects, _, _, _ in chunks)
-        assert sum(0 in subjects for subjects, r, _, _ in chunks if r == 0) > 1
-        # a relation's statements come grouped by subject, in order of first
-        # appearance, and a chunk builds one box per run of equal subjects
-        for relation in {r for _, r, _, _ in chunks}:
-            order = [s for subjects, r, _, _ in chunks if r == relation for s in subjects]
-            assert order == sorted(order, key=order.index)
-        runs = [1 + sum(a != b for a, b in zip(s, s[1:])) for s, _, _, _ in chunks]
+        assert sum((0, 0) in chunk_pairs for chunk_pairs in pairs) > 1
+        assert any(len(set(relations)) > 1 for _, relations, _, _ in chunks)
+        # statements come grouped by relation, and within a relation by
+        # subject, both in order of first appearance
+        order = [pair for chunk_pairs in pairs for pair in chunk_pairs]
+        assert order == sorted(order, key=order.index)
+        relation_order = [r for r, _ in order]
+        assert relation_order == sorted(relation_order, key=relation_order.index)
+        assert list(dict.fromkeys(relation_order)) == list(
+            dict.fromkeys(r for _, r, _ in evaluable)
+        )
+        for relation in set(relation_order):
+            subjects = [s for r, s in order if r == relation]
+            assert list(dict.fromkeys(subjects)) == list(
+                dict.fromkeys(s for s, r, _ in evaluable if r == relation)
+            )
+        # one query_box call per chunk, with one box per run of equal pairs
+        runs = [1 + sum(a != b for a, b in zip(p, p[1:])) for p in pairs]
         assert boxes == runs
+
+    @pytest.mark.parametrize("variant", ["te,tns", "dm,tr,si"])
+    def test_relation_change_starts_a_new_box(self, c07_kb, monkeypatch, variant):
+        """Relation 0's last subject is relation 1's first: the two
+        statements sit next to each other in one chunk but get their own
+        boxes, and the chunk is one query_box call."""
+        kb = c07_kb
+        params, v = self.params(kb, seed=2), Variant.parse(variant)
+        calls = TestTimeChunks.spy(monkeypatch)
+        built = []
+        build = ev.query_box
+
+        def recording_build(params, variant, s, r, *args):
+            built.append((np.ravel(s).tolist(), np.ravel(r).tolist()))
+            return build(params, variant, s, r, *args)
+
+        monkeypatch.setattr(ev, "query_box", recording_build)
+        closed = TimeScope.closed
+        statements = [
+            Statement(5, 0, 3, closed(2, 5)),
+            Statement(0, 0, 1, closed(10, 12)),
+            Statement(0, 1, 2, closed(0, 39)),
+            Statement(0, 0, 4, closed(7, 7)),
+            Statement(0, 1, 6, closed(20, 22)),
+        ]
+        got = eval_time_prediction(statements, params, kb, v)
+        ((subjects, relations, objects, timelines),) = calls
+        assert (subjects, relations) == ([5, 0, 0, 0, 0], [0, 0, 0, 1, 1])
+        assert built == [([5, 0, 0], [0, 0, 1])]
+        for s, r, o, timeline in zip(subjects, relations, objects, timelines):
+            assert np.array_equal(timeline, former_score_timeline(s, r, o, params, kb, v))
+        want = former_eval_time_prediction(statements, params, kb, v)
+        assert got.to_text() == want.to_text()
 
     @pytest.mark.parametrize("k, tau", [(10, 0.95), (3, 0.5), (50, 1e-3), (1, 1.0)])
     def test_report_equals_per_statement_loop(self, c07_kb, monkeypatch, k, tau):
@@ -996,7 +1049,7 @@ class TestTimeMemory:
         """tracemalloc peak of ten passes over the c07 test split at d=64
         (5,200 evaluable statements, whose timelines alone would take 1.6 MiB)
         stays under a fixed bound and near the peak of the split's shortest
-        prefix that fills one whole chunk of a relation."""
+        prefix that fills one whole chunk."""
         kb = c07_kb
         params = ParameterStore.initialize(
             64, kb.n_entities, kb.n_relations, kb.axis.length, rng=np.random.default_rng(0)
@@ -1004,13 +1057,10 @@ class TestTimeMemory:
         v = Variant.parse("te,tns")
         full = kb.splits["test"] * 10
         size = ev.time_chunk_size(kb.axis.length, params.d)
-        assert size == 12
-        per_relation: dict[int, int] = {}
+        assert size == 25
         first = []
-        while max(per_relation.values(), default=0) < size:
+        while sum(gold_interval(stmt) is not None for stmt in first) < size:
             first.append(full[len(first)])
-            if gold_interval(first[-1]) is not None:
-                per_relation[first[-1].r] = per_relation.get(first[-1].r, 0) + 1
         assert len(first) < len(kb.splits["test"]) // 10
 
         def peak(statements):
