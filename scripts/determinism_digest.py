@@ -27,7 +27,12 @@ config (d=64, k=16, lr=0.01, batch 64, gamma 24, alpha 0.5, seed 0, no
 validation), for te,tns and for dm,tr,si with the benchmark's beta of
 0.01. A last line, c07time=, holds the SHA-256 of each of those models'
 time report text (k=10, tau=0.95) on the c07 test split's forward
-statements: the d=64 time path the benchmark runs. Run it on two commits
+statements: the d=64 time path the benchmark runs. A line rows= holds
+the SHA-256 of the float64 parameters after 30 steps on a synthetic with
+2,000 entities (d=8, k=4, batch 32, seed 3, no validation), for te,tns
+and for dm,tr,si with beta 0.01: a step touches about a tenth of the
+entity rows, so most rows take Adam's untouched-row path every step.
+Run it on two commits
 and diff the output to check that a change leaves generated data,
 parameters, checkpoints, logs and reports byte-identical:
 
@@ -64,6 +69,7 @@ C07_SYNTH = SynthConfig(
 VARIANTS = ("te", "te,tns", "dm,tr,si,tns", "te,si,tns", "te,tr", "dm,tr,si")
 #: (variant, beta) of the benchmark's c07 workloads
 C07_VARIANTS = (("te,tns", 0.0), ("dm,tr,si", 0.01))
+ROWS_SYNTH = SynthConfig(seed=11, n_entities=2000, n_relations=4, axis_length=30, n_rules=600)
 
 
 def sha256(blob: bytes) -> str:
@@ -153,6 +159,19 @@ def c07_lines() -> list[str]:
     return ["c07=" + " ".join(fields), "c07time=" + " ".join(time_fields)]
 
 
+def rows_line() -> str:
+    kb = add_inverse_relations(generate_synthetic(ROWS_SYNTH)[0])
+    kb = dataclasses.replace(kb, splits={**kb.splits, "valid": []})
+    fields = []
+    for spec, beta in C07_VARIANTS:
+        cfg = TrainConfig(
+            d=8, k=4, lr=0.01, batch=32, steps=30, seed=3, beta=beta, variant=Variant.parse(spec)
+        )
+        params, _ = train(kb, cfg)
+        fields.append(f"{spec}:{params_digest(params)}")
+    return "rows=" + " ".join(fields)
+
+
 def main():
     kb, _ = generate_synthetic(SYNTH)
     kb = add_inverse_relations(kb)
@@ -165,7 +184,8 @@ def main():
     with tempfile.TemporaryDirectory() as work_dir:
         print(load_line(work_dir), flush=True)
     for line in c07_lines():
-        print(line)
+        print(line, flush=True)
+    print(rows_line())
 
 
 if __name__ == "__main__":

@@ -16,9 +16,10 @@ gives the evaluation path the same numerics as training without the
 bookkeeping.
 
 `backward` keeps each parameter leaf's gradient whole, as a
-(row indices or None, gradient) entry under the array's name, and
-`densify` scatters those entries into one dense gradient per touched
-array: `densify(backward(tape, loss), params)`.
+(row indices or None, gradient) entry under the array's name. `row_sums`
+sums those entries per touched row, so an embedding table's gradient
+stays as its touched rows: `row_sums(backward(tape, loss), params)`.
+`densify` scatters the row sums into one dense gradient per array.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ import numpy as np
 #: per run of consecutive whole-array leaves (indices None), in reverse
 #: tape order
 GradientMap = dict[str, list[tuple[np.ndarray | None, np.ndarray]]]
+#: array name -> (sorted unique touched rows, their summed gradients), or
+#: (None, dense gradient) for an array with a whole-array leaf
+RowGradients = dict[str, tuple[np.ndarray | None, np.ndarray]]
 
 
 class Node:
@@ -408,30 +412,71 @@ def backward(tape: Tape, root: Node | None = None) -> GradientMap:
     return gmap
 
 
-def densify(gmap: GradientMap, params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Sum each touched array's leaf gradients into one dense array.
+def row_sums(gmap: GradientMap, params: dict[str, np.ndarray]) -> RowGradients:
+    """Sum each touched array's leaf gradients by row, without building a
+    dense array for an array whose leaves all look up rows.
 
-    Entries are added to a zero array one at a time, in the map's order. A
-    rows leaf first sums its duplicate rows into its own buffer, so a row's
-    gradient is always 0 + leaf_1 + leaf_2 + ..., however many times each
-    leaf looked the row up. A summed whole-array entry gives the same bits
-    as adding its leaves one at a time.
+    Such an array gets (its sorted unique touched rows, their summed
+    gradients). Two bincounts add the same elements in the same order that
+    adding every leaf into a zero array would: the first sums each leaf's
+    duplicate rows into zeros in input order, and the second sums those
+    per-leaf rows into zeros in leaf order, so a row's gradient is
+    0 + (0 + leaf_1's lookups) + (0 + leaf_2's lookups) + ...
+
+    An array with a whole-array entry gets (None, dense): the entries are
+    added into a zero array one at a time, in the map's order. A summed
+    whole-array entry gives the same bits as adding its leaves one at a
+    time.
     """
-    dense: dict[str, np.ndarray] = {}
+    out: RowGradients = {}
     for name, entries in gmap.items():
-        out = np.zeros_like(params[name])
-        for indices, g in entries:
-            if indices is None:
-                out += g
+        shape = params[name].shape
+        width = math.prod(shape[1:])
+        rows_entries = [
+            (j, idx.ravel(), g) for j, (idx, g) in enumerate(entries) if idx is not None
+        ]
+        if rows_entries:
+            # level 1: one slot per (leaf, row), in (leaf, row) order
+            keys = np.concatenate([j * shape[0] + idx for j, idx, _ in rows_entries])
+            leaf_rows, inverse = np.unique(keys, return_inverse=True)
+            weights = np.concatenate([g.reshape(-1) for _, _, g in rows_entries])
+            per_leaf = _sum_slots(inverse, weights, len(leaf_rows), width)
+            leaf_of, row_of = np.divmod(leaf_rows, shape[0])
+        if rows_entries and len(rows_entries) == len(entries):
+            # level 2: one slot per row, summing its leaves in leaf order
+            rows, inverse = np.unique(row_of, return_inverse=True)
+            summed = _sum_slots(inverse, per_leaf.reshape(-1), len(rows), width)
+            out[name] = (rows, summed.reshape((len(rows),) + shape[1:]))
+            continue
+        dense = np.zeros(shape)
+        for j, (idx, g) in enumerate(entries):
+            if idx is None:
+                dense += g
                 continue
-            uniq, inverse = np.unique(indices.ravel(), return_inverse=True)
-            # bincount adds each (row, column) element in input order into
-            # zeros, as np.add.at would, so the buffer's bits are the same
-            width = math.prod(out.shape[1:])
-            slots = (inverse[:, None] * width + np.arange(width)).ravel()
-            buf = np.bincount(slots, weights=g.ravel(), minlength=len(uniq) * width)
-            out[uniq] += buf.reshape((len(uniq),) + out.shape[1:])
-        dense[name] = out
+            lo, hi = np.searchsorted(leaf_of, (j, j + 1))
+            dense[row_of[lo:hi]] += per_leaf[lo:hi].reshape((hi - lo,) + shape[1:])
+        out[name] = (None, dense)
+    return out
+
+
+def _sum_slots(inverse: np.ndarray, weights: np.ndarray, n_slots: int, width: int) -> np.ndarray:
+    """(n_slots, width) sums of weights' rows by slot; bincount adds each
+    element in input order into zeros, as np.add.at would."""
+    if not n_slots:
+        return np.zeros((0, width))  # bincount of nothing gives int64
+    slots = (inverse[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(slots, weights=weights, minlength=n_slots * width).reshape(n_slots, width)
+
+
+def densify(gmap: GradientMap, params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """One dense gradient per touched array: row_sums scattered into zeros."""
+    dense: dict[str, np.ndarray] = {}
+    for name, (rows, g) in row_sums(gmap, params).items():
+        if rows is None:
+            dense[name] = g
+            continue
+        dense[name] = np.zeros_like(params[name])
+        dense[name][rows] = g
     return dense
 
 

@@ -23,6 +23,7 @@ from .data import (
     SynthConfig,
     add_inverse_relations,
     generate_synthetic,
+    is_plain_int,
     load_dataset,
     write_dataset,
 )
@@ -353,12 +354,9 @@ def cmd_metrics(args) -> int:
             if not line.strip():
                 continue
             cols = line.split("\t")
-            if len(cols) < 4:
+            if len(cols) < 4 or not all(is_plain_int(c) for c in cols[:4]):
                 raise DatasetError(f"{args.input}:{line_no}: expected 4 integer columns")
-            try:
-                g_lo, g_hi, p_lo, p_hi = (int(c) for c in cols[:4])
-            except ValueError:
-                raise DatasetError(f"{args.input}:{line_no}: expected 4 integer columns") from None
+            g_lo, g_hi, p_lo, p_hi = (int(c) for c in cols[:4])
             try:
                 gold, pred = Interval(g_lo, g_hi), Interval(p_lo, p_hi)
             except ValueError as exc:

@@ -223,6 +223,14 @@ class TemporalKB:
         return counts
 
 
+def is_plain_int(text: str) -> bool:
+    """An optional "-" followed by ASCII digits: the one integer form a
+    year column takes. int() alone would also take "19_92", " 1992",
+    "+1992" and non-ASCII digits."""
+    digits = text[1:] if text.startswith("-") else text
+    return digits.isascii() and digits.isdigit()
+
+
 def parse_statement(
     line: str,
     entities: Vocab,
@@ -246,9 +254,7 @@ def parse_statement(
     def year(text: str) -> int | None:
         if text == missing:
             return None
-        # int() alone would also take "19_92", " 1992", "+1992" and non-ASCII digits
-        digits = text[1:] if text.startswith("-") else text
-        if not (digits.isascii() and digits.isdigit()):
+        if not is_plain_int(text):
             raise DatasetError(f"non-integer year {text!r}{where}")
         return int(text)
 
@@ -342,7 +348,8 @@ def _read_split(
     value, to the one TimeScope object that all equal scopes share. Only
     a line with an unseen text pair, or with a wrong column count (its
     columns past the third never form a pair), goes through
-    parse_statement, which classifies its scope or raises.
+    parse_statement, which classifies its scope or raises; the error is
+    raised again as a DatasetError that starts with "path:line: ".
     """
     rows = []
     add_entity, add_relation = entities.add, relations.add
@@ -354,7 +361,10 @@ def _read_split(
             pair = tuple(cols[3:])
             scope = scopes.get(pair)
             if scope is None:
-                stmt = parse_statement(line, entities, relations, line_no, missing)
+                try:
+                    stmt = parse_statement(line, entities, relations, missing=missing)
+                except DatasetError as exc:
+                    raise DatasetError(f"{path}:{line_no}: {exc}") from None
                 scope = scopes[pair] = scopes.setdefault(stmt.scope, stmt.scope)
                 rows.append((stmt.s, stmt.r, stmt.o, scope))
             else:

@@ -316,11 +316,22 @@ class Adam:
     """Adam with decay rates 0.9/0.999 and epsilon 1e-8; updates run in
     sorted array order so training is bitwise deterministic.
 
-    Each array is updated in place, in blocks of up to ADAM_BLOCK_ELEMENTS
-    that all reuse one step's two work buffers. Per element the operations
-    are those of m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g);
-    p -= lr * (m/bc1) / (sqrt(v/bc2) + eps), in that order, so the bits do
-    not depend on the block size.
+    A gradient is a dense array or a (rows, g) pair from autodiff.row_sums:
+    sorted unique rows and their gradients, or rows None and a dense g. An
+    array without one has a zero gradient.
+
+    Each array is updated in place, in blocks of whole rows of up to
+    ADAM_BLOCK_ELEMENTS that all reuse one step's two work buffers. Per
+    element the operations are those of m = b1*m + (1-b1)*g;
+    v = b2*v + (1-b2)*(g*g); p -= lr * (m/bc1) / (sqrt(v/bc2) + eps), in
+    that order, so the bits do not depend on the block size.
+
+    Every row decays its moments and moves, but only a touched row adds
+    its gradient terms. That gives a zero gradient's bits: there
+    (1-b1)*g is +0.0, and m*b1 + 0.0 is m*b1 unless m*b1 is -0.0, which it
+    never is. m starts at +0.0; with b1 above 0.5 a product m*b1 is -0.0
+    only when m is, and a round-to-nearest sum is -0.0 only when both
+    addends are. The same holds for v and b2.
     """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -329,39 +340,60 @@ class Adam:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
-    def step(self, arrays: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(
+        self,
+        arrays: dict[str, np.ndarray],
+        grads: dict[str, np.ndarray | tuple[np.ndarray | None, np.ndarray]],
+    ) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        largest = max((a.size for a in arrays.values()), default=0)
-        work = np.empty((2, max(1, min(ADAM_BLOCK_ELEMENTS, largest))))
+        tables = {name: _as_table(arr.shape) for name, arr in arrays.items()}
+        work = np.empty((2, max((_block_rows(n, w) * w for n, w in tables.values()), default=1)))
         for name in sorted(arrays):
             arr = arrays[name]
             if name not in self.m:
                 self.m[name] = np.zeros(arr.shape)
                 self.v[name] = np.zeros(arr.shape)
-            g = grads.get(name)
-            if g is None:
-                g = np.zeros(arr.shape)
+            table = tables[name]
+            grad = grads.get(name)
+            if grad is None:
+                rows, g = np.empty(0, dtype=np.intp), np.empty((0, table[1]))
+            elif isinstance(grad, tuple):
+                rows, g = grad
+            else:
+                rows, g = None, grad
+            g = g.reshape(table if rows is None else (len(rows), table[1]))
             flat = arr.reshape(-1)  # a view, except of a non-C-contiguous array
-            m, v = self.m[name].reshape(-1), self.v[name].reshape(-1)
-            self._update(flat, m, v, g.reshape(-1), bc1, bc2, work)
+            m, v = self.m[name].reshape(table), self.v[name].reshape(table)
+            self._update(flat.reshape(table), m, v, rows, g, bc1, bc2, work)
             if not arr.flags.c_contiguous:
                 arr[...] = flat.reshape(arr.shape)
 
-    def _update(self, p, m, v, g, bc1: float, bc2: float, work: np.ndarray) -> None:
-        block = work.shape[1]
-        for lo in range(0, p.size, block):
-            hi = min(lo + block, p.size)
-            pb, mb, vb, gb = p[lo:hi], m[lo:hi], v[lo:hi], g[lo:hi]
-            a, b = work[0, : hi - lo], work[1, : hi - lo]
+    def _update(self, p, m, v, rows, g, bc1: float, bc2: float, work: np.ndarray) -> None:
+        n, width = p.shape
+        block = _block_rows(n, width)
+        starts = range(0, n, block)
+        if rows is not None:
+            cuts = np.searchsorted(rows, [*starts, n]).tolist()
+            # the touched rows' terms, computed once for all blocks
+            g_m, g_v = np.empty_like(g), np.empty_like(g)
+            self._moment_terms(g, g_m, g_v)
+        for i, lo in enumerate(starts):
+            hi = min(lo + block, n)
+            pb, mb, vb = p[lo:hi], m[lo:hi], v[lo:hi]
+            a = work[0, : (hi - lo) * width].reshape(hi - lo, width)
+            b = work[1, : (hi - lo) * width].reshape(hi - lo, width)
             mb *= self.beta1
-            np.multiply(1.0 - self.beta1, gb, out=a)
-            mb += a
             vb *= self.beta2
-            np.multiply(gb, gb, out=a)
-            np.multiply(1.0 - self.beta2, a, out=a)
-            vb += a
+            if rows is None:
+                self._moment_terms(g[lo:hi], a, b)
+                mb += a
+                vb += b
+            elif cuts[i] < cuts[i + 1]:
+                touched = rows[cuts[i] : cuts[i + 1]] - lo
+                mb[touched] += g_m[cuts[i] : cuts[i + 1]]
+                vb[touched] += g_v[cuts[i] : cuts[i + 1]]
             np.divide(mb, bc1, out=a)
             np.multiply(self.lr, a, out=a)
             np.divide(vb, bc2, out=b)
@@ -369,6 +401,22 @@ class Adam:
             b += self.eps
             a /= b
             pb -= a
+
+    def _moment_terms(self, g, a, b) -> None:
+        """a = (1-b1)*g and b = (1-b2)*(g*g)."""
+        np.multiply(1.0 - self.beta1, g, out=a)
+        np.multiply(g, g, out=b)
+        np.multiply(1.0 - self.beta2, b, out=b)
+
+
+def _as_table(shape: tuple) -> tuple[int, int]:
+    """An array's shape as (rows, elements per row)."""
+    return (shape[0], math.prod(shape[1:])) if shape else (1, 1)
+
+
+def _block_rows(n: int, width: int) -> int:
+    """Rows per Adam block: at most ADAM_BLOCK_ELEMENTS elements, at least one row."""
+    return max(1, min(n, ADAM_BLOCK_ELEMENTS // max(width, 1)))
 
 
 @dataclass
@@ -428,11 +476,15 @@ def train(
         if not np.isfinite(loss_val):
             raise TrainingDiverged(f"loss is {loss_val} at step {step}")
         window.append(loss_val)
-        grads = ad.densify(ad.backward(tape, loss), params.arrays)
+        gmap = ad.backward(tape, loss)
         # nodes and tape reference each other; breaking the cycle frees the
         # step's arrays now instead of at the next full garbage collection
         tape.nodes.clear()
         del loss, tape
+        # embedding gradients stay as their touched rows: no step builds an
+        # |E| x d gradient
+        grads = ad.row_sums(gmap, params.arrays)
+        del gmap
         adam.step(params.arrays, grads)
         params.clamp_offsets()
 

@@ -323,6 +323,68 @@ def test_densify_bit_identical_to_per_row_slots(n_rows_leaves, n_full_leaves, n,
         assert ours[name].tobytes() == ref[name].tobytes(), name
 
 
+def entrywise_densify(gmap, params):
+    """The dense reference: each entry added into a zero array in the map's
+    order, a rows entry after np.add.at summed its duplicate rows into its
+    own zero buffer."""
+    dense = {}
+    for name, entries in gmap.items():
+        out = np.zeros_like(params[name])
+        for indices, g in entries:
+            if indices is None:
+                out += g
+                continue
+            uniq, inverse = np.unique(indices.ravel(), return_inverse=True)
+            buf = np.zeros((len(uniq),) + out.shape[1:])
+            np.add.at(buf, inverse, g.reshape((len(inverse),) + out.shape[1:]))
+            out[uniq] += buf
+        dense[name] = out
+    return dense
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.booleans(), min_size=1, max_size=6),  # per entry: whole-array (True) or rows
+    st.integers(1, 6),  # table rows
+    st.integers(1, 3),  # width
+    st.booleans(),  # a 3-D table
+    st.integers(0, 10_000),
+)
+def test_row_sums_bit_identical_to_entrywise_densify(kinds, n, d, cube, seed):
+    rng = np.random.default_rng(seed)
+    shape = (n, d, 2) if cube else (n, d)
+    params = {"emb": np.zeros(shape)}
+    entries = []
+    for whole in kinds:
+        if whole:
+            g = rng.normal(size=shape)
+        else:
+            # lookups drawn with replacement, repeating rows inside a leaf and
+            # across leaves; an empty lookup too
+            lookup_shape = tuple(rng.integers(0, 2 * n + 1, size=rng.integers(1, 3)))
+            idx = rng.integers(0, n, size=lookup_shape)
+            g_shape = idx.shape + shape[1:]
+            g = rng.normal(size=g_shape) * 10.0 ** rng.integers(-8, 9, size=g_shape)
+        # exact zeros of both signs, which a sum into +0.0 must not keep as -0.0
+        g[rng.random(g.shape) < 0.2] = -0.0
+        g[rng.random(g.shape) < 0.1] = 0.0
+        entries.append((None if whole else idx, g))
+    gmap = {"emb": entries}
+    (rows, g), = ad.row_sums(gmap, params).values()
+    ref = entrywise_densify(gmap, params)["emb"]
+    assert ad.densify(gmap, params)["emb"].tobytes() == ref.tobytes()
+    if any(kinds):
+        assert rows is None and g.tobytes() == ref.tobytes()
+        return
+    looked_up = np.unique(np.concatenate([idx.ravel() for idx, _ in entries]))
+    assert rows.tolist() == looked_up.tolist()
+    assert g.dtype == np.float64 and g.shape == (len(rows),) + shape[1:]
+    assert g.tobytes() == ref[rows].tobytes()
+    # every other row of the reference is +0.0
+    untouched = np.setdiff1d(np.arange(n), rows)
+    assert ref[untouched].tobytes() == np.zeros((len(untouched),) + shape[1:]).tobytes()
+
+
 def former_clamp(x, lo, hi):
     """The former clamp op: min(hi, max(lo, x)), with the gradient at an
     exact boundary going to the boundary tensor."""

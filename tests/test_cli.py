@@ -1,4 +1,5 @@
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -642,7 +643,44 @@ def _bad_year(command, split, text):
             "eval-time": ["eval-time", "--checkpoint", run_dir / "checkpoint.t2b",
                           "--data", data, "--out", out],
         }[command]
-        return argv, out, f"non-integer year {text!r} (line {line_no})"
+        return argv, out, f"{data / f'{split}.txt'}:{line_no}: non-integer year {text!r}"
+
+    return build
+
+
+def _metrics_bad_column(text):
+    def build(data_dir, run_dir, tmp_path):
+        src = tmp_path / "in.tsv"
+        src.write_text(f"1990\t1995\t1991\t1994\n{text}\t1995\t1993\t1994\n", encoding="utf-8")
+        out = tmp_path / "out.tsv"
+        argv = ["metrics", "--input", src, "--output", out]
+        return argv, out, f"{src}:2: expected 4 integer columns"
+
+    return build
+
+
+def _bad_checkpoint(command, fault):
+    """A copy of the trained checkpoint, cut short, with a NaN in its first
+    block, or with |E| = 0 in its header."""
+
+    def build(data_dir, run_dir, tmp_path):
+        blob = bytearray((run_dir / "checkpoint.t2b").read_bytes())
+        header = struct.calcsize("<4s5i2d")
+        if fault == "truncated":
+            del blob[-10:]
+            message = "truncated checkpoint: block w_ds_out incomplete"
+        elif fault == "nan-block":
+            blob[header : header + 4] = struct.pack("<f", float("nan"))
+            message = "non-finite values in checkpoint block entity_emb"
+        else:
+            blob[8:12] = struct.pack("<i", 0)  # |E|, after the magic and d
+            message = "bad checkpoint header: |E| is 0, below 1"
+        ckpt = tmp_path / "model.t2b"
+        ckpt.write_bytes(bytes(blob))
+        out = tmp_path / "out"
+        argv = [command, "--checkpoint", ckpt, "--data", data_dir]
+        argv += ["-s", "e00", "-r", "rel0"] if command == "predict" else ["--out", out]
+        return argv, out, message
 
     return build
 
@@ -689,6 +727,13 @@ FAULTS = [
     ("train-sampler-bound", _sampler_bound, 2),
     ("eval-link-empty-test", _empty_test("eval-link"), 1),
     ("eval-time-empty-test", _empty_test("eval-time"), 1),
+    ("metrics-underscore", _metrics_bad_column("19_92"), 1),
+    ("metrics-plus-sign", _metrics_bad_column("+1992"), 1),
+    *(
+        (f"{command}-{fault}-checkpoint", _bad_checkpoint(command, fault), 1)
+        for command in ("eval-link", "eval-time", "predict")
+        for fault in ("truncated", "nan-block", "zero-entities")
+    ),
 ]
 
 

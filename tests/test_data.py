@@ -641,19 +641,18 @@ class TestLoaderWork:
     @pytest.mark.parametrize("split", data.SPLITS)
     def test_bad_row_after_its_pair_was_seen(self, tmp_path, bad, split):
         """Good rows with the years 1990 and 1995 come first in every split,
-        yet the bad row fails as parse_statement fails on it, with its own
-        line number."""
+        yet the bad row fails as parse_statement fails on it, after its
+        file's path and its own line number."""
         good = ["a\tworksFor\tx\t1990\t1995", "b\tr\ty\t1995\t1995"]
         lines = {sp: list(good) for sp in data.SPLITS}
         lines[split] += ["", bad]
         for sp in data.SPLITS:
             write_split(tmp_path / f"{sp}.txt", lines[sp])
         with pytest.raises(DatasetError) as want:
-            parse_statement(bad, Vocab(), Vocab(), line_no=4)
+            parse_statement(bad, Vocab(), Vocab())
         with pytest.raises(DatasetError) as got:
             load_dataset(*(tmp_path / f"{sp}.txt" for sp in data.SPLITS))
-        assert str(got.value) == str(want.value)
-        assert "(line 4)" in str(got.value)
+        assert str(got.value) == f"{tmp_path / f'{split}.txt'}:4: {want.value}"
 
     @pytest.mark.parametrize(
         "text", ["19_92", " 1992", "1992 ", "+1992", "\u0661\u0669\u0669\u0662"]
@@ -661,7 +660,8 @@ class TestLoaderWork:
     @pytest.mark.parametrize("split", data.SPLITS)
     def test_malformed_year_names_its_line(self, tmp_path, text, split):
         """A year int() would take fails loading as parse_statement fails on
-        it, after rows with the same year written plainly."""
+        it, after rows with the same year written plainly, and the error
+        names the file and line."""
         good = ["a\tworksFor\tx\t1990\t1992", "b\tr\ty\t1992\t1992"]
         lines = {sp: list(good) for sp in data.SPLITS}
         bad = f"c\tr\tx\t1990\t{text}"
@@ -670,7 +670,7 @@ class TestLoaderWork:
             write_split(tmp_path / f"{sp}.txt", lines[sp])
         with pytest.raises(DatasetError) as got:
             load_dataset(*(tmp_path / f"{sp}.txt" for sp in data.SPLITS))
-        assert str(got.value) == f"non-integer year {text!r} (line 3)"
+        assert str(got.value) == f"{tmp_path / f'{split}.txt'}:3: non-integer year {text!r}"
 
     def test_inverse_leaves_base_rows_untouched(self, mixed_dataset):
         import copy

@@ -432,6 +432,23 @@ class TestBatchLoss:
             batch_loss([], ps)
 
 
+def dense_adam_reference(state, arrays, grads, lr, t, b1=0.9, b2=0.999, eps=1e-8):
+    """One Adam step as whole-array expressions, a zero gradient for an
+    array without one; state maps each name to its (m, v)."""
+    bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+    for name in sorted(arrays):
+        arr = arrays[name]
+        m, v = state.setdefault(name, (np.zeros_like(arr), np.zeros_like(arr)))
+        g = grads.get(name)
+        if g is None:
+            g = np.zeros_like(arr)
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        arr -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
 class TestAdam:
     def test_minimizes_quadratic(self):
         arrays = {"x": np.array([[5.0, -3.0]])}
@@ -450,20 +467,6 @@ class TestAdam:
         np.testing.assert_array_equal(arrays["y"], y_after_first)
 
     def test_blocked_update_bit_identical_to_one_expression(self):
-        def reference_step(state, arrays, grads, lr, t, b1=0.9, b2=0.999, eps=1e-8):
-            bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
-            for name in sorted(arrays):
-                arr = arrays[name]
-                m, v = state.setdefault(name, (np.zeros_like(arr), np.zeros_like(arr)))
-                g = grads.get(name)
-                if g is None:
-                    g = np.zeros_like(arr)
-                m *= b1
-                m += (1.0 - b1) * g
-                v *= b2
-                v += (1.0 - b2) * (g * g)
-                arr -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-
         rng = np.random.default_rng(3)
         shapes = {
             "one_row": (1, 5),
@@ -487,7 +490,7 @@ class TestAdam:
             }
             grads["one_row"][0, t % 5] = 0.0  # exact zeros too
             opt.step(ours, grads)
-            reference_step(ref_state, ref, grads, 0.01, t)
+            dense_adam_reference(ref_state, ref, grads, 0.01, t)
         for name in start:
             assert ours[name].tobytes(order="A") == ref[name].tobytes(order="A"), name
             m, v = ref_state[name]
@@ -495,6 +498,57 @@ class TestAdam:
             assert opt.v[name].tobytes() == v.tobytes(order="C"), name
         assert ours["column_major"].flags.f_contiguous
 
+
+    def test_row_form_bit_identical_to_dense(self):
+        """(rows, g) gradients update every row as the dense gradient with
+        zeros elsewhere does: rows untouched for several steps after a
+        gradient, exact zeros of both signs on touched rows, -0.0
+        parameters, an array without a gradient, rows on both sides of
+        block edges, and a column-major array."""
+        rng = np.random.default_rng(8)
+        block_rows = ADAM_BLOCK_ELEMENTS // 64
+        start = {
+            "table": rng.normal(size=(2 * block_rows + 9, 64)),
+            "narrow": rng.normal(size=(30, 3)),
+            "no_grad": rng.normal(size=(5, 4)),
+            "column_major": np.asfortranarray(rng.normal(size=(12, 5))),
+        }
+        start["table"][::5, ::3] = -0.0
+        start["no_grad"][1] = -0.0
+        ours = {name: arr.copy(order="K") for name, arr in start.items()}
+        ref = {name: arr.copy(order="K") for name, arr in start.items()}
+        opt, ref_state = Adam(lr=0.01), {}
+        edges = [0, block_rows - 1, block_rows, 2 * block_rows - 1, 2 * block_rows]
+        for t in range(1, 9):
+            row_grads, dense_grads = {}, {}
+            for name in ("table", "narrow", "column_major"):
+                n = start[name].shape[0]
+                # the first third of the rows takes gradients only at steps 1-2
+                pool = np.arange(n) if t <= 2 else np.arange(n // 3, n)
+                rows = np.sort(rng.choice(pool, size=max(1, len(pool) // 4), replace=False))
+                if name == "table":
+                    rows = np.union1d(rows, [e for e in edges if e in pool])
+                scale = 10.0 ** rng.integers(-6, 2)
+                g = rng.normal(scale=scale, size=(len(rows), start[name].shape[1]))
+                g[rng.random(g.shape) < 0.1] = 0.0
+                g[rng.random(g.shape) < 0.1] = -0.0
+                row_grads[name] = (rows, g)
+                dense_grads[name] = np.zeros(start[name].shape)
+                dense_grads[name][rows] = g
+            if t % 3 == 0:
+                # the dense pair form too
+                row_grads["narrow"] = (None, dense_grads["narrow"])
+            opt.step(ours, row_grads)
+            dense_adam_reference(ref_state, ref, dense_grads, 0.01, t)
+        for name in start:
+            assert ours[name].tobytes(order="A") == ref[name].tobytes(order="A"), name
+            m, v = ref_state[name]
+            assert opt.m[name].tobytes() == m.tobytes(order="C"), name
+            assert opt.v[name].tobytes() == v.tobytes(order="C"), name
+        assert ours["column_major"].flags.f_contiguous
+        # some -0.0 parameters sat on rows no step touched, and kept their sign
+        kept = ours["table"][::5, ::3][ours["table"][::5, ::3] == 0.0]
+        assert kept.size and np.signbit(kept).all()
 
 @pytest.fixture(scope="module")
 def overfit_kb():
@@ -559,6 +613,39 @@ class TestTrain:
         finally:
             gc.enable()
         assert len(tapes) == 5 and alive == 0
+
+    def test_no_step_allocates_an_entity_table(self, monkeypatch):
+        """|E| = 50k at d = 8: the entity table (3.2 MB) dwarfs a step's
+        tape, and after step 1, which allocates Adam's moments, no step's
+        traced peak reaches one table's bytes."""
+        import tracemalloc
+
+        from time2box import training as tr
+
+        kb = kb_from_lines(
+            ["a\tr\tb\t0\t3", "a\tr\tc\t4\t7", "b\tr\ta\t2\t2", "c\tr\td\t5\t-"],
+            n_entities=50_000,
+        )
+        peaks, base = [], []
+
+        def measured_batch_loss(*args, **kwargs):
+            # each reading spans one step: from this batch_loss to the next
+            if base:
+                peaks.append(tracemalloc.get_traced_memory()[1] - base[-1])
+            tracemalloc.reset_peak()
+            base.append(tracemalloc.get_traced_memory()[0])
+            return batch_loss(*args, **kwargs)
+
+        monkeypatch.setattr(tr, "batch_loss", measured_batch_loss)
+        cfg = TrainConfig(d=8, k=3, lr=0.01, batch=8, steps=6, seed=2, eval_every=100)
+        tracemalloc.start()
+        try:
+            params, _ = train(kb, cfg)
+        finally:
+            tracemalloc.stop()
+        table_bytes = params.arrays["entity_emb"].nbytes
+        assert table_bytes == 50_000 * 8 * 8
+        assert len(peaks) == 5 and max(peaks[1:]) < table_bytes, peaks
 
     def test_offsets_nonnegative_after_training(self, overfit_kb):
         cfg = TrainConfig(d=8, k=3, lr=0.05, batch=8, steps=80, seed=1, eval_every=80)
