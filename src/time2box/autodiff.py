@@ -1,10 +1,13 @@
 """Reverse-mode autodiff on numpy arrays over a per-batch tape.
 
-Only the primitives the box model needs are provided. Everything runs in
-float64. Subgradient conventions are fixed so gradients are deterministic:
-relu gives derivative 0 exactly at its kink, box_distance routes the
-gradient of a point on a box face to the face, and min-pooling routes the
-gradient to the first minimizing index on ties.
+Only the ops the box model needs are provided: elementwise arithmetic,
+log_sigmoid, sums, and three fused ops with hand-written vjps, the
+point-to-box distance and the two halves of the box intersection.
+Everything runs in float64. Subgradient conventions are fixed so
+gradients are deterministic: box_distance routes the gradient of a point
+on a box face to the face, and gated_min gives relu derivative 0 exactly
+at its kink and routes the minimum's gradient to the first minimizing
+item on ties.
 
 A vjp is called as vjp(g, out, *inputs): the gradient of the node's
 output, the output itself, and the parents' values. It returns one
@@ -156,38 +159,6 @@ def neg(a) -> Node:
     return _op("neg", (a,), lambda x: -x, lambda g, *_: (-g,))
 
 
-def linear(x, w) -> Node:
-    """x @ w.T for w of shape (d_out, d_in); x has shape (..., d_in)."""
-    x, w = wrap(x), wrap(w)
-
-    def vjp(g, _, xv, wv):
-        gx = g @ wv
-        g2 = g.reshape(-1, g.shape[-1])
-        x2 = xv.reshape(-1, xv.shape[-1])
-        return gx, g2.T @ x2
-
-    return _op("linear", (x, w), lambda xv, wv: xv @ wv.T, vjp)
-
-
-def relu(a) -> Node:
-    a = wrap(a)
-    return _op("relu", (a,), lambda x: np.maximum(x, 0.0), lambda g, _, x: (g * (x > 0.0),))
-
-
-def sigmoid(a) -> Node:
-    a = wrap(a)
-
-    def fwd(x):
-        # 1/(1 + e) for x >= 0 and e/(1 + e) below, with e = exp(-|x|)
-        e = np.exp(-np.abs(x))
-        return np.maximum(e, x >= 0) / (1.0 + e)
-
-    def vjp(g, s, _):
-        return (g * s * (1.0 - s),)
-
-    return _op("sigmoid", (a,), fwd, vjp)
-
-
 def log_sigmoid_value(x: np.ndarray) -> np.ndarray:
     """Forward value of log_sigmoid, shared with the tape-free scoring kernel."""
     softplus_neg_abs = np.log1p(np.exp(-np.abs(x)))
@@ -278,97 +249,126 @@ def box_distance(point, center, offset, alpha: float) -> Node:
     return Node(value, "box_distance", parents, tape, vjp)
 
 
-def _item_max(x: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
-    """np.max(x, axis) for an axis other than the last, one item at a time:
-    numpy reduces such an axis by successive np.maximum from the first
-    item, so the bits are the same."""
-    lead = (slice(None),) * (axis % x.ndim)
-    out = x[lead + (0,)].copy()
-    for i in range(1, x.shape[axis]):
-        np.maximum(out, x[lead + (i,)], out=out)
-    return out[lead + (None,)] if keepdims else out
-
-
-def _item_sum(x: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
-    """np.sum(x, axis) for an axis other than the last, one item at a time:
-    numpy adds such an axis's items in order onto its identity +0.0 (which
-    turns a first item of -0.0 into +0.0), so the bits are the same."""
-    lead = (slice(None),) * (axis % x.ndim)
-    out = x[lead + (0,)] + 0.0
-    for i in range(1, x.shape[axis]):
-        out += x[lead + (i,)]
-    return out[lead + (None,)] if keepdims else out
-
-
-def softmax(a, axis: int) -> Node:
-    """Softmax along an axis other than the last (the intersection's item
-    axis), whose max and sums run item by item."""
-    a = wrap(a)
-
-    def fwd(x):
-        e = np.exp(x - _item_max(x, axis, keepdims=True))
-        return e / _item_sum(e, axis, keepdims=True)
-
-    def vjp(g, s, _):
-        return (s * (g - _item_sum(g * s, axis, keepdims=True)),)
-
-    return _op("softmax", (a,), fwd, vjp)
-
-
-def amin(a, axis: int) -> Node:
-    """Elementwise min-pool along an axis; ties route to the first index."""
-    a = wrap(a)
-
-    def vjp(g, out, x):
-        # one pass per item: g goes where the item equals the minimum and no
-        # earlier item did; elsewhere gx stays +0.0
-        gx = np.zeros_like(x)
-        free = np.ones(out.shape, dtype=bool)
-        lead = (slice(None),) * (axis % x.ndim)
-        for i in range(x.shape[axis]):
-            hit = x[lead + (i,)] == out
-            hit &= free
-            np.copyto(gx[lead + (i,)], g, where=hit)
-            free ^= hit
-        return (gx,)
-
-    return _op("amin", (a,), lambda x: np.min(x, axis=axis), vjp)
-
-
 def reduce_sum(a, axis=None) -> Node:
-    """Sum over all elements, over the last axis, or item by item over the
-    item axis -2 (see _item_sum)."""
+    """Sum over all elements or over the last axis."""
     a = wrap(a)
-
-    def fwd(x):
-        return _item_sum(x, axis) if axis == -2 else np.sum(x, axis=axis)
 
     def vjp(g, _, x):
         gg = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, x.shape).copy(),)
 
-    return _op("sum", (a,), fwd, vjp)
+    return _op("sum", (a,), lambda x: np.sum(x, axis=axis), vjp)
 
 
-def reduce_mean(a, axis: int) -> Node:
-    """Mean along an axis other than the last: np.mean's bits, from the
-    item-by-item sum divided by the item count."""
-    a = wrap(a)
-
-    def vjp(g, _, x):
-        return (np.broadcast_to(np.expand_dims(g, axis), x.shape) / x.shape[axis],)
-
-    return _op("mean", (a,), lambda x: _item_sum(x, axis) / x.shape[axis], vjp)
+def _item_max(x: np.ndarray) -> np.ndarray:
+    """np.max(x, axis=-2), one item at a time: numpy reduces a non-last axis
+    by successive np.maximum from the first item, so the bits are the same."""
+    out = x[..., 0, :].copy()
+    for i in range(1, x.shape[-2]):
+        np.maximum(out, x[..., i, :], out=out)
+    return out
 
 
-def stack(nodes, axis: int) -> Node:
-    """Stack along a new axis after broadcasting the inputs to one shape."""
-    nodes = [wrap(n) for n in nodes]
+def _item_sum(x: np.ndarray) -> np.ndarray:
+    """np.sum(x, axis=-2), one item at a time: numpy adds a non-last axis's
+    items in order onto its identity +0.0 (which turns a first item of -0.0
+    into +0.0), so the bits are the same."""
+    out = x[..., 0, :] + 0.0
+    for i in range(1, x.shape[-2]):
+        out += x[..., i, :]
+    return out
 
-    def vjp(g, _, *xs):
-        return tuple(_unbroadcast(np.take(g, i, axis=axis), x.shape) for i, x in enumerate(xs))
 
-    return _op("stack", nodes, lambda *xs: np.stack(np.broadcast_arrays(*xs), axis=axis), vjp)
+def _stack_items(items: list[Node]) -> np.ndarray:
+    """The items' values broadcast to one shape and stacked on axis -2."""
+    return np.stack(np.broadcast_arrays(*(n.value for n in items)), axis=-2)
+
+
+def _item_grads(g: np.ndarray, items: list[Node]) -> tuple:
+    """Each item's share of the stacked items' gradient g."""
+    return tuple(_unbroadcast(np.take(g, i, axis=-2), n.value.shape) for i, n in enumerate(items))
+
+
+def attention_center(items, w_att) -> Node:
+    """Center of the intersection (Query2Box): with x the items stacked on
+    axis -2 (leading dimensions broadcast) and a = softmax(x @ w_att.T)
+    over the items, per dimension, the value is sum_i a_i * x_i. Max and
+    sums over the items run item by item (_item_max, _item_sum).
+
+    The vjp adds the stacked items' two contributions in the order a
+    product node and then a linear node would: g*a, then g_z @ w_att.
+    """
+    items, w_att = [wrap(n) for n in items], wrap(w_att)
+    x, w = _stack_items(items), w_att.value
+    z = x @ w.T  # the leading dimensions stay, so each query's bits are its own
+    e = np.exp(z - _item_max(z)[..., None, :])
+    att = e / _item_sum(e)[..., None, :]
+    value = _item_sum(att * x)
+    tape = _tape_of(*items, w_att)
+    if tape is None:
+        return Node(value, "attention_center")
+
+    def vjp(g, *_):
+        g = g[..., None, :]
+        g_att = g * x
+        g_z = att * (g_att - _item_sum(g_att * att)[..., None, :])
+        g_x = g * att + g_z @ w
+        g_w = g_z.reshape(-1, g_z.shape[-1]).T @ x.reshape(-1, x.shape[-1])
+        return _item_grads(g_x, items) + (g_w,)
+
+    return Node(value, "attention_center", (*items, w_att), tape, vjp)
+
+
+def gated_min(items, w_ds_in, w_ds_hidden, w_ds_out) -> Node:
+    """Offset of the intersection (Query2Box): the items' elementwise
+    minimum over axis -2, scaled by a DeepSets gate,
+    sigmoid(mean_i(relu(relu(x_i @ w_ds_in.T) @ w_ds_hidden.T)) @ w_ds_out.T).
+    The mean over the items runs item by item (_item_sum), and the gate is
+    one GEMV per query.
+
+    Subgradients: relu has derivative 0 at its kink, and the minimum's
+    gradient goes to the first minimizing item, leaving +0.0 at the others.
+    The items' gradient is the DeepSets path's, then the minimum's, added
+    item by item.
+    """
+    items = [wrap(n) for n in items]
+    mats = [wrap(w) for w in (w_ds_in, w_ds_hidden, w_ds_out)]
+    w_in, w_hidden, w_out = (w.value for w in mats)
+    x = _stack_items(items)
+    n = x.shape[-2]
+    floor = np.min(x, axis=-2)
+    a1 = x @ w_in.T
+    h1 = np.maximum(a1, 0.0)
+    a2 = h1 @ w_hidden.T
+    pooled = _item_sum(np.maximum(a2, 0.0)) / n
+    a3 = pooled @ w_out.T
+    # sigmoid: 1/(1 + e) for a3 >= 0 and e/(1 + e) below, with e = exp(-|a3|)
+    e = np.exp(-np.abs(a3))
+    gate = np.maximum(e, a3 >= 0) / (1.0 + e)
+    value = floor * gate
+    tape = _tape_of(*items, *mats)
+    if tape is None:
+        return Node(value, "gated_min")
+
+    def vjp(g, *_):
+        g_floor = g * gate
+        g_a3 = g * floor * gate * (1.0 - gate)
+        g_a2 = (g_a3 @ w_out)[..., None, :] / n * (a2 > 0.0)
+        g_a1 = (g_a2 @ w_hidden) * (a1 > 0.0)
+        g_x = g_a1 @ w_in
+        free = np.ones(floor.shape, dtype=bool)
+        for i in range(n):
+            hit = x[..., i, :] == floor
+            hit &= free
+            g_x[..., i, :] += np.where(hit, g_floor, 0.0)
+            free ^= hit
+        g_ws = tuple(
+            gw.reshape(-1, gw.shape[-1]).T @ inp.reshape(-1, inp.shape[-1])
+            for gw, inp in ((g_a1, x), (g_a2, h1), (g_a3, pooled))
+        )
+        return _item_grads(g_x, items) + g_ws
+
+    return Node(value, "gated_min", (*items, *mats), tape, vjp)
 
 
 def reshape(a, shape) -> Node:

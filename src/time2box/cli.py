@@ -222,13 +222,21 @@ def _test_path(args) -> str:
     return os.path.join(args.data, SPLIT_FILES[2])
 
 
-def _load_model_and_kb(args, augment: bool = True):
+def _load_model_and_kb(args):
     params, variant = load_checkpoint(args.checkpoint)
-    kb = load_kb(args.data, args.missing)
-    if augment:
-        kb = add_inverse_relations(kb)
+    kb = add_inverse_relations(load_kb(args.data, args.missing))
     check_dimensions(params, kb)
     return params, variant, kb
+
+
+def _write_eval_outputs(args, prefix: str, report, **settings) -> None:
+    """An evaluation's report, its breakdown and its config.resolved."""
+    os.makedirs(args.out, exist_ok=True)
+    for name, text in (("report.txt", report.to_text()), ("breakdown.tsv", report.breakdown_tsv())):
+        with open(os.path.join(args.out, f"{prefix}_{name}"), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    settings.update(command=args.command, checkpoint=args.checkpoint, data=args.data, seed=args.seed)
+    write_snapshot(args.out, settings)
 
 
 def cmd_eval_link(args) -> int:
@@ -239,21 +247,7 @@ def cmd_eval_link(args) -> int:
     report = eval_link_prediction(
         kb.splits["test"], params, kb, variant, filter_splits=splits
     )
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "link_report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_text())
-    with open(os.path.join(args.out, "link_breakdown.tsv"), "w", encoding="utf-8") as fh:
-        fh.write(report.breakdown_tsv())
-    write_snapshot(
-        args.out,
-        {
-            "command": "eval-link",
-            "checkpoint": args.checkpoint,
-            "data": args.data,
-            "filter": args.filter,
-            "seed": args.seed,
-        },
-    )
+    _write_eval_outputs(args, "link", report, filter=args.filter)
     o = report.overall
     print(
         f"MRR={o.mrr:.4f} MR={o.mr:.1f} HITS@1={o.hits1:.4f} "
@@ -276,22 +270,7 @@ def cmd_eval_time(args) -> int:
             "scope to predict"
         )
     report = eval_time_prediction(statements, params, kb, variant, k=args.k, tau=args.tau)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "time_report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_text())
-    with open(os.path.join(args.out, "time_breakdown.tsv"), "w", encoding="utf-8") as fh:
-        fh.write(report.breakdown_tsv())
-    write_snapshot(
-        args.out,
-        {
-            "command": "eval-time",
-            "checkpoint": args.checkpoint,
-            "data": args.data,
-            "k": args.k,
-            "tau": args.tau,
-            "seed": args.seed,
-        },
-    )
+    _write_eval_outputs(args, "time", report, k=args.k, tau=args.tau)
     headline = " ".join(
         f"{key}={report.overall.get(key, float('nan')):.4f}"
         for key in ("giou@1", "aeiou@1", "gaeiou@1", f"gaeiou@{args.k}")
@@ -397,12 +376,17 @@ class UsageError(Exception):
     """Command-line misuse detected after argparse (exit code 2)."""
 
 
+def _year_arg(text: str) -> int:
+    if not is_plain_int(text):
+        raise argparse.ArgumentTypeError(f"expected a year, got {text!r}")
+    return int(text)
+
+
 def _interval_arg(text: str) -> tuple[int, int]:
-    try:
-        lo, hi = text.split(":")
-        return int(lo), int(hi)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected YEAR:YEAR, got {text!r}") from None
+    lo, sep, hi = text.partition(":")
+    if not (sep and is_plain_int(lo) and is_plain_int(hi)):
+        raise argparse.ArgumentTypeError(f"expected YEAR:YEAR, got {text!r}")
+    return int(lo), int(hi)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,6 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Temporal knowledge-base completion with box embeddings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags of every command that reads a checkpoint
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--checkpoint", required=True)
+    model.add_argument("--data", required=True)
+    model.add_argument("--missing", default="-", help="missing-endpoint sentinel")
+    model.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("stats", help="print split/validity-type counts")
     p.add_argument("data", help="dataset directory with train/valid/test.txt")
@@ -448,35 +438,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval-link", help="filtered link-prediction evaluation")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--missing", default="-", help="missing-endpoint sentinel")
+    p = sub.add_parser("eval-link", parents=[model], help="filtered link-prediction evaluation")
     p.add_argument("--out", required=True)
     p.add_argument("--filter", default="train,valid", help="splits used for filtering")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_eval_link)
 
-    p = sub.add_parser("eval-time", help="time-interval prediction evaluation")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--missing", default="-", help="missing-endpoint sentinel")
+    p = sub.add_parser("eval-time", parents=[model], help="time-interval prediction evaluation")
     p.add_argument("--out", required=True)
     p.add_argument("--k", type=int, default=10, help="ranked intervals per query")
     p.add_argument("--tau", type=float, default=0.5, help="coalescing threshold fraction")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_eval_time)
 
-    p = sub.add_parser("predict", help="top-k entities for a query")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--missing", default="-", help="missing-endpoint sentinel")
+    p = sub.add_parser("predict", parents=[model], help="top-k entities for a query")
     p.add_argument("-s", "--subject", required=True)
     p.add_argument("-r", "--relation", required=True)
-    p.add_argument("-t", "--time", type=int, help="query year")
+    p.add_argument("-t", "--time", type=_year_arg, help="query year")
     p.add_argument("--interval", type=_interval_arg, help="YEAR:YEAR timeline query")
     p.add_argument("--topk", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("metrics", help="append gIOU/aeIOU/gaeIOU columns to a TSV")
@@ -484,13 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="output TSV (default stdout)")
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("export-embeddings", help="write label + vector TSV")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--missing", default="-", help="missing-endpoint sentinel")
+    p = sub.add_parser("export-embeddings", parents=[model], help="write label + vector TSV")
     p.add_argument("--out", required=True)
     p.add_argument("--table", choices=("entity", "relation", "time"), default="entity")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_export_embeddings)
     return parser
 

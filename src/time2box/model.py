@@ -41,6 +41,13 @@ PARAM_ORDER = (
 )
 
 
+def param_shapes(d: int, n_entities: int, n_relations: int, n_times: int) -> dict[str, tuple]:
+    """Shape of each parameter array, in PARAM_ORDER: the one layout that
+    initialization and checkpoints share."""
+    rows = (n_entities, n_relations, n_relations, n_times, n_times, d, d, d, d)
+    return {name: (n, d) for name, n in zip(PARAM_ORDER, rows, strict=True)}
+
+
 @dataclass
 class BoxEmbedding:
     """Axis-aligned box: center and elementwise nonnegative offset.
@@ -151,19 +158,16 @@ class ParameterStore:
         rng = rng or np.random.default_rng(0)
         s = gamma / d
         xavier = np.sqrt(3.0 / d)
-        shapes = {
-            "entity_emb": ((n_entities, d), -s, s),
-            "relation_emb": ((n_relations, d), -s, s),
-            "relation_off": ((n_relations, d), 0.0, s),
-            "time_emb": ((n_times, d), -s, s),
-            "time_off": ((n_times, d), 0.0, s),
-            "w_att": ((d, d), -xavier, xavier),
-            "w_ds_in": ((d, d), -xavier, xavier),
-            "w_ds_hidden": ((d, d), -xavier, xavier),
-            "w_ds_out": ((d, d), -xavier, xavier),
+        bounds = {
+            "entity_emb": (-s, s),
+            "relation_emb": (-s, s),
+            "relation_off": (0.0, s),
+            "time_emb": (-s, s),
+            "time_off": (0.0, s),
         }
         arrays = {
-            name: rng.uniform(lo, hi, size=shape) for name, (shape, lo, hi) in shapes.items()
+            name: rng.uniform(*bounds.get(name, (-xavier, xavier)), size=shape)
+            for name, shape in param_shapes(d, n_entities, n_relations, n_times).items()
         }
         return cls(arrays, gamma, alpha)
 
@@ -225,17 +229,9 @@ def intersect_items(
     by a sigmoid-gated DeepSets encoding, so the result is strictly
     smaller than every input in each dimension.
     """
-    centers = ad.stack(center_items, axis=-2)
-    att = ad.softmax(ad.linear(centers, params.matrix(tape, "w_att")), axis=-2)
-    center = ad.reduce_sum(ad.mul(att, centers), axis=-2)
-
-    offsets = ad.stack(offset_items, axis=-2)
-    floor = ad.amin(offsets, axis=-2)
-    h = ad.relu(ad.linear(offsets, params.matrix(tape, "w_ds_in")))
-    h = ad.relu(ad.linear(h, params.matrix(tape, "w_ds_hidden")))
-    pooled = ad.reduce_mean(h, axis=-2)
-    gate = ad.sigmoid(ad.linear(pooled, params.matrix(tape, "w_ds_out")))
-    return BoxEmbedding(center, ad.mul(floor, gate))
+    center = ad.attention_center(center_items, params.matrix(tape, "w_att"))
+    w_ds = (params.matrix(tape, name) for name in ("w_ds_in", "w_ds_hidden", "w_ds_out"))
+    return BoxEmbedding(center, ad.gated_min(offset_items, *w_ds))
 
 
 def intersect(
@@ -248,12 +244,10 @@ def intersect(
     vectors) joins the center attention without contributing an offset."""
     if not boxes:
         raise ValueError("intersection needs at least one box")
-    center_items = [ad.wrap(b.center) for b in boxes]
-    offset_items = [ad.wrap(b.offset) for b in boxes]
+    center_items = [b.center for b in boxes]
     if tr_point is not None:
-        points = tr_point if isinstance(tr_point, (list, tuple)) else [tr_point]
-        center_items.extend(ad.wrap(p) for p in points)
-    return intersect_items(center_items, offset_items, params, tape)
+        center_items += tr_point if isinstance(tr_point, (list, tuple)) else [tr_point]
+    return intersect_items(center_items, [b.offset for b in boxes], params, tape)
 
 
 def query_box(

@@ -10,6 +10,7 @@ timestamps and score the true object against the rebuilt box.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -23,6 +24,7 @@ from .model import (
     ParameterStore,
     QueryPlan,
     Variant,
+    param_shapes,
     query_box,
 )
 
@@ -551,9 +553,10 @@ def load_checkpoint(path) -> tuple[ParameterStore, Variant]:
     """Read a checkpoint written by save_checkpoint.
 
     Raises CheckpointError for a bad magic, for a header whose d, |E|, |R|
-    or |T| is below 1, whose gamma is not finite and above 0 or whose alpha
-    lies outside [0, 1] (all before any block is read), and for a
-    truncated, non-finite or overlong block section.
+    or |T| is below 1, whose gamma is not finite and above 0, whose alpha
+    lies outside [0, 1] or whose variant code lies outside [0, 15], for a
+    file shorter or longer than the blocks its header implies (all before
+    any block is read), and for a block holding a non-finite value.
     """
     header_size = struct.calcsize("<4s5i2d")
     with open(path, "rb") as fh:
@@ -570,29 +573,24 @@ def load_checkpoint(path) -> tuple[ParameterStore, Variant]:
             raise CheckpointError(f"bad checkpoint header: gamma {gamma} is not finite and above 0")
         if not 0.0 <= alpha <= 1.0:
             raise CheckpointError(f"bad checkpoint header: alpha {alpha} is outside [0, 1]")
-        shapes = {
-            "entity_emb": (n_e, d),
-            "relation_emb": (n_r, d),
-            "relation_off": (n_r, d),
-            "time_emb": (n_t, d),
-            "time_off": (n_t, d),
-            "w_att": (d, d),
-            "w_ds_in": (d, d),
-            "w_ds_hidden": (d, d),
-            "w_ds_out": (d, d),
-        }
-        arrays = {}
-        for name in PARAM_ORDER:
-            shape = shapes[name]
-            n_bytes = 4 * shape[0] * shape[1]
-            blob = fh.read(n_bytes)
-            if len(blob) < n_bytes:
+        if not 0 <= code <= 15:  # Variant.encode's four flag bits
+            raise CheckpointError(f"bad checkpoint header: variant code {code} is outside [0, 15]")
+        shapes = param_shapes(d, n_e, n_r, n_t)
+        # the header fixes the file's size, so a short or long file fails
+        # before any block is read
+        size, end = os.fstat(fh.fileno()).st_size, header_size
+        for name, shape in shapes.items():
+            end += 4 * math.prod(shape)
+            if end > size:
                 raise CheckpointError(f"truncated checkpoint: block {name} incomplete")
+        if size > end:
+            raise CheckpointError("trailing bytes after final parameter block")
+        arrays = {}
+        for name, shape in shapes.items():
+            blob = fh.read(4 * math.prod(shape))
             arrays[name] = np.frombuffer(blob, dtype="<f4").astype(np.float64).reshape(shape)
             if not np.isfinite(arrays[name]).all():
                 raise CheckpointError(f"non-finite values in checkpoint block {name}")
-        if fh.read(1):
-            raise CheckpointError("trailing bytes after final parameter block")
     params = ParameterStore(arrays, gamma, alpha)
     params.clamp_offsets()
     return params, Variant.decode(code)

@@ -17,59 +17,68 @@ def test_l1_norm_gradient():
     np.testing.assert_array_equal(grads["x"][0], [1.0, -1.0])
 
 
+def zero_gate(d):
+    """DeepSets matrices of zeros for gated_min: the gate is sigmoid(0) =
+    0.5, and the DeepSets path adds only zeros to the items' gradient, so
+    the minimum's routing shows alone."""
+    return [np.zeros((d, d))] * 3
+
+
 def test_sigmoid_matches_analytic_form():
-    w = np.array([[0.3, -1.2, 0.7]])
-    x = np.array([0.5, 2.0, -1.0])
+    # one positive item x under identity DeepSets maps: the offset is
+    # x * s with s = sigmoid(w_ds_out @ x), and w_ds_out's gradient is
+    # x * s(1 - s) times x
+    w = np.array([[0.3, -1.2, 0.7], [0.5, 0.1, -0.4], [-0.2, 0.6, 0.9]])
+    x = np.array([0.5, 2.0, 1.5])
     tape = ad.Tape()
     wn = ad.param_full(tape, w, "w")
-    z = ad.reduce_sum(ad.mul(wn, ad.constant(x)))
-    loss = ad.sigmoid(z)
-    grads = ad.densify(ad.backward(tape, loss), {"w": w})
-    s = 1.0 / (1.0 + np.exp(-float((w @ x)[0])))
-    np.testing.assert_allclose(grads["w"], s * (1 - s) * x[None, :], rtol=1e-12)
+    gated = ad.gated_min([ad.constant(x)], np.eye(3), np.eye(3), wn)
+    grads = ad.densify(ad.backward(tape, ad.reduce_sum(gated)), {"w": w})
+    s = 1.0 / (1.0 + np.exp(-(w @ x)))
+    np.testing.assert_allclose(gated.value, x * s, rtol=1e-15)
+    np.testing.assert_allclose(grads["w"], (x * s * (1 - s))[:, None] * x[None, :], rtol=1e-12)
 
 
 def test_min_pool_ties_route_to_first_index():
     x = np.array([[1.0, 5.0], [1.0, 2.0], [3.0, 2.0]])
     tape = ad.Tape()
-    xs = ad.param_rows(tape, x, "x", [0, 1, 2])
-    loss = ad.reduce_sum(ad.amin(xs, axis=0))
+    items = [ad.param_rows(tape, x, "x", [i]) for i in range(3)]
+    loss = ad.reduce_sum(ad.gated_min(items, *zero_gate(2)))
     grads = ad.densify(ad.backward(tape, loss), {"x": x})
-    np.testing.assert_array_equal(grads["x"][0], [1.0, 0.0])  # ties at column 0
-    np.testing.assert_array_equal(grads["x"][1], [0.0, 1.0])  # ties at column 1
+    np.testing.assert_array_equal(grads["x"][0], [0.5, 0.0])  # ties at column 0
+    np.testing.assert_array_equal(grads["x"][1], [0.0, 0.5])  # ties at column 1
     np.testing.assert_array_equal(grads["x"][2], [0.0, 0.0])
 
 
 def test_min_pool_tie_leaves_positive_zeros():
-    # 3 items on axis -2, tied in every column, with a negative gradient: the
-    # first minimum takes g, and every other entry is +0.0, not -0.0
-    x = np.array([[[1.0, 2.0], [1.0, 0.5], [3.0, 0.5]]])
+    # 3 items, tied in every column, with a negative gradient: the first
+    # minimum takes g * gate, and every other entry is +0.0, not -0.0
+    x = np.array([[1.0, 2.0], [1.0, 0.5], [3.0, 0.5]])
     tape = ad.Tape()
-    xs = ad.param_full(tape, x, "x")
-    pooled = ad.amin(xs, axis=-2)
-    loss = ad.reduce_sum(ad.mul(pooled, ad.constant([-2.0, -3.0])))
-    ((indices, gx),) = ad.backward(tape, loss)["x"]
-    assert indices is None
-    np.testing.assert_array_equal(gx[0], [[-2.0, 0.0], [0.0, -3.0], [0.0, 0.0]])
+    items = [ad.param_rows(tape, x, "x", [i]) for i in range(3)]
+    gated = ad.gated_min(items, *zero_gate(2))
+    loss = ad.reduce_sum(ad.mul(gated, ad.constant([-4.0, -6.0])))
+    entries = ad.backward(tape, loss)["x"]
+    gx = np.concatenate([g for _, g in reversed(entries)])
+    np.testing.assert_array_equal(gx, [[-2.0, 0.0], [0.0, -3.0], [0.0, 0.0]])
     zeros = gx == 0.0
     assert zeros.sum() == 4 and not np.signbit(gx[zeros]).any()
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_min_pool_equals_argmin_routing(seed):
-    """The mask-routed vjp gives the former argmin + put_along_axis bits,
-    on integer-valued items with many ties, for the pooled axis in any place."""
+    """The mask-routed min gives the argmin + put_along_axis bits, on
+    integer-valued items with many ties."""
     rng = np.random.default_rng(seed)
     x = rng.integers(0, 3, size=(4, 3, 5, 6)).astype(float)
-    for axis in (-2, 0, 2):
-        shape = np.delete(np.array(x.shape), axis)
-        g = rng.normal(size=tuple(shape))
-        node = ad.amin(ad.param_full(ad.Tape(), x, "x"), axis=axis)
-        (got,) = node._vjp(g, node.value, x)
-        expected = np.zeros_like(x)
-        idx = np.expand_dims(np.argmin(x, axis=axis), axis)
-        np.put_along_axis(expected, idx, np.expand_dims(g, axis), axis)
-        assert got.tobytes() == expected.tobytes()
+    g = rng.normal(size=(4, 3, 6))
+    tape = ad.Tape()
+    node = ad.gated_min([ad.param_full(tape, x[..., i, :], "x") for i in range(5)], *zero_gate(6))
+    got = node._vjp(g, node.value, *(p.value for p in node.parents))[:5]
+    expected = np.zeros_like(x)
+    idx = np.expand_dims(np.argmin(x, axis=-2), -2)
+    np.put_along_axis(expected, idx, np.expand_dims(g * 0.5, -2), -2)
+    assert np.stack(got, axis=-2).tobytes() == expected.tobytes()
 
 
 def test_log_sigmoid_gradient_equals_former_scatter():
@@ -98,12 +107,16 @@ def test_clamp_zero_derivative_at_boundary():
 
 
 def test_relu_zero_derivative_at_kink():
-    x = np.array([[0.0, -1.0, 3.0]])
+    # w_ds_in = I feeds x to the first relu, whose derivative is 0 at x = 0
+    # and below, so w_ds_in's gradient g_a1.T @ x has zero rows there; the
+    # second relu's inputs are all 3
+    x = np.array([0.0, -1.0, 3.0])
     tape = ad.Tape()
-    xs = ad.param_rows(tape, x, "x", [0])
-    loss = ad.reduce_sum(ad.relu(xs))
-    grads = ad.densify(ad.backward(tape, loss), {"x": x})
-    np.testing.assert_array_equal(grads["x"][0], [0.0, 0.0, 1.0])
+    w_in = ad.param_full(tape, np.eye(3), "w")
+    gated = ad.gated_min([ad.constant(x)], w_in, np.ones((3, 3)), np.eye(3))
+    ((_, gw),) = ad.backward(tape, ad.reduce_sum(gated))["w"]
+    np.testing.assert_array_equal(gw[:2], 0.0)
+    assert gw[2, 2] > 0.0
 
 
 def test_untouched_parameters_absent_from_gradient_map():
@@ -132,16 +145,27 @@ def test_duplicate_rows_accumulate():
 
 
 def test_stack_broadcasts_and_sums_gradient_back():
-    params = {"a": np.arange(6.0).reshape(2, 3), "b": np.ones((4, 3))}
-    tape = ad.Tape()
-    a = ad.param_rows(tape, params["a"], "a", [[0], [1]])  # (2, 1, 3)
-    b = ad.param_rows(tape, params["b"], "b", [[0, 1, 2, 3], [0, 1, 2, 3]])  # (2, 4, 3)
-    out = ad.stack([a, b], axis=-2)
-    assert out.shape == (2, 4, 2, 3)
-    np.testing.assert_array_equal(out.value[1, 2, 0], [3.0, 4.0, 5.0])
-    grads = ad.densify(ad.backward(tape, ad.reduce_sum(out)), params)
-    np.testing.assert_array_equal(grads["a"][0], [4.0, 4.0, 4.0])
-    np.testing.assert_array_equal(grads["b"][3], [2.0, 2.0, 2.0])
+    """Both intersection ops broadcast their items to one shape before they
+    stack them, and sum each item's gradient back over the dimensions it
+    was broadcast along: the same as looking the row up once per copy."""
+    rng = np.random.default_rng(5)
+    params = {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=(4, 3))}
+    mats = rng.normal(size=(4, 3, 3))
+    weights = rng.normal(size=(2, 4, 3))
+    for op, op_mats in ((ad.attention_center, mats[:1]), (ad.gated_min, mats[1:])):
+        values, grads = [], []
+        for a_rows in ([[0], [1]], [[0] * 4, [1] * 4]):  # (2, 1) broadcast, or (2, 4)
+            tape = ad.Tape()
+            a = ad.param_rows(tape, params["a"], "a", a_rows)
+            b = ad.param_rows(tape, params["b"], "b", [[0, 1, 2, 3]] * 2)
+            out = op([a, b], *op_mats)
+            assert out.shape == (2, 4, 3)
+            values.append(out.value)
+            loss = ad.reduce_sum(ad.mul(out, ad.constant(weights)))
+            grads.append(ad.densify(ad.backward(tape, loss), params))
+        assert values[0].tobytes() == values[1].tobytes()
+        np.testing.assert_allclose(grads[0]["a"], grads[1]["a"], rtol=1e-12)
+        assert grads[0]["b"].tobytes() == grads[1]["b"].tobytes()
 
 
 def test_backward_deterministic():
@@ -149,7 +173,7 @@ def test_backward_deterministic():
     table = rng.normal(size=(6, 3))
     tape = ad.Tape()
     xs = ad.param_rows(tape, table, "emb", [0, 1, 5])
-    loss = ad.reduce_sum(ad.mul(ad.sigmoid(xs), xs))
+    loss = ad.reduce_sum(ad.mul(ad.log_sigmoid(xs), xs))
     g1 = ad.densify(ad.backward(tape, loss), {"emb": table})
     g2 = ad.densify(ad.backward(tape, loss), {"emb": table})
     assert set(g1) == set(g2)
@@ -166,11 +190,15 @@ def test_backward_rejects_non_scalar_root():
 
 def test_eager_mode_records_nothing():
     a = ad.constant([1.0, 2.0])
-    b = ad.relu(ad.add(a, ad.constant([-2.0, 1.0])))
-    np.testing.assert_array_equal(b.value, [0.0, 3.0])
-    assert b.tape is None
-    # nor keeps its inputs, so eager intermediates are freed once used
-    assert b.parents == ()
+    b = ad.mul(ad.add(a, ad.constant([-2.0, 1.0])), ad.constant(2.0))
+    np.testing.assert_array_equal(b.value, [-2.0, 6.0])
+    center = ad.attention_center([a, b], np.eye(2))
+    gated = ad.gated_min([a, b], *zero_gate(2))
+    np.testing.assert_array_equal(gated.value, [-1.0, 1.0])
+    for node in (b, center, gated):
+        assert node.tape is None
+        # nor keeps its inputs, so eager intermediates are freed once used
+        assert node.parents == ()
 
 
 class TestFiniteDiffCheck:
@@ -188,13 +216,14 @@ class TestFiniteDiffCheck:
         assert report.n_kinks_skipped == 0
 
     def test_kink_is_flagged_not_failed(self):
-        # relu evaluated exactly at 0: one-sided slopes are 0 and 1
+        # |x| (the distance to a box shrunk to the origin) at x = 0: the
+        # one-sided slopes are -1 and 1
         params = {"x": np.array([[0.0]])}
 
         def loss_fn():
             tape = ad.Tape()
             xs = ad.param_rows(tape, params["x"], "x", [0])
-            loss = ad.reduce_sum(ad.relu(xs))
+            loss = ad.reduce_sum(ad.box_distance(xs, np.zeros(1), np.zeros(1), 0.5))
             return loss.value, ad.backward(tape, loss)
 
         report = ad.finite_diff_check(loss_fn, params, eps=1e-4, samples=5)
@@ -206,17 +235,17 @@ class TestFiniteDiffCheck:
         params = {
             "emb": rng.normal(size=(6, 5)),
             "w": rng.normal(size=(5, 5)),
+            "w_ds": rng.normal(size=(5, 5)),
         }
 
         def loss_fn():
             tape = ad.Tape()
-            xs = ad.param_rows(tape, params["emb"], "emb", [0, 2, 3])
-            wn = ad.param_full(tape, params["w"], "w")
-            h = ad.relu(ad.linear(xs, wn))
-            att = ad.softmax(h, axis=0)
-            mixed = ad.reduce_sum(ad.mul(att, xs), axis=0)
+            items = [ad.param_rows(tape, params["emb"], "emb", i) for i in (0, 2, 3)]
+            mixed = ad.attention_center(items, ad.param_full(tape, params["w"], "w"))
             d = ad.box_distance(mixed, ad.constant(np.zeros(5)), ad.constant(np.full(5, 0.5)), 0.3)
-            loss = ad.add(ad.neg(ad.log_sigmoid(d)), ad.reduce_sum(ad.amin(h, axis=0)))
+            w_ds = [ad.param_full(tape, params["w_ds"], "w_ds") for _ in range(3)]
+            gated = ad.gated_min(items, *w_ds)
+            loss = ad.add(ad.neg(ad.log_sigmoid(d)), ad.reduce_sum(gated))
             return loss.value, ad.backward(tape, loss)
 
         report = ad.finite_diff_check(loss_fn, params, eps=1e-4, samples=120, rng=rng)
@@ -235,16 +264,48 @@ class TestFiniteDiffCheck:
     st.integers(0, 1000),
 )
 def test_softmax_rows_sum_to_one_and_grads_finite(n, d, seed):
+    # the attention weights over the items sum to one: n equal items give
+    # that item back, and distinct items a point inside their hull
     rng = np.random.default_rng(seed)
-    params = {"x": rng.normal(size=(n, d)) * 5}
+    params = {"x": rng.normal(size=(n, d)) * 5, "w": rng.normal(size=(d, d)) * 5}
     tape = ad.Tape()
-    xs = ad.param_rows(tape, params["x"], "x", list(range(n)))
-    s = ad.softmax(xs, axis=0)
-    np.testing.assert_allclose(s.value.sum(axis=0), np.ones(d), rtol=1e-12)
-    loss = ad.reduce_sum(ad.mul(s, ad.constant(rng.normal(size=(n, d)))))
+    w = ad.param_full(tape, params["w"], "w")
+    c = rng.normal(size=d)
+    np.testing.assert_allclose(ad.attention_center([c] * n, w).value, c, rtol=1e-12)
+    items = [ad.param_rows(tape, params["x"], "x", i) for i in range(n)]
+    center = ad.attention_center(items, w)
+    assert np.all(center.value >= params["x"].min(axis=0) - 1e-9)
+    assert np.all(center.value <= params["x"].max(axis=0) + 1e-9)
+    loss = ad.reduce_sum(ad.mul(center, ad.constant(rng.normal(size=d))))
     grads = ad.densify(ad.backward(tape, loss), params)
+    assert set(grads) == {"x", "w"}
     for g in grads.values():
         assert np.all(np.isfinite(g))
+
+
+@pytest.mark.parametrize("op, n_mats", [(ad.attention_center, 1), (ad.gated_min, 3)])
+def test_intersection_op_gradient_matches_finite_differences(op, n_mats):
+    """Items as in a query box: a (2, 1) lookup broadcast against two
+    (2, 3) ones, the same table looked up for two of them."""
+    rng = np.random.default_rng(17)
+    params = {"x": rng.normal(size=(6, 4)), "y": rng.normal(size=(6, 4))}
+    params.update({f"w{j}": rng.normal(size=(4, 4)) for j in range(n_mats)})
+    weights = rng.normal(size=(2, 3, 4))
+
+    def loss_fn():
+        tape = ad.Tape()
+        items = [
+            ad.param_rows(tape, params["x"], "x", [[0], [1]]),
+            ad.param_rows(tape, params["y"], "y", [[0, 1, 2], [3, 4, 5]]),
+            ad.param_rows(tape, params["x"], "x", [[2, 3, 4], [5, 0, 1]]),
+        ]
+        mats = [ad.param_full(tape, params[f"w{j}"], f"w{j}") for j in range(n_mats)]
+        loss = ad.reduce_sum(ad.mul(op(items, *mats), ad.constant(weights)))
+        return loss.value, ad.backward(tape, loss)
+
+    report = ad.finite_diff_check(loss_fn, params, eps=1e-5, samples=150, rng=rng)
+    assert report.n_checked > 120
+    assert report.max_rel_error < 1e-5
 
 
 def former_backward_densify(tape, root, params):
@@ -307,7 +368,7 @@ def test_densify_bit_identical_to_per_row_slots(n_rows_leaves, n_full_leaves, n,
         shape = tuple(rng.integers(1, 2 * n, size=rng.integers(1, 3)))
         xs = ad.param_rows(tape, params["emb"], "emb", rng.integers(0, n, size=shape))
         for _ in range(n_full_leaves):
-            h = ad.sigmoid(ad.linear(xs, ad.param_full(tape, params["w"], "w")))
+            h = ad.attention_center([xs, ad.neg(xs)], ad.param_full(tape, params["w"], "w"))
             terms.append(ad.reduce_sum(ad.mul(h, ad.constant(rng.normal(size=h.shape)))))
         terms.append(ad.reduce_sum(ad.mul(xs, ad.constant(rng.normal(size=xs.shape) * 1e3))))
     loss = terms[0]
@@ -406,6 +467,10 @@ def former_absolute(a):
     return ad._op("abs", (a,), np.abs, lambda g, _, x: (g * np.sign(x),))
 
 
+def former_relu(a):
+    return ad._op("relu", (a,), lambda x: np.maximum(x, 0.0), lambda g, _, x: (g * (x > 0.0),))
+
+
 def former_box_distance(point, center, offset, alpha):
     """The distance as the tape recorded it before box_distance fused it:
     14 primitive nodes, kept as the reference box_distance's value and
@@ -413,7 +478,9 @@ def former_box_distance(point, center, offset, alpha):
     b_min = ad.sub(center, offset)
     b_max = ad.add(center, offset)
     inside = ad.reduce_sum(former_absolute(ad.sub(center, former_clamp(point, b_min, b_max))), axis=-1)
-    outside = ad.reduce_sum(ad.add(ad.relu(ad.sub(point, b_max)), ad.relu(ad.sub(b_min, point))), axis=-1)
+    outside = ad.reduce_sum(
+        ad.add(former_relu(ad.sub(point, b_max)), former_relu(ad.sub(b_min, point))), axis=-1
+    )
     return ad.add(ad.mul(inside, ad.constant(alpha)), outside)
 
 
@@ -572,51 +639,74 @@ def same_bits(a, b):
     )
 
 
+def masked_sigmoid(x):
+    """The sigmoid in its two masked forms: 1/(1 + exp(-x)) for x >= 0 and
+    exp(x)/(1 + exp(x)) below."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("seed", range(3))
 class TestItemAxisKernels:
-    """The intersection's item-axis ops run item by item; forward and vjp
-    give the bits of numpy's reductions over axis -2."""
+    """The intersection ops reduce their items one at a time; forward and
+    vjp give the bits of numpy's reductions over axis -2."""
+
+    def items_and_mats(self, x, n, k, seed):
+        rng = np.random.default_rng(seed)
+        tape = ad.Tape()
+        items = [ad.param_full(tape, x[..., i, :], "x") for i in range(n)]
+        mats = [rng.normal(size=(6, 6)) for _ in range(k)]
+        return items, [ad.param_full(tape, w, f"w{j}") for j, w in enumerate(mats)], mats
 
     def test_softmax(self, n, seed):
         for x, g in item_inputs(n, seed):
-            node = ad.softmax(ad.param_full(ad.Tape(), x, "x"), axis=-2)
-            e = np.exp(x - np.max(x, axis=-2, keepdims=True))
-            want = e / e.sum(axis=-2, keepdims=True)
-            assert same_bits(node.value, want)
-            (got,) = node._vjp(g, node.value, x)
-            assert same_bits(got, want * (g - (g * want).sum(axis=-2, keepdims=True)))
+            items, leaves, (w,) = self.items_and_mats(x, n, 1, seed)
+            node = ad.attention_center(items, *leaves)
+            z = x @ w.T
+            e = np.exp(z - np.max(z, axis=-2, keepdims=True))
+            att = e / e.sum(axis=-2, keepdims=True)
+            assert same_bits(node.value, (att * x).sum(axis=-2))
+            g = g[..., 0, :]
+            *got, got_w = node._vjp(g, node.value, *(p.value for p in node.parents))
+            g = g[..., None, :]
+            g_att = g * x
+            g_z = att * (g_att - (g_att * att).sum(axis=-2, keepdims=True))
+            g_x = g * att + g_z @ w
+            assert same_bits(np.stack(got, axis=-2), g_x)
+            assert same_bits(got_w, g_z.reshape(-1, 6).T @ x.reshape(-1, 6))
 
     def test_sum(self, n, seed):
-        for x, g in item_inputs(n, seed):
-            node = ad.reduce_sum(ad.param_full(ad.Tape(), x, "x"), axis=-2)
-            assert same_bits(node.value, np.sum(x, axis=-2))
-            (got,) = node._vjp(g[..., 0, :], node.value, x)
-            assert same_bits(got, np.broadcast_to(g[..., :1, :], x.shape).copy())
+        for x, _ in item_inputs(n, seed):
+            assert same_bits(ad._item_sum(x), np.sum(x, axis=-2))
 
     def test_mean(self, n, seed):
-        for x, g in item_inputs(n, seed):
-            node = ad.reduce_mean(ad.param_full(ad.Tape(), x, "x"), axis=-2)
-            assert same_bits(node.value, np.mean(x, axis=-2))
-            (got,) = node._vjp(g[..., 0, :], node.value, x)
-            assert same_bits(got, np.broadcast_to(g[..., :1, :], x.shape) / n)
+        for x, _ in item_inputs(n, seed):
+            items, leaves, (w_in, w_hidden, w_out) = self.items_and_mats(x, n, 3, seed)
+            node = ad.gated_min(items, *leaves)
+            h = np.maximum(np.maximum(x @ w_in.T, 0.0) @ w_hidden.T, 0.0)
+            gate = masked_sigmoid(np.mean(h, axis=-2) @ w_out.T)
+            assert same_bits(node.value, np.min(x, axis=-2) * gate)
 
     def test_max(self, n, seed):
         for x, _ in item_inputs(n, seed):
-            assert same_bits(ad._item_max(x, -2), np.max(x, axis=-2))
+            assert same_bits(ad._item_max(x), np.max(x, axis=-2))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_mask_free_sigmoid_and_log_sigmoid_vjp_match_masked_formulas():
     x = np.concatenate([SPECIAL, -SPECIAL, np.linspace(-40.0, 40.0, 97)])
     g = np.linspace(-2.0, 3.0, x.size)
-    node = ad.sigmoid(ad.param_full(ad.Tape(), x, "x"))
-    want = np.empty_like(x)
-    pos = x >= 0
-    want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    want[~pos] = ex / (1.0 + ex)
+    # gated_min's offset is its gate when its one item is all ones: with
+    # identity DeepSets maps the gate's input is diag(x) @ 1 = x
+    eye = np.eye(x.size)
+    node = ad.gated_min([np.ones(x.size)], eye, eye, np.diag(x))
+    want = masked_sigmoid(x)
     assert np.isnan(want).sum() == 2
     assert same_bits(node.value, want)
 

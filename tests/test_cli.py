@@ -510,6 +510,29 @@ class TestPredict:
         assert out == ""
         assert "1986" in err and "1982" in err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("-t", "19_85"),
+            ("-t", "+1985"),
+            ("-t", " 1985"),
+            ("--interval", "19_82:1986"),
+            ("--interval", "+1982:1986"),
+            ("--interval", "1982: 1986"),
+            ("--interval", "1982:1984:1986"),
+        ],
+    )
+    def test_malformed_year_flag_is_usage_error(self, flag, value, dataset_dir, run_dir, capsys):
+        # a year flag takes an optional "-" and ASCII digits, as year columns do
+        argv = ["predict", "--checkpoint", run_dir / "checkpoint.t2b", "--data", dataset_dir,
+                "-s", "e00", "-r", "rel0", flag, value]
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert repr(value) in captured.err
+
     def test_unknown_label_named_in_error(self, dataset_dir, run_dir, capsys):
         code, _, err = run(
             capsys, "predict", "--checkpoint", run_dir / "checkpoint.t2b",
@@ -661,7 +684,8 @@ def _metrics_bad_column(text):
 
 def _bad_checkpoint(command, fault):
     """A copy of the trained checkpoint, cut short, with a NaN in its first
-    block, or with |E| = 0 in its header."""
+    block, or with |E| = 0, d = |E| = 2^31 - 1 or variant code 99 in its
+    header."""
 
     def build(data_dir, run_dir, tmp_path):
         blob = bytearray((run_dir / "checkpoint.t2b").read_bytes())
@@ -672,9 +696,15 @@ def _bad_checkpoint(command, fault):
         elif fault == "nan-block":
             blob[header : header + 4] = struct.pack("<f", float("nan"))
             message = "non-finite values in checkpoint block entity_emb"
-        else:
+        elif fault == "zero-entities":
             blob[8:12] = struct.pack("<i", 0)  # |E|, after the magic and d
             message = "bad checkpoint header: |E| is 0, below 1"
+        elif fault == "huge-header":
+            blob[4:12] = struct.pack("<2i", 2**31 - 1, 2**31 - 1)  # d and |E|
+            message = "truncated checkpoint: block entity_emb incomplete"
+        else:
+            blob[20:24] = struct.pack("<i", 99)  # the variant code, after |T|
+            message = "bad checkpoint header: variant code 99 is outside [0, 15]"
         ckpt = tmp_path / "model.t2b"
         ckpt.write_bytes(bytes(blob))
         out = tmp_path / "out"
@@ -732,7 +762,7 @@ FAULTS = [
     *(
         (f"{command}-{fault}-checkpoint", _bad_checkpoint(command, fault), 1)
         for command in ("eval-link", "eval-time", "predict")
-        for fault in ("truncated", "nan-block", "zero-entities")
+        for fault in ("truncated", "nan-block", "zero-entities", "huge-header", "variant-code")
     ),
 ]
 

@@ -174,6 +174,22 @@ class TestIntersect:
         assert np.all(with_tr.center_value() >= centers.min(axis=0) - 1e-12)
         assert np.all(with_tr.center_value() <= centers.max(axis=0) + 1e-12)
 
+    def test_records_two_op_nodes_and_four_matrix_leaves(self):
+        ps = ParameterStore.initialize(4, 3, 2, 2, rng=np.random.default_rng(8))
+        tape = ad.Tape()
+        off = ps.rows(tape, "relation_off", 0)
+        boxes = [BoxEmbedding(ps.rows(tape, "entity_emb", i), off) for i in (0, 1)]
+        tr = ps.rows(tape, "entity_emb", 2)
+        before = len(tape.nodes)
+        intersect(boxes, ps, tr_point=tr, tape=tape)
+        assert [(n.op, n._leaf and n._leaf[0]) for n in tape.nodes[before:]] == [
+            ("full", "w_att"),
+            ("attention_center", None),
+            ("full", "w_ds_in"),
+            ("full", "w_ds_hidden"),
+            ("full", "w_ds_out"),
+            ("gated_min", None),
+        ]
 
 class TestBoxOfQuery:
     def make_store(self, d=6):

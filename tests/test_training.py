@@ -723,6 +723,30 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda b: b + b"\0", "trailing bytes after final parameter block"),
+            (lambda b: b[:-10], "truncated checkpoint: block w_ds_out incomplete"),
+            # d = |E| = 2^31 - 1 claims about 2^65 bytes, which no read may request
+            (
+                lambda b: b[:4] + struct.pack("<2i", 2**31 - 1, 2**31 - 1) + b[12:],
+                "truncated checkpoint: block entity_emb incomplete",
+            ),
+        ],
+        ids=["trailing-byte", "short", "huge-header"],
+    )
+    def test_file_size_checked_before_blocks(self, tmp_path, edit, message):
+        path = tmp_path / "model.t2b"
+        save_checkpoint(ParameterStore.initialize(4, 3, 2, 2), path)
+        blob = bytearray(path.read_bytes())
+        # a NaN in the first block, which a block read would report first
+        header = struct.calcsize("<4s5i2d")
+        blob[header : header + 4] = np.array([np.nan], dtype="<f4").tobytes()
+        path.write_bytes(edit(bytes(blob)))
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("value, reason", [(np.nan, "non-finite"), (1e39, "overflow float32")])
     def test_save_rejects_unrepresentable_values(self, tmp_path, value, reason):
         ps = ParameterStore.initialize(4, 3, 2, 2)
@@ -755,18 +779,17 @@ class TestCheckpoint:
             ("alpha", 7.0),
             ("alpha", -0.5),
             ("alpha", np.nan),
+            ("variant code", 16),
+            ("variant code", 99),
+            ("variant code", -1),
         ],
     )
     def test_bad_header_rejected_before_blocks(self, tmp_path, field, value):
         # the file ends after its header, so a block read would fail instead
-        h = {"d": 4, "|E|": 3, "|R|": 2, "|T|": 2, "gamma": 24.0, "alpha": 0.5, field: value}
+        h = {"d": 4, "|E|": 3, "|R|": 2, "|T|": 2, "variant code": 0, "gamma": 24.0, "alpha": 0.5}
+        h[field] = value
         path = tmp_path / "header.t2b"
-        path.write_bytes(
-            struct.pack(
-                "<4s5i2d", CHECKPOINT_MAGIC, h["d"], h["|E|"], h["|R|"], h["|T|"], 0,
-                h["gamma"], h["alpha"],
-            )
-        )
+        path.write_bytes(struct.pack("<4s5i2d", CHECKPOINT_MAGIC, *h.values()))
         with pytest.raises(CheckpointError, match=re.escape(f"header: {field} ")):
             load_checkpoint(path)
 
