@@ -32,6 +32,11 @@ the SHA-256 of the float64 parameters after 30 steps on a synthetic with
 2,000 entities (d=8, k=4, batch 32, seed 3, no validation), for te,tns
 and for dm,tr,si with beta 0.01: a step touches about a tenth of the
 entity rows, so most rows take Adam's untouched-row path every step.
+A line cli= holds the SHA-256 over the sorted relative paths and bytes
+of every file that a fixed command-line sequence writes in one temporary
+working directory: gen-synthetic (the determinism dataset), train,
+eval-link, eval-time, metrics --output and export-embeddings, each run
+through cli.main, so the snapshots it writes hold relative paths.
 Run it on two commits
 and diff the output to check that a change leaves generated data,
 parameters, checkpoints, logs and reports byte-identical:
@@ -42,14 +47,17 @@ BLAS runs on one thread, as in the benchmark: at d=64 the c07 te,tns
 parameters differ in their last bits between one and two threads.
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import os
 import tempfile
 
 # must be set before numpy is imported; the values of perfbench/run.py's THREAD_ENV
 os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 
+from time2box import cli
 from time2box.data import (
     SPLITS,
     SynthConfig,
@@ -172,6 +180,44 @@ def rows_line() -> str:
     return "rows=" + " ".join(fields)
 
 
+#: the command lines cli_line runs, in order, in one working directory
+CLI_SEQUENCE = (
+    "gen-synthetic --out data --seed 5 --entities 20 --relations 3 --axis-length 12 --rules 25",
+    "train --data data --out run --d 8 --k 4 --lr 0.01 --batch 32 --steps 50 --seed 13"
+    " --eval-every 25 --variant te,tns --quiet",
+    "eval-link --checkpoint run/checkpoint.t2b --data data --out run",
+    "eval-time --checkpoint run/checkpoint.t2b --data data --out run --k 10 --tau 0.95",
+    "metrics --input intervals.tsv --output run/metrics.tsv",
+    "export-embeddings --checkpoint run/checkpoint.t2b --data data --out run/emb.tsv",
+)
+
+
+def cli_line(work_dir: str) -> str:
+    cwd = os.getcwd()
+    os.chdir(work_dir)
+    try:
+        with open("intervals.tsv", "w", encoding="utf-8") as fh:
+            fh.write("1990\t1995\t1991\t1994\n2011\t2016\t2009\t2013\n")
+        for command in CLI_SEQUENCE:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(command.split())
+            if code != 0:
+                raise RuntimeError(f"time2box {command} exited {code}")
+    finally:
+        os.chdir(cwd)
+    paths = sorted(
+        os.path.relpath(os.path.join(root, name), work_dir)
+        for root, _, names in os.walk(work_dir)
+        for name in names
+    )
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.encode() + b"\0")
+        with open(os.path.join(work_dir, path), "rb") as fh:
+            digest.update(fh.read())
+    return f"cli={digest.hexdigest()}"
+
+
 def main():
     kb, _ = generate_synthetic(SYNTH)
     kb = add_inverse_relations(kb)
@@ -185,7 +231,9 @@ def main():
         print(load_line(work_dir), flush=True)
     for line in c07_lines():
         print(line, flush=True)
-    print(rows_line())
+    print(rows_line(), flush=True)
+    with tempfile.TemporaryDirectory() as work_dir:
+        print(cli_line(work_dir))
 
 
 if __name__ == "__main__":

@@ -2,21 +2,21 @@
 evaluation, prediction, metric computation, and embedding export.
 
 Configuration is flat key=value files; command-line flags override file
-values. Every file-producing run writes a config.resolved snapshot next
-to its outputs, and rerunning from that snapshot reproduces the run.
+values. Every file-producing run writes its parsed command line beside
+its outputs (write_snapshot), and rerunning from that snapshot reproduces it.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
 import numpy as np
 
 from .data import (
+    MISSING,
     SPLITS,
     DatasetError,
     ScopeKind,
@@ -61,7 +61,7 @@ _TYPE_ROWS = (
 )
 
 
-def load_kb(data_dir: str, missing: str = "-"):
+def load_kb(data_dir: str, missing: str):
     paths = [os.path.join(data_dir, name) for name in SPLIT_FILES]
     for path in paths:
         if not os.path.exists(path):
@@ -83,9 +83,20 @@ def read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def write_snapshot(out_dir: str, values: dict) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.resolved"), "w", encoding="utf-8") as fh:
+#: parsed arguments a snapshot leaves out: the dispatch function, the
+#: output path it sits beside, the config file it replaces, and verbosity
+_UNRECORDED = ("func", "out", "config", "quiet")
+
+
+def write_snapshot(path: str, args, **resolved) -> None:
+    """Write the command and every parsed flag to path as sorted key=value
+    lines, with the values in resolved overlaid; None values are left out."""
+    values = {
+        key.replace("_", "-"): value
+        for key, value in {**vars(args), **resolved}.items()
+        if key not in _UNRECORDED and value is not None
+    }
+    with open(path, "w", encoding="utf-8") as fh:
         for key in sorted(values):
             fh.write(f"{key}={values[key]}\n")
 
@@ -143,18 +154,7 @@ def cmd_gen_synthetic(args) -> int:
     )
     kb, manifest = generate_synthetic(cfg)
     write_dataset(kb, args.out, manifest)
-    write_snapshot(
-        args.out,
-        {
-            "command": "gen-synthetic",
-            "seed": cfg.seed,
-            "entities": cfg.n_entities,
-            "relations": cfg.n_relations,
-            "axis-length": cfg.axis_length,
-            "rules": cfg.n_rules,
-            "origin": cfg.origin_year,
-        },
-    )
+    write_snapshot(os.path.join(args.out, "config.resolved"), args)
     counts = {sp: len(kb.splits[sp]) for sp in ("train", "valid", "test")}
     print(f"wrote {args.out}: {counts}, |E|={kb.n_entities}, |R|={kb.n_relations}")
     return 0
@@ -184,7 +184,7 @@ def _train_config_from(args) -> tuple[TrainConfig, str, str]:
         raw = resolve(args, file_keys, key)
         if raw is not None:
             settings[key.replace("-", "_")] = parse(raw)
-    return TrainConfig(**settings), data_dir, "-" if missing is None else missing
+    return TrainConfig(**settings), data_dir, MISSING if missing is None else missing
 
 
 def cmd_train(args) -> int:
@@ -195,12 +195,9 @@ def cmd_train(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     os.makedirs(args.out, exist_ok=True)
-    snapshot = {"command": "train", "data": data_dir, "missing": missing}
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        if value is not None:  # only m may be None
-            snapshot[f.name.replace("_", "-")] = value
-    write_snapshot(args.out, snapshot)
+    write_snapshot(
+        os.path.join(args.out, "config.resolved"), args, data=data_dir, missing=missing, **vars(cfg)
+    )
 
     log_path = os.path.join(args.out, "train.log")
     with open(log_path, "w", encoding="utf-8") as log_file:
@@ -229,14 +226,13 @@ def _load_model_and_kb(args):
     return params, variant, kb
 
 
-def _write_eval_outputs(args, prefix: str, report, **settings) -> None:
-    """An evaluation's report, its breakdown and its config.resolved."""
+def _write_eval_outputs(args, prefix: str, report) -> None:
+    """An evaluation's report, its breakdown and its snapshot."""
     os.makedirs(args.out, exist_ok=True)
     for name, text in (("report.txt", report.to_text()), ("breakdown.tsv", report.breakdown_tsv())):
         with open(os.path.join(args.out, f"{prefix}_{name}"), "w", encoding="utf-8") as fh:
             fh.write(text)
-    settings.update(command=args.command, checkpoint=args.checkpoint, data=args.data, seed=args.seed)
-    write_snapshot(args.out, settings)
+    write_snapshot(os.path.join(args.out, f"{prefix}_config.resolved"), args)
 
 
 def cmd_eval_link(args) -> int:
@@ -247,7 +243,7 @@ def cmd_eval_link(args) -> int:
     report = eval_link_prediction(
         kb.splits["test"], params, kb, variant, filter_splits=splits
     )
-    _write_eval_outputs(args, "link", report, filter=args.filter)
+    _write_eval_outputs(args, "link", report)
     o = report.overall
     print(
         f"MRR={o.mrr:.4f} MR={o.mr:.1f} HITS@1={o.hits1:.4f} "
@@ -270,7 +266,7 @@ def cmd_eval_time(args) -> int:
             "scope to predict"
         )
     report = eval_time_prediction(statements, params, kb, variant, k=args.k, tau=args.tau)
-    _write_eval_outputs(args, "time", report, k=args.k, tau=args.tau)
+    _write_eval_outputs(args, "time", report)
     headline = " ".join(
         f"{key}={report.overall.get(key, float('nan')):.4f}"
         for key in ("giou@1", "aeiou@1", "gaeiou@1", f"gaeiou@{args.k}")
@@ -282,6 +278,8 @@ def cmd_eval_time(args) -> int:
 def cmd_predict(args) -> int:
     if args.topk < 1:
         raise UsageError(f"--topk must be at least 1, got {args.topk}")
+    if args.interval is not None and args.interval[0] > args.interval[1]:
+        raise UsageError(f"--interval start {args.interval[0]} is after its end {args.interval[1]}")
     params, variant, kb = _load_model_and_kb(args)
     try:
         s = kb.entities.id_of(args.subject)
@@ -301,11 +299,7 @@ def cmd_predict(args) -> int:
         return scores
 
     if args.interval is not None:
-        lo_year, hi_year = args.interval
-        if lo_year > hi_year:
-            raise UsageError(f"--interval start {lo_year} is after its end {hi_year}")
-        lo = kb.axis.index_of(lo_year, clamp=True)
-        hi = kb.axis.index_of(hi_year, clamp=True)
+        lo, hi = (kb.axis.index_of(year, clamp=True) for year in args.interval)
         # every year is scored before the first row is printed
         timeline = [(t, scores_of((t,))) for t in range(lo, hi + 1)]
         print("year\ttop entity\tscore")
@@ -347,8 +341,7 @@ def cmd_metrics(args) -> int:
         return 0
     with open(args.output, "w", encoding="utf-8") as out:
         out.writelines(rows)
-    snapshot_dir = os.path.dirname(os.path.abspath(args.output))
-    write_snapshot(snapshot_dir, {"command": "metrics", "input": args.input, "output": args.output})
+    write_snapshot(f"{args.output}.resolved", args)
     return 0
 
 
@@ -364,6 +357,7 @@ def cmd_export_embeddings(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         for label, row in zip(labels, table):
             fh.write(label + "".join(f"\t{v:.8g}" for v in row) + "\n")
+    write_snapshot(f"{args.out}.resolved", args)
     print(f"wrote {len(labels)} {args.table} vectors to {args.out}")
     return 0
 
@@ -399,12 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
     model = argparse.ArgumentParser(add_help=False)
     model.add_argument("--checkpoint", required=True)
     model.add_argument("--data", required=True)
-    model.add_argument("--missing", default="-", help="missing-endpoint sentinel")
+    model.add_argument("--missing", default=MISSING, help="missing-endpoint sentinel")
     model.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("stats", help="print split/validity-type counts")
     p.add_argument("data", help="dataset directory with train/valid/test.txt")
-    p.add_argument("--missing", default="-", help="missing-endpoint sentinel")
+    p.add_argument("--missing", default=MISSING, help="missing-endpoint sentinel")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_stats)
 
@@ -422,18 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--data", help="dataset directory")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--d", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--variant", help="comma-joined: te|dm plus tr, si, tns")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--eval-every", type=int)
+    for key, parse in TRAIN_KEYS.items():
+        if key == "variant":  # a string, so TrainConfig rejects a bad one with exit 1
+            p.add_argument("--variant", help="comma-joined: te|dm plus tr, si, tns")
+        else:
+            p.add_argument(f"--{key}", type=parse)
     p.add_argument("--missing", help="missing-endpoint sentinel (default '-')")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_train)

@@ -627,21 +627,7 @@ def generate_synthetic(config: SynthConfig) -> tuple[TemporalKB, list[ManifestRo
     manifest: list[ManifestRow] = []
     for stmt, split in rows:
         split_statements[split].append(stmt)
-        year_scope = TimeScope(
-            stmt.scope.kind,
-            None if stmt.scope.start is None else axis.year_of(stmt.scope.start),
-            None if stmt.scope.end is None else axis.year_of(stmt.scope.end),
-        )
-        manifest.append(
-            (
-                entities.labels[stmt.s],
-                relations.labels[stmt.r],
-                entities.labels[stmt.o],
-                MISSING if year_scope.start is None else str(year_scope.start),
-                MISSING if year_scope.end is None else str(year_scope.end),
-                split,
-            )
-        )
+        manifest.append((*format_statement(stmt, entities, relations, axis).split("\t"), split))
     # every timeline partitions [0, L-1], so the train split always pins
     # both axis endpoints and a reload reproduces the same axis
     kb = build_kb(split_statements, entities, relations, axis, scopes_in_years=False)

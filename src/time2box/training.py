@@ -313,6 +313,10 @@ def batch_loss(
 #: and 2^16 were 4-6% slower
 ADAM_BLOCK_ELEMENTS = 1 << 15
 
+#: Adam's decay rates and epsilon. Adam's untouched rows take a zero
+#: gradient's bits only while both decay rates lie above 0.5
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
     """Adam with decay rates 0.9/0.999 and epsilon 1e-8; updates run in
@@ -336,8 +340,8 @@ class Adam:
     addends are. The same holds for v and b2.
     """
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, lr: float):
+        self.lr = lr
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -348,8 +352,8 @@ class Adam:
         grads: dict[str, np.ndarray | tuple[np.ndarray | None, np.ndarray]],
     ) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         tables = {name: _as_table(arr.shape) for name, arr in arrays.items()}
         work = np.empty((2, max((_block_rows(n, w) * w for n, w in tables.values()), default=1)))
         for name in sorted(arrays):
@@ -386,8 +390,8 @@ class Adam:
             pb, mb, vb = p[lo:hi], m[lo:hi], v[lo:hi]
             a = work[0, : (hi - lo) * width].reshape(hi - lo, width)
             b = work[1, : (hi - lo) * width].reshape(hi - lo, width)
-            mb *= self.beta1
-            vb *= self.beta2
+            mb *= ADAM_BETA1
+            vb *= ADAM_BETA2
             if rows is None:
                 self._moment_terms(g[lo:hi], a, b)
                 mb += a
@@ -400,15 +404,15 @@ class Adam:
             np.multiply(self.lr, a, out=a)
             np.divide(vb, bc2, out=b)
             np.sqrt(b, out=b)
-            b += self.eps
+            b += ADAM_EPS
             a /= b
             pb -= a
 
     def _moment_terms(self, g, a, b) -> None:
         """a = (1-b1)*g and b = (1-b2)*(g*g)."""
-        np.multiply(1.0 - self.beta1, g, out=a)
+        np.multiply(1.0 - ADAM_BETA1, g, out=a)
         np.multiply(g, g, out=b)
-        np.multiply(1.0 - self.beta2, b, out=b)
+        np.multiply(1.0 - ADAM_BETA2, b, out=b)
 
 
 def _as_table(shape: tuple) -> tuple[int, int]:

@@ -14,6 +14,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def read_snapshot(path):
+    return dict(line.split("=", 1) for line in path.read_text().splitlines())
+
+
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("data") / "synth"
@@ -270,10 +274,91 @@ class TestTrain:
             "--steps", "10", "--quiet",
         )
         assert code == 0
-        snapshot = dict(
-            line.split("=", 1) for line in (out / "config.resolved").read_text().splitlines()
+        assert read_snapshot(out / "config.resolved")["steps"] == "10"
+
+
+class TestSnapshots:
+    """Every file-producing command writes its parsed flags beside its
+    outputs, under a name no other command writes."""
+
+    def test_readme_sequence_keeps_train_snapshot(self, tmp_path, capsys):
+        """Both evaluations write into the training directory, as in the
+        README, and the training snapshot still reproduces the checkpoint."""
+        data, base = tmp_path / "data", tmp_path / "base"
+        code, _, _ = run(
+            capsys, "gen-synthetic", "--out", data, "--seed", "3", "--entities", "25",
+            "--relations", "3", "--axis-length", "15", "--rules", "30",
         )
-        assert snapshot["steps"] == "10"
+        assert code == 0
+        code, _, _ = run(
+            capsys, "train", "--data", data, "--out", base, "--d", "8", "--k", "4",
+            "--steps", "10", "--batch", "16", "--eval-every", "5", "--quiet",
+        )
+        assert code == 0
+        ckpt = base / "checkpoint.t2b"
+        for command in ("eval-link", "eval-time"):
+            assert run(capsys, command, "--checkpoint", ckpt, "--data", data, "--out", base)[0] == 0
+        replay = tmp_path / "replay"
+        code, _, err = run(
+            capsys, "train", "--config", base / "config.resolved", "--out", replay, "--quiet"
+        )
+        assert (code, err) == (0, "")
+        assert (replay / "checkpoint.t2b").read_bytes() == ckpt.read_bytes()
+        assert read_snapshot(base / "link_config.resolved")["command"] == "eval-link"
+        assert read_snapshot(base / "time_config.resolved")["command"] == "eval-time"
+
+    def test_eval_snapshots_record_missing(self, dataset_dir, run_dir, tmp_path, capsys):
+        """A dataset whose open endpoints are written ##: both evaluation
+        snapshots hold the sentinel they were run with."""
+        data = tmp_path / "hash"
+        data.mkdir()
+        for split in ("train", "valid", "test"):
+            lines = (dataset_dir / f"{split}.txt").read_text().splitlines()
+            rows = [line.split("\t") for line in lines]
+            text = "".join(
+                "\t".join([*row[:3], *("##" if c == "-" else c for c in row[3:])]) + "\n"
+                for row in rows
+            )
+            (data / f"{split}.txt").write_text(text)
+        assert "##" in (data / "test.txt").read_text()
+        out = tmp_path / "ev"
+        for command in ("eval-link", "eval-time"):
+            code, _, _ = run(
+                capsys, command, "--checkpoint", run_dir / "checkpoint.t2b", "--data", data,
+                "--out", out, "--missing", "##",
+            )
+            assert code == 0
+        assert read_snapshot(out / "link_config.resolved") == {
+            "checkpoint": str(run_dir / "checkpoint.t2b"), "command": "eval-link",
+            "data": str(data), "filter": "train,valid", "missing": "##", "seed": "0",
+        }
+        assert read_snapshot(out / "time_config.resolved") == {
+            "checkpoint": str(run_dir / "checkpoint.t2b"), "command": "eval-time",
+            "data": str(data), "k": "10", "missing": "##", "seed": "0", "tau": "0.5",
+        }
+
+    def test_export_embeddings_snapshot(self, dataset_dir, run_dir, tmp_path, capsys):
+        out = tmp_path / "emb.tsv"
+        code, _, _ = run(
+            capsys, "export-embeddings", "--checkpoint", run_dir / "checkpoint.t2b",
+            "--data", dataset_dir, "--out", out, "--table", "relation",
+        )
+        assert code == 0
+        assert read_snapshot(tmp_path / "emb.tsv.resolved") == {
+            "checkpoint": str(run_dir / "checkpoint.t2b"), "command": "export-embeddings",
+            "data": str(dataset_dir), "missing": "-", "seed": "0", "table": "relation",
+        }
+
+    def test_metrics_snapshot_beside_its_output(self, tmp_path, capsys):
+        """metrics --output F writes F.resolved, not a config.resolved that
+        would replace a training snapshot in F's directory."""
+        src, dst = tmp_path / "in.tsv", tmp_path / "out.tsv"
+        src.write_text("0\t5\t2\t3\n")
+        assert run(capsys, "metrics", "--input", src, "--output", dst)[0] == 0
+        assert read_snapshot(tmp_path / "out.tsv.resolved") == {
+            "command": "metrics", "input": str(src), "output": str(dst),
+        }
+        assert not (tmp_path / "config.resolved").exists()
 
 
 class TestEval:
@@ -682,10 +767,21 @@ def _metrics_bad_column(text):
     return build
 
 
+#: header doubles out of range: (byte offset, value, message); gamma is at
+#: byte 24 and alpha at byte 32
+HEADER_FLOAT_FAULTS = {
+    "gamma-0": (24, 0.0, "bad checkpoint header: gamma 0.0 is not finite and above 0"),
+    "gamma-inf": (24, float("inf"), "bad checkpoint header: gamma inf is not finite and above 0"),
+    "alpha-nan": (32, float("nan"), "bad checkpoint header: alpha nan is outside [0, 1]"),
+    "alpha-below-0": (32, -1e-9, "bad checkpoint header: alpha -1e-09 is outside [0, 1]"),
+    "alpha-above-1": (32, 1.0000001, "bad checkpoint header: alpha 1.0000001 is outside [0, 1]"),
+}
+
+
 def _bad_checkpoint(command, fault):
-    """A copy of the trained checkpoint, cut short, with a NaN in its first
-    block, or with |E| = 0, d = |E| = 2^31 - 1 or variant code 99 in its
-    header."""
+    """A copy of the trained checkpoint, cut short, with a NaN or +inf in
+    its first block, or with |E| = 0, d = |E| = 2^31 - 1, variant code 99
+    or a HEADER_FLOAT_FAULTS value in its header."""
 
     def build(data_dir, run_dir, tmp_path):
         blob = bytearray((run_dir / "checkpoint.t2b").read_bytes())
@@ -693,9 +789,12 @@ def _bad_checkpoint(command, fault):
         if fault == "truncated":
             del blob[-10:]
             message = "truncated checkpoint: block w_ds_out incomplete"
-        elif fault == "nan-block":
-            blob[header : header + 4] = struct.pack("<f", float("nan"))
+        elif fault in ("nan-block", "inf-block"):
+            blob[header : header + 4] = struct.pack("<f", float(fault.split("-")[0]))
             message = "non-finite values in checkpoint block entity_emb"
+        elif fault in HEADER_FLOAT_FAULTS:
+            offset, value, message = HEADER_FLOAT_FAULTS[fault]
+            blob[offset : offset + 8] = struct.pack("<d", value)
         elif fault == "zero-entities":
             blob[8:12] = struct.pack("<i", 0)  # |E|, after the magic and d
             message = "bad checkpoint header: |E| is 0, below 1"
@@ -728,10 +827,53 @@ def _unknown_train_key(data_dir, run_dir, tmp_path):
     return ["train", "--config", config, "--out", out], out, "unknown key(s) 'learning_rate'"
 
 
-def _sampler_bound(data_dir, run_dir, tmp_path):
-    out = tmp_path / "out"
-    argv = ["train", "--data", data_dir, "--out", out, "--k", "30", "--steps", "2", "--quiet"]
-    return argv, out, "cannot draw 30 negatives: only 25 entities"
+def _sampler_bound(k):
+    def build(data_dir, run_dir, tmp_path):
+        out = tmp_path / "out"
+        argv = ["train", "--data", data_dir, "--out", out, "--k", str(k), "--steps", "2", "--quiet"]
+        return argv, out, f"cannot draw {k} negatives: only 25 entities"
+
+    return build
+
+
+def _tiny_kb(train_lines, message):
+    """train on a dataset whose training split is train_lines and whose
+    other splits are empty."""
+
+    def build(data_dir, run_dir, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "train.txt").write_text("".join(line + "\n" for line in train_lines))
+        (data / "valid.txt").write_text("")
+        (data / "test.txt").write_text("")
+        out = tmp_path / "out"
+        return ["train", "--data", data, "--out", out, "--steps", "2", "--quiet"], out, message
+
+    return build
+
+
+def _empty_train(command):
+    def build(data_dir, run_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        (data / "train.txt").write_text("")
+        out = tmp_path / "out"
+        argv = {
+            "stats": ["stats", data],
+            "train": ["train", "--data", data, "--out", out, "--steps", "2", "--quiet"],
+            "eval-link": ["eval-link", "--checkpoint", run_dir / "checkpoint.t2b",
+                          "--data", data, "--out", out],
+        }[command]
+        return argv, out, f"training split {data / 'train.txt'} is empty"
+
+    return build
+
+
+def _predict_reversed_interval(data_dir, run_dir, tmp_path):
+    """The interval is checked before the checkpoint, which does not exist."""
+    argv = ["predict", "--checkpoint", tmp_path / "absent.t2b", "--data", data_dir,
+            "-s", "e00", "-r", "rel0", "--interval", "1995:1990"]
+    return argv, tmp_path / "out", "--interval start 1995 is after its end 1990"
 
 
 def _empty_test(command):
@@ -754,15 +896,30 @@ FAULTS = [
     ("year-non-ascii-digits", _bad_year("train", "valid", "\u0661\u0669\u0669\u0662"), 1),
     ("gen-synthetic-3-entities", _few_entities, 1),
     ("train-unknown-config-key", _unknown_train_key, 2),
-    ("train-sampler-bound", _sampler_bound, 2),
+    ("train-sampler-bound", _sampler_bound(30), 2),
+    ("train-k-equals-entities", _sampler_bound(25), 2),
+    ("train-one-entity", _tiny_kb(["a\tr\ta\t1990\t1995"], "only 1 entities"), 2),
+    (
+        "train-no-timed-statement",
+        _tiny_kb(["a\tr\tb\t-\t-", "c\tr\td\t-\t-"], "training split has no temporal statements"),
+        1,
+    ),
+    *(
+        (f"{command}-empty-train", _empty_train(command), 1)
+        for command in ("stats", "train", "eval-link")
+    ),
     ("eval-link-empty-test", _empty_test("eval-link"), 1),
     ("eval-time-empty-test", _empty_test("eval-time"), 1),
     ("metrics-underscore", _metrics_bad_column("19_92"), 1),
     ("metrics-plus-sign", _metrics_bad_column("+1992"), 1),
+    ("predict-reversed-interval-before-checkpoint", _predict_reversed_interval, 2),
     *(
         (f"{command}-{fault}-checkpoint", _bad_checkpoint(command, fault), 1)
         for command in ("eval-link", "eval-time", "predict")
-        for fault in ("truncated", "nan-block", "zero-entities", "huge-header", "variant-code")
+        for fault in (
+            "truncated", "nan-block", "inf-block", "zero-entities", "huge-header",
+            "variant-code", *HEADER_FLOAT_FAULTS,
+        )
     ),
 ]
 
