@@ -34,8 +34,10 @@ and for dm,tr,si with beta 0.01: a step touches about a tenth of the
 entity rows, so most rows take Adam's untouched-row path every step.
 A line cli= holds the SHA-256 over the sorted relative paths and bytes
 of every file that a fixed command-line sequence writes in one temporary
-working directory: gen-synthetic (the determinism dataset), train,
-eval-link, eval-time, metrics --output and export-embeddings, each run
+working directory, followed by each command's standard output in
+sequence order: gen-synthetic (the determinism dataset), train,
+eval-link, eval-time, metrics --output, export-embeddings, stats, and
+predict both at one year (-t) and over a timeline (--interval), each run
 through cli.main, so the snapshots it writes hold relative paths.
 Run it on two commits
 and diff the output to check that a change leaves generated data,
@@ -189,6 +191,9 @@ CLI_SEQUENCE = (
     "eval-time --checkpoint run/checkpoint.t2b --data data --out run --k 10 --tau 0.95",
     "metrics --input intervals.tsv --output run/metrics.tsv",
     "export-embeddings --checkpoint run/checkpoint.t2b --data data --out run/emb.tsv",
+    "stats data",
+    "predict --checkpoint run/checkpoint.t2b --data data -s e00 -r rel0 -t 1985",
+    "predict --checkpoint run/checkpoint.t2b --data data -s e00 -r rel0 --interval 1983:1988",
 )
 
 
@@ -198,11 +203,13 @@ def cli_line(work_dir: str) -> str:
     try:
         with open("intervals.tsv", "w", encoding="utf-8") as fh:
             fh.write("1990\t1995\t1991\t1994\n2011\t2016\t2009\t2013\n")
+        stdouts = []
         for command in CLI_SEQUENCE:
-            with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
                 code = cli.main(command.split())
             if code != 0:
                 raise RuntimeError(f"time2box {command} exited {code}")
+            stdouts.append(stdout.getvalue())
     finally:
         os.chdir(cwd)
     paths = sorted(
@@ -215,6 +222,8 @@ def cli_line(work_dir: str) -> str:
         digest.update(path.encode() + b"\0")
         with open(os.path.join(work_dir, path), "rb") as fh:
             digest.update(fh.read())
+    for text in stdouts:
+        digest.update(b"\0" + text.encode())
     return f"cli={digest.hexdigest()}"
 
 

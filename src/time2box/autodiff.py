@@ -376,14 +376,10 @@ def reshape(a, shape) -> Node:
     return _op("reshape", (a,), lambda x: x.reshape(shape), lambda g, _, x: (g.reshape(x.shape),))
 
 
-def backward(tape: Tape, root: Node | None = None) -> GradientMap:
+def backward(tape: Tape, root: Node) -> GradientMap:
     """Collect d(root)/d(leaf) for every parameter leaf the tape touched,
     under its array's name: one entry per rows leaf, and one summed entry
     per run of consecutive whole-array leaves. The root must be a scalar."""
-    if root is None:
-        if not tape.nodes:
-            raise ValueError("empty tape")
-        root = tape.nodes[-1]
     if np.size(root.value) != 1:
         raise ValueError(f"backward needs a scalar root, got shape {np.shape(root.value)}")
 

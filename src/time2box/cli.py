@@ -181,9 +181,15 @@ def _train_config_from(args) -> tuple[TrainConfig, str, str]:
         raise UsageError("--data is required (flag or config file)")
     settings = {}
     for key, parse in TRAIN_KEYS.items():
-        raw = resolve(args, file_keys, key)
-        if raw is not None:
-            settings[key.replace("-", "_")] = parse(raw)
+        field = key.replace("-", "_")
+        flag = getattr(args, field)
+        if flag is not None:
+            settings[field] = parse(flag)
+        elif key in file_keys:
+            try:
+                settings[field] = parse(file_keys[key])
+            except ValueError as exc:
+                raise ValueError(f"{args.config}: {key}={file_keys[key]}: {exc}") from None
     return TrainConfig(**settings), data_dir, MISSING if missing is None else missing
 
 
@@ -280,6 +286,8 @@ def cmd_predict(args) -> int:
         raise UsageError(f"--topk must be at least 1, got {args.topk}")
     if args.interval is not None and args.interval[0] > args.interval[1]:
         raise UsageError(f"--interval start {args.interval[0]} is after its end {args.interval[1]}")
+    if args.interval is not None and args.time is not None:
+        raise UsageError("-t/--time cannot be combined with --interval")
     params, variant, kb = _load_model_and_kb(args)
     try:
         s = kb.entities.id_of(args.subject)
@@ -394,12 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
     model.add_argument("--checkpoint", required=True)
     model.add_argument("--data", required=True)
     model.add_argument("--missing", default=MISSING, help="missing-endpoint sentinel")
-    model.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("stats", help="print split/validity-type counts")
     p.add_argument("data", help="dataset directory with train/valid/test.txt")
     p.add_argument("--missing", default=MISSING, help="missing-endpoint sentinel")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("gen-synthetic", help="generate a planted-timeline dataset")

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape
-from .data import ScopeKind, Statement, TemporalKB, discretize, scope_span
+from .data import ScopeKind, Statement, TemporalKB, scope_span
 from .model import (
     PARAM_ORDER,
     ParameterStore,
@@ -71,8 +71,7 @@ class TrainConfig:
             raise ValueError(f"beta must be finite and at least 0, got {self.beta}")
         if self.seed < 0:
             raise ValueError(f"seed must be at least 0, got {self.seed}")
-        m = self.time_negatives
-        if not 0 <= m <= self.k:
+        if self.m is not None and not 0 <= self.m <= self.k:
             raise ValueError("m must satisfy 0 <= m <= k (time negatives replace entity ones)")
 
     @property
@@ -124,16 +123,14 @@ def sample_entity_negatives(
     k: int,
     kb: TemporalKB,
     rng: np.random.Generator,
-    timestamps: tuple[int, ...] | None = None,
+    timestamps: tuple[int, ...],
 ) -> list[int]:
     """k distinct entities o' for which the corrupted statement is absent
-    from the training split at the query key: absent at every sampled
-    timestamp for temporal queries, absent in the atemporal index
-    otherwise. Uniform rejection sampling; after 100*k rejected draws the
+    from the training split at the query key: absent at every one of
+    timestamps (the query plan's), or in the atemporal index when there
+    are none. Uniform rejection sampling; after 100*k rejected draws the
     remaining slots are filled uniformly from all non-positive entities.
     """
-    if timestamps is None:
-        timestamps = discretize(stmt.scope) if stmt.scope.is_temporal else ()
     positives = _known_positives(stmt, kb, timestamps)
     n = kb.n_entities
     if n < k + len(positives):
@@ -323,11 +320,12 @@ class Adam:
     sorted array order so training is bitwise deterministic.
 
     A gradient is a dense array or a (rows, g) pair from autodiff.row_sums:
-    sorted unique rows and their gradients, or rows None and a dense g. An
-    array without one has a zero gradient.
+    sorted unique rows and their gradients, or rows None and a dense g. A
+    dense gradient touches every row. An array without one has a zero
+    gradient.
 
-    Each array is updated in place, in blocks of whole rows of up to
-    ADAM_BLOCK_ELEMENTS that all reuse one step's two work buffers. Per
+    Each (n, d) array is updated in place, in blocks of whole rows of up
+    to ADAM_BLOCK_ELEMENTS that all reuse one step's two work buffers. Per
     element the operations are those of m = b1*m + (1-b1)*g;
     v = b2*v + (1-b2)*(g*g); p -= lr * (m/bc1) / (sqrt(v/bc2) + eps), in
     that order, so the bits do not depend on the block size.
@@ -354,37 +352,24 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        tables = {name: _as_table(arr.shape) for name, arr in arrays.items()}
-        work = np.empty((2, max((_block_rows(n, w) * w for n, w in tables.values()), default=1)))
+        size = max((_block_rows(*arr.shape) * arr.shape[1] for arr in arrays.values()), default=1)
+        work = np.empty((2, size))
         for name in sorted(arrays):
             arr = arrays[name]
             if name not in self.m:
                 self.m[name] = np.zeros(arr.shape)
                 self.v[name] = np.zeros(arr.shape)
-            table = tables[name]
-            grad = grads.get(name)
-            if grad is None:
-                rows, g = np.empty(0, dtype=np.intp), np.empty((0, table[1]))
-            elif isinstance(grad, tuple):
-                rows, g = grad
-            else:
-                rows, g = None, grad
-            g = g.reshape(table if rows is None else (len(rows), table[1]))
-            flat = arr.reshape(-1)  # a view, except of a non-C-contiguous array
-            m, v = self.m[name].reshape(table), self.v[name].reshape(table)
-            self._update(flat.reshape(table), m, v, rows, g, bc1, bc2, work)
-            if not arr.flags.c_contiguous:
-                arr[...] = flat.reshape(arr.shape)
+            grad = grads.get(name, (np.empty(0, dtype=np.intp), np.empty((0, arr.shape[1]))))
+            rows, g = grad if isinstance(grad, tuple) else (None, grad)
+            if rows is None:
+                rows = np.arange(len(arr))
+            self._update(arr, self.m[name], self.v[name], rows, g, bc1, bc2, work)
 
     def _update(self, p, m, v, rows, g, bc1: float, bc2: float, work: np.ndarray) -> None:
         n, width = p.shape
         block = _block_rows(n, width)
         starts = range(0, n, block)
-        if rows is not None:
-            cuts = np.searchsorted(rows, [*starts, n]).tolist()
-            # the touched rows' terms, computed once for all blocks
-            g_m, g_v = np.empty_like(g), np.empty_like(g)
-            self._moment_terms(g, g_m, g_v)
+        cuts = np.searchsorted(rows, [*starts, n]).tolist()
         for i, lo in enumerate(starts):
             hi = min(lo + block, n)
             pb, mb, vb = p[lo:hi], m[lo:hi], v[lo:hi]
@@ -392,14 +377,17 @@ class Adam:
             b = work[1, : (hi - lo) * width].reshape(hi - lo, width)
             mb *= ADAM_BETA1
             vb *= ADAM_BETA2
-            if rows is None:
-                self._moment_terms(g[lo:hi], a, b)
-                mb += a
-                vb += b
-            elif cuts[i] < cuts[i + 1]:
-                touched = rows[cuts[i] : cuts[i + 1]] - lo
-                mb[touched] += g_m[cuts[i] : cuts[i + 1]]
-                vb[touched] += g_v[cuts[i] : cuts[i + 1]]
+            c0, c1 = cuts[i], cuts[i + 1]
+            if c0 < c1:
+                # the block's touched rows' terms, in the work buffers
+                g_m, g_v = a[: c1 - c0], b[: c1 - c0]
+                np.multiply(1.0 - ADAM_BETA1, g[c0:c1], out=g_m)
+                np.multiply(g[c0:c1], g[c0:c1], out=g_v)
+                g_v *= 1.0 - ADAM_BETA2
+                # a block whose every row is touched adds through a view
+                touched = slice(None) if c1 - c0 == hi - lo else rows[c0:c1] - lo
+                mb[touched] += g_m
+                vb[touched] += g_v
             np.divide(mb, bc1, out=a)
             np.multiply(self.lr, a, out=a)
             np.divide(vb, bc2, out=b)
@@ -407,17 +395,6 @@ class Adam:
             b += ADAM_EPS
             a /= b
             pb -= a
-
-    def _moment_terms(self, g, a, b) -> None:
-        """a = (1-b1)*g and b = (1-b2)*(g*g)."""
-        np.multiply(1.0 - ADAM_BETA1, g, out=a)
-        np.multiply(g, g, out=b)
-        np.multiply(1.0 - ADAM_BETA2, b, out=b)
-
-
-def _as_table(shape: tuple) -> tuple[int, int]:
-    """An array's shape as (rows, elements per row)."""
-    return (shape[0], math.prod(shape[1:])) if shape else (1, 1)
 
 
 def _block_rows(n: int, width: int) -> int:

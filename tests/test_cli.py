@@ -330,11 +330,11 @@ class TestSnapshots:
             assert code == 0
         assert read_snapshot(out / "link_config.resolved") == {
             "checkpoint": str(run_dir / "checkpoint.t2b"), "command": "eval-link",
-            "data": str(data), "filter": "train,valid", "missing": "##", "seed": "0",
+            "data": str(data), "filter": "train,valid", "missing": "##",
         }
         assert read_snapshot(out / "time_config.resolved") == {
             "checkpoint": str(run_dir / "checkpoint.t2b"), "command": "eval-time",
-            "data": str(data), "k": "10", "missing": "##", "seed": "0", "tau": "0.5",
+            "data": str(data), "k": "10", "missing": "##", "tau": "0.5",
         }
 
     def test_export_embeddings_snapshot(self, dataset_dir, run_dir, tmp_path, capsys):
@@ -346,7 +346,7 @@ class TestSnapshots:
         assert code == 0
         assert read_snapshot(tmp_path / "emb.tsv.resolved") == {
             "checkpoint": str(run_dir / "checkpoint.t2b"), "command": "export-embeddings",
-            "data": str(dataset_dir), "missing": "-", "seed": "0", "table": "relation",
+            "data": str(dataset_dir), "missing": "-", "table": "relation",
         }
 
     def test_metrics_snapshot_beside_its_output(self, tmp_path, capsys):
@@ -537,12 +537,14 @@ class TestEval:
         assert out == ""
 
     def test_seeded_eval_identical_reports(self, dataset_dir, run_dir, tmp_path, capsys):
+        """eval-time draws nothing at random: the seeded training run's
+        checkpoint fixes its report."""
         outs = []
         for name in ("r1", "r2"):
             out = tmp_path / name
             assert run(
                 capsys, "eval-time", "--checkpoint", run_dir / "checkpoint.t2b",
-                "--data", dataset_dir, "--out", out, "--seed", "3",
+                "--data", dataset_dir, "--out", out,
             )[0] == 0
             outs.append((out / "time_report.txt").read_bytes())
         assert outs[0] == outs[1]
@@ -827,6 +829,19 @@ def _unknown_train_key(data_dir, run_dir, tmp_path):
     return ["train", "--config", config, "--out", out], out, "unknown key(s) 'learning_rate'"
 
 
+def _unparsable_train_value(data_dir, run_dir, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"data={data_dir}\nd=abc\n")
+    out = tmp_path / "out"
+    return ["train", "--config", config, "--out", out], out, f"{config}: d=abc: "
+
+
+def _train_m_below_zero(data_dir, run_dir, tmp_path):
+    out = tmp_path / "out"
+    argv = ["train", "--data", data_dir, "--out", out, "--m", "-1", "--steps", "2", "--quiet"]
+    return argv, out, "m must satisfy 0 <= m <= k"
+
+
 def _sampler_bound(k):
     def build(data_dir, run_dir, tmp_path):
         out = tmp_path / "out"
@@ -876,6 +891,13 @@ def _predict_reversed_interval(data_dir, run_dir, tmp_path):
     return argv, tmp_path / "out", "--interval start 1995 is after its end 1990"
 
 
+def _predict_time_and_interval(data_dir, run_dir, tmp_path):
+    """-t and --interval are rejected before the checkpoint, which does not exist."""
+    argv = ["predict", "--checkpoint", tmp_path / "absent.t2b", "--data", data_dir,
+            "-s", "e00", "-r", "rel0", "-t", "1992", "--interval", "1990:1995"]
+    return argv, tmp_path / "out", "-t/--time cannot be combined with --interval"
+
+
 def _empty_test(command):
     def build(data_dir, run_dir, tmp_path):
         data = tmp_path / "data"
@@ -896,6 +918,8 @@ FAULTS = [
     ("year-non-ascii-digits", _bad_year("train", "valid", "\u0661\u0669\u0669\u0662"), 1),
     ("gen-synthetic-3-entities", _few_entities, 1),
     ("train-unknown-config-key", _unknown_train_key, 2),
+    ("train-unparsable-config-value", _unparsable_train_value, 1),
+    ("train-m-below-zero", _train_m_below_zero, 1),
     ("train-sampler-bound", _sampler_bound(30), 2),
     ("train-k-equals-entities", _sampler_bound(25), 2),
     ("train-one-entity", _tiny_kb(["a\tr\ta\t1990\t1995"], "only 1 entities"), 2),
@@ -913,6 +937,7 @@ FAULTS = [
     ("metrics-underscore", _metrics_bad_column("19_92"), 1),
     ("metrics-plus-sign", _metrics_bad_column("+1992"), 1),
     ("predict-reversed-interval-before-checkpoint", _predict_reversed_interval, 2),
+    ("predict-time-and-interval-before-checkpoint", _predict_time_and_interval, 2),
     *(
         (f"{command}-{fault}-checkpoint", _bad_checkpoint(command, fault), 1)
         for command in ("eval-link", "eval-time", "predict")

@@ -542,7 +542,9 @@ def test_scope_readers_follow_scope_span(kind):
     # answers at the discretized timestamps (of every answer without time)
     positives = {1, *(2 + t for t in times)} if times else set(range(1, 12))
     expected = sorted(set(range(12)) - positives)
-    negatives = sample_entity_negatives(stmt, len(expected), kb, np.random.default_rng(0))
+    negatives = sample_entity_negatives(
+        stmt, len(expected), kb, np.random.default_rng(0), tuple(times)
+    )
     assert sorted(negatives) == expected
 
 

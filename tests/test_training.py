@@ -69,6 +69,8 @@ class TestTrainConfig:
             ("gamma", 0.0), ("gamma", -5.0), ("gamma", float("inf")),
             ("alpha", -0.1), ("alpha", 2.0), ("alpha", float("nan")),
             ("beta", -0.5), ("beta", float("nan")), ("beta", float("inf")), ("seed", -1),
+            # m is range-checked whether or not the variant draws time negatives
+            ("m", -1), ("m", 17),
         ],
     )
     def test_rejects_bad_values(self, field, value):
@@ -78,6 +80,8 @@ class TestTrainConfig:
     def test_edge_values_accepted(self):
         TrainConfig(d=1, k=1, batch=1, steps=1, eval_every=1, alpha=0.0, beta=0.0, seed=0)
         TrainConfig(alpha=1.0, lr=1e160, gamma=1e-300)
+        TrainConfig(m=0)
+        TrainConfig(k=4, m=4)
 
 
 class TestPlans:
@@ -476,7 +480,7 @@ class TestAdam:
         }
         assert ADAM_BLOCK_ELEMENTS % 64 == 0
         start = {name: rng.normal(size=shape) for name, shape in shapes.items()}
-        # a column-major array is updated through a copy and written back
+        # a column-major array is updated in place through its row blocks
         start["column_major"] = np.asfortranarray(rng.normal(size=(6, 3)))
         ours = {name: arr.copy(order="K") for name, arr in start.items()}
         ref = {name: arr.copy(order="K") for name, arr in start.items()}
@@ -504,7 +508,8 @@ class TestAdam:
         zeros elsewhere does: rows untouched for several steps after a
         gradient, exact zeros of both signs on touched rows, -0.0
         parameters, an array without a gradient, rows on both sides of
-        block edges, and a column-major array."""
+        block edges, one step that touches a whole block between two
+        partly touched ones, and a column-major array."""
         rng = np.random.default_rng(8)
         block_rows = ADAM_BLOCK_ELEMENTS // 64
         start = {
@@ -528,6 +533,12 @@ class TestAdam:
                 rows = np.sort(rng.choice(pool, size=max(1, len(pool) // 4), replace=False))
                 if name == "table":
                     rows = np.union1d(rows, [e for e in edges if e in pool])
+                if name == "table" and t == 4:
+                    # the middle block whole, the blocks on either side partly
+                    rows = np.union1d(rows, np.arange(block_rows, 2 * block_rows))
+                    rows = rows[rows != n - 1]
+                    assert 0 < np.sum(rows < block_rows) < block_rows
+                    assert 0 < np.sum(rows >= 2 * block_rows) < n - 2 * block_rows
                 scale = 10.0 ** rng.integers(-6, 2)
                 g = rng.normal(scale=scale, size=(len(rows), start[name].shape[1]))
                 g[rng.random(g.shape) < 0.1] = 0.0
