@@ -32,6 +32,12 @@ the SHA-256 of the float64 parameters after 30 steps on a synthetic with
 2,000 entities (d=8, k=4, batch 32, seed 3, no validation), for te,tns
 and for dm,tr,si with beta 0.01: a step touches about a tenth of the
 entity rows, so most rows take Adam's untouched-row path every step.
+A line samples= holds, for te,tns, te,si,tns and dm,tr,si (k=16, one
+default_rng(0) each), the SHA-256 over every c07 training statement's
+make_training_sample output in split order: the plan's timestamps, the
+entity negatives, the time negatives and float.hex of the 1/n_q weight.
+A sampler change then shows on a line of its own, not only through the
+trained parameters.
 A line cli= holds the SHA-256 over the sorted relative paths and bytes
 of every file that a fixed command-line sequence writes in one temporary
 working directory, followed by each command's standard output in
@@ -59,6 +65,8 @@ import tempfile
 # must be set before numpy is imported; the values of perfbench/run.py's THREAD_ENV
 os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 
+import numpy as np
+
 from time2box import cli
 from time2box.data import (
     SPLITS,
@@ -70,7 +78,7 @@ from time2box.data import (
 )
 from time2box.evaluation import eval_link_prediction, eval_time_prediction
 from time2box.model import PARAM_ORDER, Variant
-from time2box.training import TrainConfig, save_checkpoint, train
+from time2box.training import TrainConfig, make_training_sample, save_checkpoint, train
 
 SYNTH = SynthConfig(seed=5, n_entities=20, n_relations=3, axis_length=12, n_rules=25)
 C07_SYNTH = SynthConfig(
@@ -79,6 +87,9 @@ C07_SYNTH = SynthConfig(
 VARIANTS = ("te", "te,tns", "dm,tr,si,tns", "te,si,tns", "te,tr", "dm,tr,si")
 #: (variant, beta) of the benchmark's c07 workloads
 C07_VARIANTS = (("te,tns", 0.0), ("dm,tr,si", 0.01))
+#: variants of the samples= line: time negatives with one and with two
+#: timestamps per plan, and entity negatives only
+SAMPLE_VARIANTS = ("te,tns", "te,si,tns", "dm,tr,si")
 ROWS_SYNTH = SynthConfig(seed=11, n_entities=2000, n_relations=4, axis_length=30, n_rules=600)
 
 
@@ -182,6 +193,22 @@ def rows_line() -> str:
     return "rows=" + " ".join(fields)
 
 
+def samples_line() -> str:
+    kb = add_inverse_relations(generate_synthetic(C07_SYNTH)[0])
+    fields = []
+    for spec in SAMPLE_VARIANTS:
+        cfg = TrainConfig(k=16, variant=Variant.parse(spec))
+        rng = np.random.default_rng(0)
+        samples = (make_training_sample(stmt, kb, cfg, rng) for stmt in kb.splits["train"])
+        text = "".join(
+            f"{x.plan.time_projections} {x.negatives_entities} {x.negatives_times} "
+            f"{float.hex(x.weight)}\n"
+            for x in samples
+        )
+        fields.append(f"{spec}:{sha256(text.encode())}")
+    return "samples=" + " ".join(fields)
+
+
 #: the command lines cli_line runs, in order, in one working directory
 CLI_SEQUENCE = (
     "gen-synthetic --out data --seed 5 --entities 20 --relations 3 --axis-length 12 --rules 25",
@@ -241,6 +268,7 @@ def main():
     for line in c07_lines():
         print(line, flush=True)
     print(rows_line(), flush=True)
+    print(samples_line(), flush=True)
     with tempfile.TemporaryDirectory() as work_dir:
         print(cli_line(work_dir))
 

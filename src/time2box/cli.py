@@ -300,18 +300,20 @@ def cmd_predict(args) -> int:
 
     def scores_of(times) -> np.ndarray:
         scores = score_entities(query_box(params, variant, s, r, times), params)
-        bad = np.flatnonzero(~np.isfinite(scores))
+        # the first non-finite score in C order; its last index is the entity
+        bad = np.argwhere(~np.isfinite(scores))
         if len(bad):
-            label = kb.entities.labels[int(bad[0])]
-            raise NonFiniteScoreError(f"non-finite score {scores[bad[0]]} for entity {label}")
+            value, label = scores[tuple(bad[0])], kb.entities.labels[int(bad[0, -1])]
+            raise NonFiniteScoreError(f"non-finite score {value} for entity {label}")
         return scores
 
     if args.interval is not None:
         lo, hi = (kb.axis.index_of(year, clamp=True) for year in args.interval)
-        # every year is scored before the first row is printed
-        timeline = [(t, scores_of((t,))) for t in range(lo, hi + 1)]
+        # one (T, 1) box per year, as link chunks build them, so the DeepSets
+        # gate stays one GEMV per year; every year is scored before printing
+        timeline = scores_of(np.arange(lo, hi + 1)[:, None, None])[:, 0]
         print("year\ttop entity\tscore")
-        for t, scores in timeline:
+        for t, scores in enumerate(timeline, start=lo):
             best = int(np.argmax(scores))
             print(f"{kb.axis.year_of(t)}\t{kb.entities.labels[best]}\t{scores[best]:.4f}")
         return 0

@@ -183,10 +183,10 @@ class FilterIndex:
                     out.add(o)
         return out
 
-    def false_times(self, s: int, r: int, o: int, n_times: int, split: str) -> np.ndarray:
-        """Boolean axis mask: True at t where (s, r, o, t) is not in `split`."""
+    def false_times(self, s: int, r: int, o: int, n_times: int) -> np.ndarray:
+        """Boolean axis mask: True at t where (s, r, o, t) is not in training."""
         mask = np.ones(n_times, dtype=bool)
-        for o2, lo, hi in self.rows[split].get((s, r), ()):
+        for o2, lo, hi in self.rows["train"].get((s, r), ()):
             if o2 == o and lo is not None:
                 mask[lo : hi + 1] = False
         return mask

@@ -109,30 +109,12 @@ def plan_for_statement(stmt: Statement, variant: Variant, rng: np.random.Generat
     return QueryPlan(stmt.s, stmt.r, times, variant.projector_kind, variant.use_tr)
 
 
-def _known_positives(stmt: Statement, kb: TemporalKB, timestamps) -> set[int]:
-    if timestamps:
-        positives: set[int] = set()
-        for t in timestamps:
-            positives |= kb.filter.timed_objects(stmt.s, stmt.r, t, splits=("train",))
-        return positives
-    return kb.filter.atemporal_objects(stmt.s, stmt.r, splits=("train",))
-
-
 def sample_entity_negatives(
-    stmt: Statement,
-    k: int,
-    kb: TemporalKB,
-    rng: np.random.Generator,
-    timestamps: tuple[int, ...],
+    positives: set[int], k: int, n: int, rng: np.random.Generator
 ) -> list[int]:
-    """k distinct entities o' for which the corrupted statement is absent
-    from the training split at the query key: absent at every one of
-    timestamps (the query plan's), or in the atemporal index when there
-    are none. Uniform rejection sampling; after 100*k rejected draws the
-    remaining slots are filled uniformly from all non-positive entities.
-    """
-    positives = _known_positives(stmt, kb, timestamps)
-    n = kb.n_entities
+    """k distinct entities in range(n) outside positives, by uniform
+    rejection sampling; after 100*k rejected draws the remaining slots are
+    filled uniformly from all non-positive entities."""
     if n < k + len(positives):
         raise ValueError(
             f"cannot draw {k} negatives: only {n} entities and {len(positives)} known positives"
@@ -172,7 +154,7 @@ def sample_time_negatives(
     if m < 1:
         raise ValueError("m must be at least 1")
     scope = stmt.scope
-    allowed = kb.filter.false_times(stmt.s, stmt.r, stmt.o, kb.axis.length, "train")
+    allowed = kb.filter.false_times(stmt.s, stmt.r, stmt.o, kb.axis.length)
     if scope.kind is ScopeKind.RIGHT_OPEN:
         allowed[scope.start :] = False
     elif scope.kind is ScopeKind.LEFT_OPEN:
@@ -185,19 +167,6 @@ def sample_time_negatives(
     take = min(m, len(candidates))
     picks = rng.choice(len(candidates), size=take, replace=False)
     return candidates[np.sort(picks)].tolist()
-
-
-def query_weight(stmt: Statement, plan: QueryPlan, kb: TemporalKB) -> float:
-    """1 / n_q where n_q counts training answers to the concrete query."""
-    if not plan.time_projections:
-        n_q = len(kb.filter.atemporal_objects(stmt.s, stmt.r, splits=("train",)))
-    else:
-        answer_sets = [
-            kb.filter.timed_objects(stmt.s, stmt.r, t, splits=("train",))
-            for t in plan.time_projections
-        ]
-        n_q = len(set.intersection(*answer_sets))
-    return 1.0 / max(n_q, 1)
 
 
 def check_negative_sampling(kb: TemporalKB, config: TrainConfig) -> None:
@@ -215,14 +184,24 @@ def check_negative_sampling(kb: TemporalKB, config: TrainConfig) -> None:
 def make_training_sample(
     stmt: Statement, kb: TemporalKB, config: TrainConfig, rng: np.random.Generator
 ) -> TrainingSample:
+    """Plan, negatives and 1/n_q weight of one statement. The key's training
+    answers are read once per plan timestamp (once without time): entity
+    negatives avoid their union, and n_q is their intersection's size."""
     plan = plan_for_statement(stmt, config.variant, rng)
     neg_times: list[int] = []
     m = config.time_negatives
     if m > 0 and stmt.scope.is_temporal:
         neg_times = sample_time_negatives(stmt, m, kb, rng)
+    times = plan.time_projections
+    if times:
+        answers = [kb.filter.timed_objects(stmt.s, stmt.r, t, splits=("train",)) for t in times]
+        positives, n_q = set.union(*answers), len(set.intersection(*answers))
+    else:
+        positives = kb.filter.atemporal_objects(stmt.s, stmt.r, splits=("train",))
+        n_q = len(positives)
     k_entities = config.k - len(neg_times)
-    neg_entities = sample_entity_negatives(stmt, k_entities, kb, rng, plan.time_projections)
-    return TrainingSample(stmt, plan, neg_entities, neg_times, query_weight(stmt, plan, kb))
+    neg_entities = sample_entity_negatives(positives, k_entities, kb.n_entities, rng)
+    return TrainingSample(stmt, plan, neg_entities, neg_times, 1.0 / max(n_q, 1))
 
 
 def smoothness(params: ParameterStore, tape: Tape | None = None):
@@ -416,6 +395,8 @@ class LogEntry:
         return "\t".join(cols)
 
 
+# divergence is reported by TrainingDiverged, not by numpy's overflow warnings
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     kb: TemporalKB, config: TrainConfig, progress=None
 ) -> tuple[ParameterStore, list[LogEntry]]:

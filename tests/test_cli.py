@@ -1,5 +1,6 @@
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,23 @@ class TestTrain:
         assert (run_dir / "config.resolved").exists()
         log_lines = (run_dir / "train.log").read_text().splitlines()
         assert all(len(l.split("\t")) == 3 for l in log_lines)
+
+    def test_diverging_run_prints_one_error_line(self, dataset_dir, tmp_path, capsys):
+        """The overflow on the way to a non-finite loss raises no numpy
+        warning: the run fails with one error line and writes no checkpoint,
+        and config.resolved and train.log stay as its record."""
+        out = tmp_path / "diverged"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(
+                capsys, "train", "--data", dataset_dir, "--out", out, "--d", "8", "--k", "4",
+                "--lr", "1e160", "--steps", "5", "--quiet",
+            )
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (out / "checkpoint.t2b").exists()
+        assert (out / "config.resolved").exists() and (out / "train.log").exists()
 
     def test_seeded_training_byte_identical(self, dataset_dir, tmp_path, capsys):
         args = ["train", "--data", dataset_dir, "--d", "8", "--k", "4", "--steps", "30",
@@ -534,6 +552,31 @@ class TestEval:
         )
         assert code == 1
         assert "non-finite score" in err
+        assert out == ""
+
+    def test_nan_in_a_later_interval_year_names_its_entity(
+        self, dataset_dir, run_dir, capsys, monkeypatch
+    ):
+        """The timeline is scored as one (years, entities) array; a NaN year
+        after the first still names its first entity (in vocabulary order),
+        not the entity at a flat index."""
+        from time2box import cli
+
+        kb = cli.load_kb(str(dataset_dir), cli.MISSING)
+        row, first = kb.axis.index_of(1986), kb.entities.labels[0]
+
+        def nan_second_year(path):
+            params, variant = load_checkpoint(path)
+            params.arrays["time_emb"][row] = np.nan
+            return params, variant
+
+        monkeypatch.setattr(cli, "load_checkpoint", nan_second_year)
+        code, out, err = run(
+            capsys, "predict", "-s", "e00", "-r", "rel0", "--interval", "1985:1987",
+            "--checkpoint", run_dir / "checkpoint.t2b", "--data", dataset_dir,
+        )
+        assert code == 1
+        assert err == f"error: non-finite score nan for entity {first}\n"
         assert out == ""
 
     def test_seeded_eval_identical_reports(self, dataset_dir, run_dir, tmp_path, capsys):

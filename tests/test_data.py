@@ -541,9 +541,15 @@ def test_scope_readers_follow_scope_span(kind):
     # drawing every non-positive entity leaves exactly the complement of the
     # answers at the discretized timestamps (of every answer without time)
     positives = {1, *(2 + t for t in times)} if times else set(range(1, 12))
+    known = (
+        set().union(*(kb.filter.timed_objects(0, 0, t, splits=("train",)) for t in times))
+        if times
+        else kb.filter.atemporal_objects(0, 0, splits=("train",))
+    )
+    assert known == positives
     expected = sorted(set(range(12)) - positives)
     negatives = sample_entity_negatives(
-        stmt, len(expected), kb, np.random.default_rng(0), tuple(times)
+        known, len(expected), kb.n_entities, np.random.default_rng(0)
     )
     assert sorted(negatives) == expected
 

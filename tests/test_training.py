@@ -3,8 +3,17 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from time2box.data import ScopeKind, Statement, SynthConfig, TimeScope, generate_synthetic
+from time2box.data import (
+    ScopeKind,
+    Statement,
+    SynthConfig,
+    TimeScope,
+    add_inverse_relations,
+    generate_synthetic,
+)
 from time2box.model import PROJECTOR_DM, ParameterStore, QueryPlan
 from time2box.training import (
     ADAM_BLOCK_ELEMENTS,
@@ -20,7 +29,6 @@ from time2box.training import (
     load_checkpoint,
     make_training_sample,
     plan_for_statement,
-    query_weight,
     sample_entity_negatives,
     sample_time_negatives,
     save_checkpoint,
@@ -127,12 +135,23 @@ def three_entity_kb():
     )
 
 
+def _known_positives(stmt, kb, timestamps):
+    """The former per-sample union of the key's training answers: at any of
+    timestamps, or without time when there are none."""
+    if timestamps:
+        positives = set()
+        for t in timestamps:
+            positives |= kb.filter.timed_objects(stmt.s, stmt.r, t, splits=("train",))
+        return positives
+    return kb.filter.atemporal_objects(stmt.s, stmt.r, splits=("train",))
+
+
 class TestEntityNegatives:
     def test_negatives_avoid_known_positives(self, three_entity_kb):
         kb = three_entity_kb
         stmt = kb.splits["train"][0]
         rng = np.random.default_rng(1)
-        negs = sample_entity_negatives(stmt, 2, kb, rng, timestamps=(5,))
+        negs = sample_entity_negatives(_known_positives(stmt, kb, (5,)), 2, kb.n_entities, rng)
         e1 = kb.entities.id_of("e1")
         assert e1 not in negs
         assert len(negs) == len(set(negs)) == 2
@@ -141,7 +160,9 @@ class TestEntityNegatives:
         kb = three_entity_kb
         stmt = kb.splits["train"][0]
         # at t=5 only e1 is true; the other 3 entities are candidates
-        negs = sample_entity_negatives(stmt, 3, kb, np.random.default_rng(0), timestamps=(5,))
+        negs = sample_entity_negatives(
+            _known_positives(stmt, kb, (5,)), 3, kb.n_entities, np.random.default_rng(0)
+        )
         assert sorted(negs) == sorted(
             kb.entities.id_of(x) for x in ("a", "e2", "e3")
         )
@@ -150,13 +171,16 @@ class TestEntityNegatives:
         kb = three_entity_kb
         stmt = kb.splits["train"][0]
         with pytest.raises(ValueError, match="negatives"):
-            sample_entity_negatives(stmt, 4, kb, np.random.default_rng(0), timestamps=(5,))
+            sample_entity_negatives(
+                _known_positives(stmt, kb, (5,)), 4, kb.n_entities, np.random.default_rng(0)
+            )
 
     def test_deterministic_with_seed(self, three_entity_kb):
         kb = three_entity_kb
         stmt = kb.splits["train"][0]
-        a = sample_entity_negatives(stmt, 2, kb, np.random.default_rng(9), timestamps=(5,))
-        b = sample_entity_negatives(stmt, 2, kb, np.random.default_rng(9), timestamps=(5,))
+        positives = _known_positives(stmt, kb, (5,))
+        a = sample_entity_negatives(positives, 2, kb.n_entities, np.random.default_rng(9))
+        b = sample_entity_negatives(positives, 2, kb.n_entities, np.random.default_rng(9))
         assert a == b
 
     def test_atemporal_key_uses_atemporal_index(self):
@@ -164,7 +188,7 @@ class TestEntityNegatives:
         stmt = kb.splits["train"][0]
         rng = np.random.default_rng(2)
         for _ in range(20):
-            negs = sample_entity_negatives(stmt, 2, kb, rng, timestamps=())
+            negs = sample_entity_negatives(_known_positives(stmt, kb, ()), 2, kb.n_entities, rng)
             # b and c are both atemporal answers of (a, r)
             assert kb.entities.id_of("b") not in negs
             assert kb.entities.id_of("c") not in negs
@@ -207,10 +231,10 @@ class TestEntityNegativeFallback:
     def test_fallback_matches_former_expression(self, crowded_kb, k, seed):
         kb = crowded_kb
         stmt = kb.splits["train"][0]
-        positives = kb.filter.atemporal_objects(stmt.s, stmt.r, splits=("train",))
+        positives = _known_positives(stmt, kb, ())
         assert len(positives) == 396
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sample_entity_negatives(stmt, k, kb, rng, timestamps=())
+        got = sample_entity_negatives(positives, k, kb.n_entities, rng)
         want, fell_back = old_entity_negatives(positives, k, kb.n_entities, ref_rng)
         assert fell_back
         assert got == want
@@ -236,12 +260,11 @@ class TestEntityNegativeDraws:
         for stmt in kb.splits["train"][::3]:
             scope = stmt.scope
             if scope.kind is ScopeKind.NO_TIME:
-                timestamps = ()
-                positives = kb.filter.atemporal_objects(stmt.s, stmt.r, splits=("train",))
+                positives = _known_positives(stmt, kb, ())
             else:
-                timestamps = (scope.end if scope.start is None else scope.start,)
-                positives = kb.filter.timed_objects(stmt.s, stmt.r, timestamps[0], splits=("train",))
-            got = sample_entity_negatives(stmt, k, kb, rng, timestamps=timestamps)
+                t = scope.end if scope.start is None else scope.start
+                positives = _known_positives(stmt, kb, (t,))
+            got = sample_entity_negatives(positives, k, kb.n_entities, rng)
             want, _ = old_entity_negatives(positives, k, kb.n_entities, ref_rng)
             assert got == want
             assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -296,24 +319,142 @@ class TestTimeNegatives:
 
 
 class TestQueryWeight:
+    """make_training_sample's 1/n_q, n_q the training answers true at every
+    timestamp of the sampled plan."""
+
     def test_atemporal_weight(self):
         kb = kb_from_lines(["a\tr\tb\t-\t-", "a\tr\tc\t-\t-", "a\tr\td\t0\t1"])
         stmt = kb.splits["train"][0]
-        plan = QueryPlan(stmt.s, stmt.r)
-        assert query_weight(stmt, plan, kb) == pytest.approx(1 / 3)
+        sample = make_training_sample(stmt, kb, TrainConfig(k=1), np.random.default_rng(0))
+        assert sample.plan.time_projections == ()
+        assert sample.weight == pytest.approx(1 / 3)
 
     def test_timed_weight_counts_answers_at_timestamp(self):
         kb = kb_from_lines(["a\tr\tb\t0\t5", "a\tr\tc\t3\t8"])
         stmt = kb.splits["train"][0]
-        assert query_weight(stmt, QueryPlan(stmt.s, stmt.r, (4,)), kb) == pytest.approx(0.5)
-        assert query_weight(stmt, QueryPlan(stmt.s, stmt.r, (1,)), kb) == pytest.approx(1.0)
+        rng = np.random.default_rng(0)
+        weights = {}
+        for _ in range(60):
+            sample = make_training_sample(stmt, kb, TrainConfig(k=1), rng)
+            weights[sample.plan.time_projections] = sample.weight
+        # b holds on [0, 5], c from 3 on: two answers at 4, one at 1
+        assert weights[(4,)] == pytest.approx(0.5)
+        assert weights[(1,)] == pytest.approx(1.0)
+        assert weights == {(t,): 0.5 if t >= 3 else 1.0 for t in range(6)}
 
     def test_si_weight_uses_intersection(self):
         kb = kb_from_lines(["a\tr\tb\t0\t5", "a\tr\tc\t3\t8"])
         stmt = kb.splits["train"][0]
+        cfg = TrainConfig(k=1, variant=Variant.parse("te,si"))
+        rng = np.random.default_rng(0)
+        weights = {}
+        for _ in range(300):
+            sample = make_training_sample(stmt, kb, cfg, rng)
+            weights[sample.plan.time_projections] = sample.weight
         # answers valid at both 1 and 4: only b
-        assert query_weight(stmt, QueryPlan(stmt.s, stmt.r, (1, 4)), kb) == pytest.approx(1.0)
-        assert query_weight(stmt, QueryPlan(stmt.s, stmt.r, (3, 5)), kb) == pytest.approx(0.5)
+        assert weights[(1, 4)] == pytest.approx(1.0)
+        assert weights[(3, 5)] == pytest.approx(0.5)
+        assert all(w == (0.5 if t1 >= 3 else 1.0) for (t1, _), w in weights.items())
+
+
+def query_weight(stmt, plan, kb):
+    """The former 1 / n_q, which read the key's training answers again."""
+    if not plan.time_projections:
+        n_q = len(kb.filter.atemporal_objects(stmt.s, stmt.r, splits=("train",)))
+    else:
+        answer_sets = [
+            kb.filter.timed_objects(stmt.s, stmt.r, t, splits=("train",))
+            for t in plan.time_projections
+        ]
+        n_q = len(set.intersection(*answer_sets))
+    return 1.0 / max(n_q, 1)
+
+
+def oracle_training_sample(stmt, kb, config, rng):
+    """The former make_training_sample: the answers are read once for the
+    entity negatives (_known_positives) and again for the weight
+    (query_weight)."""
+    plan = plan_for_statement(stmt, config.variant, rng)
+    neg_times = []
+    m = config.time_negatives
+    if m > 0 and stmt.scope.is_temporal:
+        neg_times = sample_time_negatives(stmt, m, kb, rng)
+    positives = _known_positives(stmt, kb, plan.time_projections)
+    k_entities = config.k - len(neg_times)
+    neg_entities, _ = old_entity_negatives(positives, k_entities, kb.n_entities, rng)
+    return TrainingSample(stmt, plan, neg_entities, neg_times, query_weight(stmt, plan, kb))
+
+
+@st.composite
+def small_synthetic_kbs(draw):
+    n_entities = draw(st.integers(4, 16))
+    n_relations = draw(st.integers(2, 3))
+    config = SynthConfig(
+        seed=draw(st.integers(0, 2**16)),
+        n_entities=n_entities,
+        n_relations=n_relations,
+        axis_length=draw(st.integers(2, 10)),
+        n_rules=draw(st.integers(1, n_entities // 2 * n_relations)),
+    )
+    return add_inverse_relations(generate_synthetic(config)[0])
+
+
+class TestOnePassSampler:
+    """make_training_sample reads the key's answers once per plan timestamp
+    and gives the former per-sample code's plans, negatives and weights,
+    with the generator left in the same state."""
+
+    @pytest.mark.parametrize("spec", ["te", "te,tns", "te,si,tns", "dm,tr,si"])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kb=small_synthetic_kbs(),
+        k=st.integers(1, 8),
+        m=st.none() | st.integers(0, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_former_sampler(self, spec, kb, k, m, seed):
+        assume(k + kb.filter.max_train_objects <= kb.n_entities)
+        assume(m is None or m <= k)
+        config = TrainConfig(d=4, k=k, m=m, variant=Variant.parse(spec))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for stmt in kb.splits["train"]:
+            got = make_training_sample(stmt, kb, config, rng)
+            want = oracle_training_sample(stmt, kb, config, ref_rng)
+            assert got.plan == want.plan
+            assert got.negatives_entities == want.negatives_entities
+            assert got.negatives_times == want.negatives_times
+            assert got.weight == want.weight
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_one_lookup_per_plan_timestamp(self, monkeypatch):
+        kb = add_inverse_relations(
+            generate_synthetic(
+                SynthConfig(seed=1, n_entities=12, n_relations=2, axis_length=8, n_rules=6)
+            )[0]
+        )
+        calls = []
+
+        def counted(name):
+            reader = getattr(kb.filter, name)
+
+            def lookup(*args, **kwargs):
+                calls.append(name)
+                return reader(*args, **kwargs)
+
+            return lookup
+
+        for name in ("timed_objects", "atemporal_objects"):
+            monkeypatch.setattr(kb.filter, name, counted(name))
+        rng = np.random.default_rng(0)
+        for spec in ("te", "te,si,tns"):
+            config = TrainConfig(d=4, k=2, variant=Variant.parse(spec))
+            for stmt in kb.splits["train"]:
+                calls.clear()
+                sample = make_training_sample(stmt, kb, config, rng)
+                times = sample.plan.time_projections
+                assert calls == (
+                    ["timed_objects"] * len(times) if times else ["atemporal_objects"]
+                )
 
 
 class TestBatchLoss:
