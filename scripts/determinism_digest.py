@@ -25,9 +25,11 @@ under each key kept. A line c07= holds the SHA-256 of the float64
 parameters after 60 steps on that c07 dataset at the benchmark's learning
 config (d=64, k=16, lr=0.01, batch 64, gamma 24, alpha 0.5, seed 0, no
 validation), for te,tns and for dm,tr,si with the benchmark's beta of
-0.01. A last line, c07time=, holds the SHA-256 of each of those models'
-time report text (k=10, tau=0.95) on the c07 test split's forward
-statements: the d=64 time path the benchmark runs. A line rows= holds
+0.01. A line c07time= holds the SHA-256 of each of those models' time
+report text (k=10, tau=0.95) on the c07 test split's forward statements:
+the d=64 time path the benchmark runs. A line c07link= holds the SHA-256
+of each of those models' link report text on the c07 test split with
+filter train,valid: the d=64 link path the benchmark runs. A line rows= holds
 the SHA-256 of the float64 parameters after 30 steps on a synthetic with
 2,000 entities (d=8, k=4, batch 32, seed 3, no validation), for te,tns
 and for dm,tr,si with beta 0.01: a step touches about a tenth of the
@@ -167,7 +169,7 @@ def c07_lines() -> list[str]:
     kb = add_inverse_relations(generate_synthetic(C07_SYNTH)[0])
     kb = dataclasses.replace(kb, splits={**kb.splits, "valid": []})
     forward = [s for s in kb.splits["test"] if s.r < kb.n_base_relations]
-    fields, time_fields = [], []
+    fields, time_fields, link_fields = [], [], []
     for spec, beta in C07_VARIANTS:
         cfg = TrainConfig(
             d=64, k=16, lr=0.01, batch=64, gamma=24.0, alpha=0.5, seed=0, steps=60,
@@ -177,7 +179,15 @@ def c07_lines() -> list[str]:
         fields.append(f"{spec}:{params_digest(params)}")
         report = eval_time_prediction(forward, params, kb, cfg.variant, k=10, tau=0.95)
         time_fields.append(f"{spec}:{sha256(report.to_text().encode())}")
-    return ["c07=" + " ".join(fields), "c07time=" + " ".join(time_fields)]
+        report = eval_link_prediction(
+            kb.splits["test"], params, kb, cfg.variant, filter_splits=("train", "valid")
+        )
+        link_fields.append(f"{spec}:{sha256(report.to_text().encode())}")
+    return [
+        "c07=" + " ".join(fields),
+        "c07time=" + " ".join(time_fields),
+        "c07link=" + " ".join(link_fields),
+    ]
 
 
 def rows_line() -> str:

@@ -319,12 +319,57 @@ def attention_center(items, w_att) -> Node:
     return Node(value, "attention_center", (*items, w_att), tape, vjp)
 
 
+def _row_stack(own: list[np.ndarray], n: int) -> np.ndarray:
+    """The rows of the arrays in `own`, in order, as a (k, n, d) stack of
+    n-row matrices; the last row is repeated to fill the last matrix."""
+    d = own[0].shape[-1]
+    rows = np.concatenate([v.reshape(-1, d) for v in own])
+    pad = -len(rows) % n
+    if pad:
+        rows = np.concatenate([rows, np.repeat(rows[-1:], pad, axis=0)])
+    return rows.reshape(-1, n, d)
+
+
+def _pooled_rows(own: list[np.ndarray], lead: tuple, w_in: np.ndarray, w_hidden: np.ndarray):
+    """gated_min's pooled DeepSets terms, mean_i(relu(relu(x_i @ w_in.T) @
+    w_hidden.T)) over leading shape `lead`, with each item's terms computed
+    once per row of its own (un-broadcast) value instead of once per
+    broadcast position.
+
+    The n items' rows are stacked n to a matrix, the (n, d) shape of the
+    stacked path's matmuls; the last row is repeated to fill the last
+    matrix, so no matmul has one row (a GEMV, whose bits differ). A stacked
+    matmul of a few rows gives each row the same bits wherever it sits and
+    whatever its neighbours, so every term equals its stacked-path value
+    (tests/test_autodiff.py pins this property of the BLAS). The terms are
+    then summed by broadcasting in _item_sum's order and divided by n.
+    """
+    n, d = len(own), w_in.shape[1]
+    stack = _row_stack(own, n)
+    terms = np.maximum(np.maximum(stack @ w_in.T, 0.0) @ w_hidden.T, 0.0).reshape(-1, d)
+    out, lo = None, 0
+    for v in own:
+        term = terms[lo : lo + v.size // d].reshape(v.shape)
+        lo += v.size // d
+        if out is None:
+            out = np.broadcast_to(term, lead + (d,)) + 0.0
+        else:
+            out += term
+    out /= n  # in place: a second (lead, d) temporary cost more than the sums
+    return out
+
+
 def gated_min(items, w_ds_in, w_ds_hidden, w_ds_out) -> Node:
     """Offset of the intersection (Query2Box): the items' elementwise
     minimum over axis -2, scaled by a DeepSets gate,
     sigmoid(mean_i(relu(relu(x_i @ w_ds_in.T) @ w_ds_hidden.T)) @ w_ds_out.T).
     The mean over the items runs item by item (_item_sum), and the gate is
     one GEMV per query.
+
+    Without a tape, when two or more items are given and some item is
+    broadcast across the leading shape (as the relation offset of a
+    timeline is across its years), the DeepSets terms are computed once
+    per row of each item's own value (_pooled_rows), with the same bits.
 
     Subgradients: relu has derivative 0 at its kink, and the minimum's
     gradient goes to the first minimizing item, leaving +0.0 at the others.
@@ -337,16 +382,20 @@ def gated_min(items, w_ds_in, w_ds_hidden, w_ds_out) -> Node:
     x = _stack_items(items)
     n = x.shape[-2]
     floor = np.min(x, axis=-2)
-    a1 = x @ w_in.T
-    h1 = np.maximum(a1, 0.0)
-    a2 = h1 @ w_hidden.T
-    pooled = _item_sum(np.maximum(a2, 0.0)) / n
+    tape = _tape_of(*items, *mats)
+    own = [item.value for item in items]
+    if tape is None and n > 1 and sum(v.size for v in own) < x.size:
+        pooled = _pooled_rows(own, x.shape[:-2], w_in, w_hidden)
+    else:
+        a1 = x @ w_in.T
+        h1 = np.maximum(a1, 0.0)
+        a2 = h1 @ w_hidden.T
+        pooled = _item_sum(np.maximum(a2, 0.0)) / n
     a3 = pooled @ w_out.T
     # sigmoid: 1/(1 + e) for a3 >= 0 and e/(1 + e) below, with e = exp(-|a3|)
     e = np.exp(-np.abs(a3))
     gate = np.maximum(e, a3 >= 0) / (1.0 + e)
     value = floor * gate
-    tape = _tape_of(*items, *mats)
     if tape is None:
         return Node(value, "gated_min")
 

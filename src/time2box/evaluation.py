@@ -232,7 +232,9 @@ def rank_queries(
     have 0 and 1 time projections), in chunks of link_chunk_size queries:
     one query_box call, one score_entities pass and one masked count each.
     If any entity of a query scores NaN or infinity, NonFiniteScoreError
-    is raised for the first such query instead of ranking around it.
+    is raised for the first such query instead of ranking around it; it
+    names the entity by id and label and the query by labels and year
+    ('-' for no time).
     """
     variant = variant or Variant()
     ranks = np.zeros(len(queries), dtype=np.int64)
@@ -254,8 +256,12 @@ def rank_queries(
     if bad:
         i, scores = min(bad, key=lambda item: item[0])
         e = int(np.flatnonzero(~np.isfinite(scores))[0])
+        s, r, t = queries[i]
+        labels = kb.entities.labels
+        year = "-" if t is None else kb.axis.year_of(t)
         raise NonFiniteScoreError(
-            f"non-finite score {scores[e]} for entity {e} of query {queries[i]}"
+            f"non-finite score {scores[e]} for entity {e} ({labels[e]}) of query "
+            f"({labels[s]}, {kb.relations.labels[r]}, {year})"
         )
     return ranks
 

@@ -455,7 +455,7 @@ def train(
         # step 1 is always logged so the initial loss is on record; the
         # loss column is the mean since the previous log line
         if step == 1 or step % config.eval_every == 0 or step == config.steps:
-            mrr = float("nan")
+            mrr, failure = float("nan"), None
             if has_valid:
                 valid = kb.splits["valid"]
                 try:
@@ -463,16 +463,20 @@ def train(
                         valid, params, kb, config.variant, filter_splits=("train", "valid")
                     )
                 except NonFiniteScoreError as exc:
-                    raise TrainingDiverged(f"validation at step {step}: {exc}") from exc
-                mrr = report.overall.mrr
-                if mrr > best_mrr:
-                    best_mrr, best_params = mrr, params.copy()
+                    failure = exc
+                else:
+                    mrr = report.overall.mrr
+                    if mrr > best_mrr:
+                        best_mrr, best_params = mrr, params.copy()
             lam = float(smoothness(params).value) if config.beta > 0 else None
             entry = LogEntry(step, float(np.mean(window)), mrr, lam)
             window.clear()
             log.append(entry)
             if progress is not None:
                 progress(entry)
+            if failure is not None:
+                # after progress, so the run's record keeps the step's finite loss
+                raise TrainingDiverged(f"validation at step {step}: {failure}") from failure
     return (best_params if best_params is not None else params), log
 
 

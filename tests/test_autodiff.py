@@ -715,3 +715,88 @@ def test_mask_free_sigmoid_and_log_sigmoid_vjp_match_masked_formulas():
     e = np.exp(-np.abs(x))
     d = 1.0 + e
     assert same_bits(got, g * np.where(x >= 0, e / d, 1.0 / d))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("d", [3, 8, 64, 256])
+def test_stacked_matmul_rows_keep_their_bits(n, d):
+    """gated_min's tape-free branch relies on this property of the BLAS: in
+    a stacked (k, n, d) @ W.T, each row's product has the same bits
+    wherever the row sits (matrix and position) and whatever its
+    neighbours are, copies of itself included. A BLAS that breaks it
+    fails here, before it drifts any report."""
+    rng = np.random.default_rng(10 * d + n)
+    w = rng.normal(size=(d, d))
+    k = 3
+    for row in rng.normal(size=(4, d)):
+        stack = np.tile(row, (k, n, 1))  # the padding case: only copies
+        want = (stack @ w.T)[0, 0]
+        assert all((stack @ w.T)[at, pos].tobytes() == want.tobytes()
+                   for at in range(k) for pos in range(n))
+        for at in range(k):
+            for pos in range(n):
+                stack = rng.normal(size=(k, n, d))
+                stack[at, pos] = row
+                assert (stack @ w.T)[at, pos].tobytes() == want.tobytes(), (at, pos)
+
+
+#: gated_min item shapes at width d, and whether the tape-free call takes
+#: the per-row branch
+ITEM_SHAPES = {
+    # a time chunk: U relation offsets (U, 1, d) and the axis's (T, d)
+    "time-chunk": (lambda d: [(5, 1, d), (7, d)], True),
+    "time-chunk-padded": (lambda d: [(4, 1, d), (7, d)], True),
+    # predict --interval: one relation offset and (T, 1, d); 1 + 6 rows
+    # leave a lone row to pad
+    "predict-interval": (lambda d: [(d,), (6, 1, d)], True),
+    # two time projections: 3 items, 3 + 5 + 5 rows leave a lone row
+    "three-items": (lambda d: [(3, 1, d), (5, d), (5, d)], True),
+    # a link chunk broadcasts no item
+    "link-chunk": (lambda d: [(4, 1, d), (4, 1, d)], False),
+    "one-item": (lambda d: [(6, 1, d)], False),
+}
+
+
+class TestGatedMinItemRows:
+    """Without a tape, gated_min computes a broadcast item's DeepSets terms
+    once per row of its own value; the value equals a taped call's on the
+    same items bit for bit."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        stacks = []
+        row_stack = ad._row_stack
+
+        def recording(own, n):
+            stack = row_stack(own, n)
+            stacks.append(stack)
+            return stack
+
+        monkeypatch.setattr(ad, "_row_stack", recording)
+        return stacks
+
+    @pytest.mark.parametrize("d", [8, 64])
+    @pytest.mark.parametrize("case", sorted(ITEM_SHAPES))
+    def test_value_equals_taped_call(self, monkeypatch, case, d):
+        shapes_of, branch = ITEM_SHAPES[case]
+        rng = np.random.default_rng(d)
+        items = [rng.uniform(0.0, 24.0 / d, size=shape) for shape in shapes_of(d)]
+        mats = [rng.uniform(-np.sqrt(3.0 / d), np.sqrt(3.0 / d), size=(d, d)) for _ in range(3)]
+        stacks = self.spy(monkeypatch)
+        tape = ad.Tape()
+        taped = ad.gated_min([ad.param_full(tape, v, f"x{i}") for i, v in enumerate(items)], *mats)
+        assert stacks == []  # a taped call keeps the stacked path
+        free = ad.gated_min(items, *mats)
+        assert free.value.tobytes() == taped.value.tobytes()
+        assert free.value.shape == taped.value.shape
+        if not branch:
+            assert stacks == []
+            return
+        (stack,) = stacks
+        n = len(items)
+        # n rows per matmul, never one: every item row once, the last repeated
+        rows = np.concatenate([v.reshape(-1, d) for v in items])
+        assert stack.shape == (-(-len(rows) // n), n, d)
+        flat = stack.reshape(-1, d)
+        assert np.array_equal(flat[: len(rows)], rows)
+        assert (flat[len(rows) :] == rows[-1]).all()

@@ -1,3 +1,4 @@
+import re
 import shutil
 import struct
 import warnings
@@ -5,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from time2box.cli import main
+from time2box.cli import load_kb, main
+from time2box.data import MISSING, add_inverse_relations
 from time2box.training import load_checkpoint
 
 
@@ -180,6 +182,36 @@ class TestTrain:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (out / "checkpoint.t2b").exists()
         assert (out / "config.resolved").exists() and (out / "train.log").exists()
+
+    DIVERGING = ("--d", "8", "--k", "4", "--lr", "1e160", "--steps", "5", "--quiet")
+
+    def test_diverging_validation_names_labels(self, dataset_dir, tmp_path, capsys):
+        """A run whose validation scores turn NaN names the entity by id and
+        label and the query by the dataset's labels and year."""
+        code, _, err = run(capsys, "train", "--data", dataset_dir, "--out", tmp_path / "d",
+                           *self.DIVERGING)
+        assert code == 1
+        found = re.fullmatch(
+            r"error: validation at step 1: non-finite score \S+ for entity (\d+) \((\S+)\)"
+            r" of query \((\S+), (\S+), (\S+)\)\n",
+            err,
+        )
+        assert found, err
+        e, label, s, r, year = found.groups()
+        kb = add_inverse_relations(load_kb(dataset_dir, MISSING))
+        assert kb.entities.labels[int(e)] == label
+        assert s in kb.entities.labels and r in kb.relations.labels
+        assert year == "-" or kb.axis.origin <= int(year) <= kb.axis.last_year
+
+    def test_diverging_validation_keeps_loss_line(self, dataset_dir, tmp_path, capsys):
+        """Validation at step 1 fails after a finite step-1 loss: train.log
+        still holds that step's line, with a NaN MRR."""
+        out = tmp_path / "d"
+        code, _, err = run(capsys, "train", "--data", dataset_dir, "--out", out, *self.DIVERGING)
+        assert code == 1 and "validation at step 1" in err
+        (line,) = (out / "train.log").read_text().splitlines()
+        step, loss, mrr = line.split("\t")
+        assert step == "1" and np.isfinite(float(loss)) and mrr == "nan"
 
     def test_seeded_training_byte_identical(self, dataset_dir, tmp_path, capsys):
         args = ["train", "--data", dataset_dir, "--d", "8", "--k", "4", "--steps", "30",

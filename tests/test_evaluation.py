@@ -550,11 +550,14 @@ class TestNonFiniteCompetitor:
         closed, no_time = kb.splits["test"][0], kb.splits["test"][1]
         assert closed.scope.kind is ScopeKind.CLOSED and no_time.scope.kind is ScopeKind.NO_TIME
         # queries without a timestamp are ranked first, but the error names
-        # the first query of the first statement
-        first_closed = (closed.s, closed.r, closed.scope.start)
+        # the first query of the first statement, by labels and year ('-'
+        # for no time)
+        entity, relation = kb.entities.labels, kb.relations.labels
+        year = kb.axis.year_of(closed.scope.start)
+        first_closed = f"({entity[closed.s]}, {relation[closed.r]}, {year})"
         with pytest.raises(ev.NonFiniteScoreError, match=re.escape(f"of query {first_closed}")):
             eval_link_prediction([closed, no_time], params, kb)
-        first_no_time = (no_time.s, no_time.r, None)
+        first_no_time = f"({entity[no_time.s]}, {relation[no_time.r]}, -)"
         with pytest.raises(ev.NonFiniteScoreError, match=re.escape(f"of query {first_no_time}")):
             eval_link_prediction([no_time, closed], params, kb)
 
@@ -985,6 +988,40 @@ class TestSharedTimelineBoxes:
             assert np.array_equal(timeline, former_score_timeline(s, r, o, params, kb, v))
         want = former_eval_time_prediction(statements, params, kb, v)
         assert got.to_text() == want.to_text()
+
+    @pytest.mark.parametrize("variant", ["te,tns", "dm,tr,si"])
+    def test_odd_runs_over_odd_axis_equal_taped_builds(self, c07_kb, monkeypatch, variant):
+        """U = 3 runs over T = 39 timestamps: the gate's per-row branch stacks
+        the 3 relation rows and 39 time rows two to a matrix, so one matrix
+        holds the last relation row next to the first time row. Each timeline
+        equals a taped (stacked-path) build of its box bit for bit."""
+        from time2box import autodiff as ad
+        from time2box.model import box_scores, query_box
+
+        kb = c07_kb
+        params, v = self.params(kb, seed=3), Variant.parse(variant)
+        n_times = kb.axis.length - 1
+        assert n_times % 2 == 1
+        pooled = []
+        pooled_rows = ad._pooled_rows
+
+        def recording(own, *args):
+            pooled.append(own)
+            return pooled_rows(own, *args)
+
+        monkeypatch.setattr(ad, "_pooled_rows", recording)
+        s = np.array([0, 0, 2, 3, 3], dtype=np.intp)
+        r = np.array([0, 0, 1, 0, 0], dtype=np.intp)
+        o = np.array([1, 2, 8, 1, 6], dtype=np.intp)
+        timelines = ev._chunk_timelines(s, r, o, params, v, n_times)
+        assert [len(own[0]) + len(own[1]) for own in pooled] == [3 + n_times]
+        for i in range(len(s)):
+            box = query_box(params, v, s[i], r[i], np.arange(n_times)[:, None], tape=ad.Tape())
+            want = box_scores(
+                params.arrays["entity_emb"][o[i]], box.center_value(), box.offset_value(),
+                params.gamma, params.alpha,
+            )
+            assert timelines[i].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("k, tau", [(10, 0.95), (3, 0.5), (50, 1e-3), (1, 1.0)])
     def test_report_equals_per_statement_loop(self, c07_kb, monkeypatch, k, tau):
