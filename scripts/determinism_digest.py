@@ -21,7 +21,11 @@ add_inverse_relations(load_dataset(...)) reads back from its TSVs, written
 by write_dataset with one valid and one test line whose years lie off the
 training axis: the vocabulary labels, the axis, every split's statements
 in order, and every split's filter rows, keys sorted and the row order
-under each key kept. A line c07= holds the SHA-256 of the float64
+under each key kept. Its fields det.gen and c07.gen hold the same digest
+of add_inverse_relations(generate_synthetic(...)[0]), the KB that
+build_kb assembles: build_kb, load_dataset and add_inverse_relations
+share one filter-row writer, so a change to it shows on both kinds of
+construction. A line c07= holds the SHA-256 of the float64
 parameters after 60 steps on that c07 dataset at the benchmark's learning
 config (d=64, k=16, lr=0.01, batch 64, gamma 24, alpha 0.5, seed 0, no
 validation), for te,tns and for dm,tr,si with the benchmark's beta of
@@ -148,9 +152,10 @@ def kb_digest(kb) -> str:
 
 
 def load_line(work_dir: str) -> str:
-    fields = []
+    fields, generated = [], []
     for name, cfg in (("det", SYNTH), ("c07", C07_SYNTH)):
         kb, _ = generate_synthetic(cfg)
+        generated.append(f"{name}.gen:{kb_digest(add_inverse_relations(kb))}")
         out_dir = os.path.join(work_dir, name)
         write_dataset(kb, out_dir)
         s, r, o = kb.entities.labels[0], kb.relations.labels[0], kb.entities.labels[-1]
@@ -162,7 +167,7 @@ def load_line(work_dir: str) -> str:
                 fh.write(f"{s}\t{r}\t{o}\t{years}\n")
         paths = [os.path.join(out_dir, f"{sp}.txt") for sp in SPLITS]
         fields.append(f"{name}:{kb_digest(add_inverse_relations(load_dataset(*paths)))}")
-    return "load=" + " ".join(fields)
+    return "load=" + " ".join(fields + generated)
 
 
 def c07_lines() -> list[str]:

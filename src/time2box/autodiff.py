@@ -390,7 +390,8 @@ def gated_min(items, w_ds_in, w_ds_hidden, w_ds_out) -> Node:
         a1 = x @ w_in.T
         h1 = np.maximum(a1, 0.0)
         a2 = h1 @ w_hidden.T
-        pooled = _item_sum(np.maximum(a2, 0.0)) / n
+        pooled = _item_sum(np.maximum(a2, 0.0))
+        pooled /= n  # in place, as in _pooled_rows: the sum is a fresh array
     a3 = pooled @ w_out.T
     # sigmoid: 1/(1 + e) for a3 >= 0 and e/(1 + e) below, with e = exp(-|a3|)
     e = np.exp(-np.abs(a3))

@@ -8,7 +8,9 @@ time axis is the contiguous range of years observed in the training split.
 
 from __future__ import annotations
 
+import gc
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -34,7 +36,7 @@ class ScopeKind(str, Enum):
     CLOSED = "closed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeScope:
     """Validity scope of a statement; start/end are years or axis indices."""
 
@@ -71,7 +73,7 @@ class TimeScope:
         return self.kind is not ScopeKind.NO_TIME
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Statement:
     s: int
     r: int
@@ -134,31 +136,24 @@ class FilterIndex:
     temporal one covers the axis indices lo..hi of its discretization (the
     known endpoint for half-open scopes, every year for closed ones).
     Atemporal lookups see every row, timed lookups stab the intervals.
-    An index belongs to one axis: add() checks each distinct scope against
-    it and takes its (lo, hi) from scope_span once.
+    An index belongs to one axis; _write_split writes its rows, and
+    `_spans` is _write_split's table of the axis scopes it has seen.
     """
 
     def __init__(self):
         self.rows: dict[str, dict[tuple[int, int], list[tuple[int, int | None, int | None]]]] = {
             sp: {} for sp in SPLITS
         }
-        self._spans: dict[TimeScope, tuple[int | None, int | None]] = {}
-
-    def add(self, split: str, stmt: Statement, axis: TimeAxis) -> None:
-        span = self._spans.get(stmt.scope)
-        if span is None:
-            span = scope_span(stmt.scope, axis) if stmt.scope.is_temporal else (None, None)
-            self._spans[stmt.scope] = span
-        self.rows[split].setdefault((stmt.s, stmt.r), []).append((stmt.o, *span))
+        self._spans: dict[int, tuple[TimeScope, int | None, int | None]] = {}
 
     def copy(self) -> "FilterIndex":
         """An index on the same axis with copies of this one's row lists,
-        which the copy's add() extends without touching this index."""
+        which rows written into the copy extend without touching this index."""
         out = FilterIndex()
         out.rows = {
             sp: {key: rows.copy() for key, rows in keyed.items()} for sp, keyed in self.rows.items()
         }
-        out._spans = dict(self._spans)
+        out._spans = self._spans.copy()
         return out
 
     @cached_property
@@ -250,6 +245,13 @@ def parse_statement(
     if len(cols) != 5:
         raise DatasetError(f"expected 5 tab-separated columns, got {len(cols)}{where}")
     s_lab, r_lab, o_lab, start_s, end_s = cols
+    scope = _parse_scope(start_s, end_s, missing, where)
+    return Statement(entities.add(s_lab), relations.add(r_lab), entities.add(o_lab), scope)
+
+
+def _parse_scope(start_s: str, end_s: str, missing: str, where: str = "") -> TimeScope:
+    """parse_statement's scope of the year columns start_s and end_s;
+    `where` ends each error message."""
 
     def year(text: str) -> int | None:
         if text == missing:
@@ -260,18 +262,16 @@ def parse_statement(
 
     start, end = year(start_s), year(end_s)
     if start is None and end is None:
-        scope = TimeScope.no_time()
-    elif start is not None and end is None:
-        scope = TimeScope.right_open(start)
-    elif start is None:
-        scope = TimeScope.left_open(end)
-    elif start == end:
-        scope = TimeScope.instant(start)
-    elif start < end:
-        scope = TimeScope.closed(start, end)
-    else:
-        raise DatasetError(f"closed interval with start {start} > end {end}{where}")
-    return Statement(entities.add(s_lab), relations.add(r_lab), entities.add(o_lab), scope)
+        return TimeScope.no_time()
+    if start is not None and end is None:
+        return TimeScope.right_open(start)
+    if start is None:
+        return TimeScope.left_open(end)
+    if start == end:
+        return TimeScope.instant(start)
+    if start < end:
+        return TimeScope.closed(start, end)
+    raise DatasetError(f"closed interval with start {start} > end {end}{where}")
 
 
 def format_statement(
@@ -338,38 +338,96 @@ def discretize(scope: TimeScope, axis: TimeAxis | None = None) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+@contextmanager
+def _collector_paused():
+    """Run the body with the cyclic garbage collector off, and leave it as
+    the caller had it on every exit, exceptions included."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _utf8_error(path) -> DatasetError:
+    """The error for a file that does not decode as UTF-8: its first bad
+    byte, after "path:line: ", with lines counted as text mode counts
+    them ("\n", "\r\n" and a lone "\r" each end one)."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = raw[: exc.start].decode("utf-8")
+        line_no = 1 + before.count("\n") + before.count("\r") - before.count("\r\n")
+        return DatasetError(
+            f"{path}:{line_no}: byte 0x{raw[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        )
+    return DatasetError(f"{path}: not UTF-8 when first read")  # it changed since
+
+
+def _numbered_lines(path):
+    """(line number, line) per line of a UTF-8 text file, the line end
+    kept; a byte that is not UTF-8 raises _utf8_error's DatasetError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError:
+        raise _utf8_error(path) from None
+
+
+def _line_scope(line: str, cols: list[str], missing: str) -> TimeScope:
+    """The year scope of a line split at its first three tabs into cols. A
+    line with a wrong column count fails as parse_statement fails on it."""
+    years = cols[3].rstrip("\n").split("\t") if len(cols) == 4 else ()
+    if len(years) != 2:
+        parse_statement(line, Vocab(), Vocab(), missing=missing)  # raises
+    return _parse_scope(*years, missing)
+
+
 def _read_split(
-    path, entities: Vocab, relations: Vocab, missing: str, scopes: dict
+    path, entities: Vocab, relations: Vocab, missing: str, pairs: dict, shared: dict
 ) -> list[tuple[int, int, int, TimeScope]]:
     """(s, r, o, year scope) per non-blank line, vocabulary ids assigned as
     parse_statement assigns them.
 
-    `scopes` maps each (start, end) column text pair, and each TimeScope
-    value, to the one TimeScope object that all equal scopes share. Only
-    a line with an unseen text pair, or with a wrong column count (its
-    columns past the third never form a pair), goes through
-    parse_statement, which classifies its scope or raises; the error is
+    A line is split at its first three tabs. `pairs` maps the text after
+    them (the year columns and the line end) to their TimeScope, and
+    `shared` maps each TimeScope value to the one object that all equal
+    scopes share, so only unseen year text is classified (_line_scope).
+    Text that parsed holds one tab, and the text of a line with a wrong
+    column count does not, so such a line never matches. An error is
     raised again as a DatasetError that starts with "path:line: ".
     """
     rows = []
+    append = rows.append
+    entity_id, relation_id = entities._ids.get, relations._ids.get
     add_entity, add_relation = entities.add, relations.add
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            cols = line.rstrip("\n").split("\t")
-            pair = tuple(cols[3:])
-            scope = scopes.get(pair)
-            if scope is None:
-                try:
-                    stmt = parse_statement(line, entities, relations, missing=missing)
-                except DatasetError as exc:
-                    raise DatasetError(f"{path}:{line_no}: {exc}") from None
-                scope = scopes[pair] = scopes.setdefault(stmt.scope, stmt.scope)
-                rows.append((stmt.s, stmt.r, stmt.o, scope))
-            else:
-                s, r, o = add_entity(cols[0]), add_relation(cols[1]), add_entity(cols[2])
-                rows.append((s, r, o, scope))
+    for line_no, line in _numbered_lines(path):
+        if not line.strip():
+            continue
+        cols = line.split("\t", 3)
+        scope = pairs.get(cols[-1])
+        if scope is None:
+            try:
+                scope = _line_scope(line, cols, missing)
+            except DatasetError as exc:
+                raise DatasetError(f"{path}:{line_no}: {exc}") from None
+            scope = pairs[cols[-1]] = shared.setdefault(scope, scope)
+        s_lab, r_lab, o_lab, _ = cols
+        # a label's id, or a new one in first-seen order: subject, relation, object
+        s = entity_id(s_lab)
+        if s is None:
+            s = add_entity(s_lab)
+        r = relation_id(r_lab)
+        if r is None:
+            r = add_relation(r_lab)
+        o = entity_id(o_lab)
+        if o is None:
+            o = add_entity(o_lab)
+        append((s, r, o, scope))
     return rows
 
 
@@ -380,14 +438,65 @@ def _train_year_span(scopes) -> tuple[int, int]:
     return min(years), max(years)
 
 
-def _axis_scopes(scopes, axis: TimeAxis) -> dict[TimeScope, TimeScope]:
-    """Each year scope's axis scope, converted once; equal axis scopes
-    share one object."""
-    shared: dict[TimeScope, TimeScope] = {}
+def _span_entry(scope: TimeScope, axis: TimeAxis) -> tuple[TimeScope, int | None, int | None]:
+    """An axis scope with the (lo, hi) of its filter rows, checked against
+    the axis (scope_span); (None, None) for no time."""
+    if not scope.is_temporal:
+        return scope, None, None
+    return (scope, *scope_span(scope, axis))
+
+
+def _year_spans(scopes, axis: TimeAxis, filt: "FilterIndex") -> dict[int, tuple]:
+    """_write_split's table for year scopes: id(scope) -> (axis scope, lo,
+    hi). Each distinct value is converted to the axis once, equal axis
+    scopes share one object, and each axis scope's entry also goes into
+    filt's own table. The caller holds the year scopes while the returned
+    table is in use, so no id in it is reused."""
+    by_value: dict[TimeScope, tuple] = {}
+    by_axis: dict[TimeScope, tuple] = {}
     out = {}
     for scope in scopes:
-        converted = scope_to_axis(scope, axis)
-        out[scope] = shared.setdefault(converted, converted)
+        entry = by_value.get(scope)
+        if entry is None:
+            converted = scope_to_axis(scope, axis)
+            entry = by_axis.get(converted)
+            if entry is None:
+                entry = by_axis[converted] = _span_entry(converted, axis)
+                filt._spans[id(converted)] = entry
+            by_value[scope] = entry
+        out[id(scope)] = entry
+    return out
+
+
+def _write_split(rows, spans: dict, keyed: dict, axis: TimeAxis) -> list[Statement]:
+    """One split's statements and filter rows, in one pass: each (s, r, o,
+    scope) row becomes Statement(s, r, o, axis scope) and the filter row
+    (o, lo, hi) under (s, r), in row order. `keyed` is the split's
+    FilterIndex rows.
+
+    `spans` maps id(scope) to (axis scope, lo, hi): _year_spans' table for
+    year scopes, or a FilterIndex's own for axis scopes. It is looked up
+    by object, so a row pays no TimeScope hash. A scope not in it is an
+    axis scope and is entered with its own span (_span_entry); the entry
+    holds the scope, so its id stays its own.
+
+    This is the one writer of filter rows: build_kb, load_dataset and
+    add_inverse_relations all call it.
+    """
+    out = []
+    append = out.append
+    get_entry, get_rows = spans.get, keyed.get
+    for s, r, o, scope in rows:
+        entry = get_entry(id(scope))
+        if entry is None:
+            entry = spans[id(scope)] = _span_entry(scope, axis)
+        axis_scope, lo, hi = entry
+        append(Statement(s, r, o, axis_scope))
+        key_rows = get_rows((s, r))
+        if key_rows is None:
+            keyed[s, r] = [(o, lo, hi)]
+        else:
+            key_rows.append((o, lo, hi))
     return out
 
 
@@ -401,18 +510,15 @@ def build_kb(
 ) -> TemporalKB:
     """Assemble a TemporalKB from parsed statements, indexing all splits."""
     given = {sp: split_statements.get(sp, []) for sp in SPLITS}
-    if scopes_in_years:
-        to_axis = _axis_scopes({stmt.scope for stmts in given.values() for stmt in stmts}, axis)
-        given = {
-            sp: [Statement(st.s, st.r, st.o, to_axis[st.scope]) for st in stmts]
-            for sp, stmts in given.items()
-        }
     filt = FilterIndex()
-    splits: dict[str, list[Statement]] = {}
-    for sp, stmts in given.items():
-        for stmt in stmts:
-            filt.add(sp, stmt, axis)
-        splits[sp] = list(stmts)
+    spans = filt._spans
+    if scopes_in_years:
+        distinct = {id(st.scope): st.scope for stmts in given.values() for st in stmts}
+        spans = _year_spans(distinct.values(), axis, filt)
+    splits = {
+        sp: _write_split(((st.s, st.r, st.o, st.scope) for st in stmts), spans, filt.rows[sp], axis)
+        for sp, stmts in given.items()
+    }
     return TemporalKB(
         entities=entities,
         relations=relations,
@@ -423,21 +529,25 @@ def build_kb(
     )
 
 
+# Loading builds lists, tuples and statements that form no reference
+# cycle, so a collection during it traverses them all and frees nothing.
+@_collector_paused()
 def load_dataset(train_path, valid_path, test_path, missing: str = MISSING) -> TemporalKB:
     """Load a TSV dataset. The axis spans the training split's year range;
     validation/test years outside it are clamped to the nearest endpoint.
 
     Each distinct scope is classified and converted to the axis once, and
-    each statement is created once, with its axis scope."""
+    each split's statements and filter rows are written in one pass."""
     entities, relations = Vocab(), Vocab()
-    scopes: dict = {}
-    raw = {"train": _read_split(train_path, entities, relations, missing, scopes)}
-    train_scopes = set(scopes.values())
+    pairs: dict[str, TimeScope] = {}
+    shared: dict[TimeScope, TimeScope] = {}
+    raw = {"train": _read_split(train_path, entities, relations, missing, pairs, shared)}
+    train_scopes = list(shared)
     # ids are assigned in first-seen order and the training split is read
     # first, so the ids it assigned are exactly its entities and relations
     n_train_e, n_train_r = len(entities), len(relations)
-    raw["valid"] = _read_split(valid_path, entities, relations, missing, scopes)
-    raw["test"] = _read_split(test_path, entities, relations, missing, scopes)
+    raw["valid"] = _read_split(valid_path, entities, relations, missing, pairs, shared)
+    raw["test"] = _read_split(test_path, entities, relations, missing, pairs, shared)
     if not raw["train"]:
         raise DatasetError(f"training split {train_path} is empty")
     lo, hi = _train_year_span(train_scopes)
@@ -451,14 +561,21 @@ def load_dataset(train_path, valid_path, test_path, missing: str = MISSING) -> T
             only_eval_e,
             only_eval_r,
         )
-    to_axis = _axis_scopes(set(scopes.values()), axis)
-    splits = {
-        sp: [Statement(s, r, o, to_axis[scope]) for s, r, o, scope in rows]
-        for sp, rows in raw.items()
-    }
-    return build_kb(splits, entities, relations, axis, scopes_in_years=False)
+    # `shared` holds every year scope of the rows, one object per value
+    filt = FilterIndex()
+    spans = _year_spans(shared, axis, filt)
+    splits = {sp: _write_split(rows, spans, filt.rows[sp], axis) for sp, rows in raw.items()}
+    return TemporalKB(
+        entities=entities,
+        relations=relations,
+        axis=axis,
+        splits=splits,
+        filter=filt,
+        n_base_relations=len(relations),
+    )
 
 
+@_collector_paused()  # as load_dataset: the mirrors form no reference cycle
 def add_inverse_relations(kb: TemporalKB) -> TemporalKB:
     """Return a KB with a reciprocal relation r^-1 and a mirrored statement
     (o, r^-1, s, scope) for every statement; doubles the relation count."""
@@ -471,16 +588,19 @@ def add_inverse_relations(kb: TemporalKB) -> TemporalKB:
         relations.add(f"{label}^-1")
     n_base = kb.n_base_relations
     # forward and inverse keys are disjoint, so copying the base rows and
-    # adding the mirrors gives every key its rows in statement order
+    # writing the mirrors gives every key its rows in statement order
     filt = kb.filter.copy()
     splits = {}
     for sp in SPLITS:
-        out = []
-        for stmt in kb.splits[sp]:
-            mirror = Statement(stmt.o, stmt.r + n_base, stmt.s, stmt.scope)
-            filt.add(sp, mirror, kb.axis)
-            out.append(stmt)
-            out.append(mirror)
+        stmts = kb.splits[sp]
+        mirrors = _write_split(
+            ((st.o, st.r + n_base, st.s, st.scope) for st in stmts),
+            filt._spans,
+            filt.rows[sp],
+            kb.axis,
+        )
+        out = [None] * (2 * len(stmts))
+        out[0::2], out[1::2] = stmts, mirrors
         splits[sp] = out
     return TemporalKB(
         entities=kb.entities,

@@ -833,6 +833,18 @@ def _bad_year(command, split, text):
     return build
 
 
+def _non_utf8_byte(data_dir, run_dir, tmp_path):
+    """stats on a dataset whose test split ends with a line holding the
+    byte 0xff, which is not UTF-8."""
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    path = data / "test.txt"
+    line_no = len(path.read_text().splitlines()) + 1
+    with open(path, "ab") as fh:
+        fh.write(b"e00\trel0\te\xff01\t1985\t1990\n")
+    return ["stats", data], tmp_path / "out", f"{path}:{line_no}: byte 0xff is not UTF-8"
+
+
 def _metrics_bad_column(text):
     def build(data_dir, run_dir, tmp_path):
         src = tmp_path / "in.tsv"
@@ -991,6 +1003,7 @@ FAULTS = [
     ("year-trailing-space", _bad_year("eval-link", "test", "1992 "), 1),
     ("year-plus-sign", _bad_year("eval-time", "test", "+1992"), 1),
     ("year-non-ascii-digits", _bad_year("train", "valid", "\u0661\u0669\u0669\u0662"), 1),
+    ("stats-non-utf8-byte", _non_utf8_byte, 1),
     ("gen-synthetic-3-entities", _few_entities, 1),
     ("train-unknown-config-key", _unknown_train_key, 2),
     ("train-unparsable-config-value", _unparsable_train_value, 1),

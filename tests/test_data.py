@@ -1,3 +1,4 @@
+import gc
 import itertools
 import tracemalloc
 
@@ -313,6 +314,34 @@ class TestSyntheticGenerator:
                 for st in kb.splits[sp]
             }
 
+        # the generator makes one scope object per statement, a reload one
+        # per distinct scope; mirroring either gives the same statements and
+        # the same rows, in order under each key (the two number their
+        # vocabularies differently, so both are read as labels)
+        def labelled(kb):
+            ents, rels = kb.entities.labels, kb.relations.labels
+            stmts = [
+                (sp, ents[st.s], rels[st.r], ents[st.o], st.scope)
+                for sp in data.SPLITS
+                for st in kb.splits[sp]
+            ]
+            rows = {
+                (sp, ents[s], rels[r]): [(ents[o], lo, hi) for o, lo, hi in key_rows]
+                for sp in data.SPLITS
+                for (s, r), key_rows in kb.filter.rows[sp].items()
+            }
+            return stmts, rows
+
+        def n_scope_objects(kb):
+            return len({id(st.scope) for sp in data.SPLITS for st in kb.splits[sp]})
+
+        n_stmts = sum(len(kb.splits[sp]) for sp in data.SPLITS)
+        assert n_scope_objects(kb) == n_stmts
+        assert n_scope_objects(reloaded) < n_stmts // 2
+        mirrored = add_inverse_relations(kb)
+        assert labelled(add_inverse_relations(reloaded)) == labelled(mirrored)
+        assert mirrored.filter.rows == rows_in_statement_order(mirrored)
+
 
 def test_eval_only_vocabulary_is_logged(tmp_path, caplog):
     import logging
@@ -593,6 +622,18 @@ def kb_state(kb):
     )
 
 
+def rows_in_statement_order(kb):
+    """Each split's filter rows built directly from its statements, one
+    (o, lo, hi) per statement in order, independently of the loader's
+    writer."""
+    rows = {sp: {} for sp in data.SPLITS}
+    for sp in data.SPLITS:
+        for st in kb.splits[sp]:
+            span = scope_span(st.scope, kb.axis) if st.scope.is_temporal else (None, None)
+            rows[sp].setdefault((st.s, st.r), []).append((st.o, *span))
+    return rows
+
+
 @pytest.fixture
 def mixed_dataset(tmp_path):
     """All five scope kinds under the sentinel '?', blank lines, equal
@@ -632,6 +673,8 @@ class TestLoaderWork:
         want_base, want_aug = per_line_construction(mixed_dataset, missing="?")
         assert kb_state(base) == kb_state(want_base)
         assert kb_state(aug) == kb_state(want_aug)
+        for kb in (base, aug):
+            assert kb.filter.rows == rows_in_statement_order(kb)
         kinds = {st.scope.kind for sp in data.SPLITS for st in base.splits[sp]}
         assert kinds == set(ScopeKind)
 
@@ -680,6 +723,23 @@ class TestLoaderWork:
             load_dataset(*(tmp_path / f"{sp}.txt" for sp in data.SPLITS))
         assert str(got.value) == f"{tmp_path / f'{split}.txt'}:3: non-integer year {text!r}"
 
+    @pytest.mark.parametrize("split", data.SPLITS)
+    def test_non_utf8_byte_names_its_line(self, tmp_path, split):
+        """A byte that is not UTF-8 fails loading with its file and the
+        number of its line, counted as text mode counts lines ("\r\n" and
+        a lone "\r" each end one)."""
+        good = ["a\tworksFor\tx\t1990\t1995", "b\tr\ty\t1995\t1995"]
+        for sp in data.SPLITS:
+            write_split(tmp_path / f"{sp}.txt", good)
+        path = tmp_path / f"{split}.txt"
+        path.write_bytes(
+            b"a\tworksFor\tx\t1990\t1995\r\nb\tr\ty\t1995\t1995\r\r"
+            b"c\tr\tx\t1990\t1990\nc\tr\tx\xff\t1990\t1990\nd\tr\tx\t1990\t1990\n"
+        )
+        with pytest.raises(DatasetError) as got:
+            load_dataset(*(tmp_path / f"{sp}.txt" for sp in data.SPLITS))
+        assert str(got.value) == f"{path}:5: byte 0xff is not UTF-8 (invalid start byte)"
+
     def test_inverse_leaves_base_rows_untouched(self, mixed_dataset):
         import copy
 
@@ -708,3 +768,48 @@ class TestLoaderWork:
             len({o for o, _, _ in rows}) for rows in aug.filter.rows["train"].values()
         )
         assert aug.filter.max_train_objects == want == 3  # x worksFor^-1: a, b, c
+
+
+@pytest.fixture
+def collector():
+    """The gc module, put back as the test found it."""
+    enabled = gc.isenabled()
+    yield gc
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorState:
+    """Loading pauses the cyclic collector and leaves it as the caller had it."""
+
+    def test_paused_while_writing_and_restored(self, mixed_dataset, collector, monkeypatch):
+        seen = []
+        write = data._write_split
+
+        def spy(*args):
+            seen.append(collector.isenabled())
+            return write(*args)
+
+        monkeypatch.setattr(data, "_write_split", spy)
+        collector.enable()
+        add_inverse_relations(load_dataset(*mixed_dataset, missing="?"))
+        assert collector.isenabled()
+        assert seen == [False] * 6  # three splits, then their three mirrors
+
+    def test_restored_after_an_error_partway_through_a_file(self, tmp_path, collector):
+        good = ["a\tworksFor\tx\t1990\t1995", "b\tr\ty\t1995\t1995"]
+        for sp in data.SPLITS:
+            write_split(tmp_path / f"{sp}.txt", good)
+        write_split(tmp_path / "valid.txt", [*good, "c\tr\tx\t1990\t19x0", *good])
+        collector.enable()
+        with pytest.raises(DatasetError, match="valid.txt:3: non-integer year"):
+            load_dataset(*(tmp_path / f"{sp}.txt" for sp in data.SPLITS))
+        assert collector.isenabled()
+
+    def test_a_disabled_collector_stays_disabled(self, mixed_dataset, tmp_path, collector):
+        collector.disable()
+        add_inverse_relations(load_dataset(*mixed_dataset, missing="?"))
+        assert not collector.isenabled()
+        write_split(tmp_path / "bad.txt", ["a\tr\tx"])
+        with pytest.raises(DatasetError):
+            load_dataset(tmp_path / "bad.txt", *mixed_dataset[1:], missing="?")
+        assert not collector.isenabled()
