@@ -24,8 +24,8 @@ in order, and every split's filter rows, keys sorted and the row order
 under each key kept. Its fields det.gen and c07.gen hold the same digest
 of add_inverse_relations(generate_synthetic(...)[0]), the KB that
 build_kb assembles: build_kb, load_dataset and add_inverse_relations
-share one filter-row writer, so a change to it shows on both kinds of
-construction. A line c07= holds the SHA-256 of the float64
+build every split's filter rows the same way (FilterIndex), so a change
+to that shows on both kinds of construction. A line c07= holds the SHA-256 of the float64
 parameters after 60 steps on that c07 dataset at the benchmark's learning
 config (d=64, k=16, lr=0.01, batch 64, gamma 24, alpha 0.5, seed 0, no
 validation), for te,tns and for dm,tr,si with the benchmark's beta of
@@ -146,8 +146,7 @@ def kb_digest(kb) -> str:
     parts = [*kb.entities.labels, *kb.relations.labels, f"axis {kb.axis.origin} {kb.axis.length}"]
     for sp in SPLITS:
         parts += (f"{sp} {st.s} {st.r} {st.o} {st.scope}" for st in kb.splits[sp])
-        rows = kb.filter.rows[sp]
-        parts += (f"{sp} {key} {rows[key]}" for key in sorted(rows))
+        parts += (f"{sp} {key} {kb.filter.rows(sp, *key)}" for key in kb.filter.keys(sp))
     return sha256("\n".join(parts).encode())
 
 

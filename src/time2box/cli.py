@@ -200,6 +200,10 @@ def cmd_train(args) -> int:
         check_negative_sampling(kb, cfg)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    try:  # a step's batch picks, allocated once so an impossible batch fails before writing
+        np.empty(cfg.batch, dtype=np.int64)
+    except MemoryError:
+        raise ValueError(f"cannot allocate a batch of {cfg.batch} statements") from None
     os.makedirs(args.out, exist_ok=True)
     write_snapshot(
         os.path.join(args.out, "config.resolved"), args, data=data_dir, missing=missing, **vars(cfg)
@@ -472,7 +476,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (DatasetError, CheckpointError, TrainingDiverged, OSError, ValueError) as exc:
+    except (DatasetError, CheckpointError, TrainingDiverged, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,9 +8,9 @@ time axis is the contiguous range of years observed in the training split.
 
 from __future__ import annotations
 
-import gc
 import logging
-from contextlib import contextmanager
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -129,51 +129,138 @@ class Vocab:
         return len(self.labels)
 
 
+class ScopeTable:
+    """The distinct axis scopes of one KB: per id, the one TimeScope object
+    of that value and the (lo, hi) span of its filter rows, the axis indices
+    that scope_span gives (None, None for no time). Ids are given in order
+    of entry and never change, so splits share a table."""
+
+    def __init__(self, axis: TimeAxis):
+        self.axis = axis
+        self.scopes: list[TimeScope] = []
+        self.spans: list[tuple[int, int] | tuple[None, None]] = []
+        self._ids: dict[TimeScope, int] = {}
+
+    def add(self, scope: TimeScope) -> int:
+        """The id of an axis scope; a new value is checked against the axis
+        (scope_span) and entered."""
+        i = self._ids.get(scope)
+        if i is None:
+            span = scope_span(scope, self.axis) if scope.is_temporal else (None, None)
+            i = self._ids[scope] = len(self.scopes)
+            self.scopes.append(scope)
+            self.spans.append(span)
+        return i
+
+
+class Statements(Sequence):
+    """One split's statements as int columns: subject, relation, object and
+    a ScopeTable id. Indexing (numpy integers too), slicing and iterating
+    build Statement objects on access; slices are lists. An indexed or
+    sliced statement is kept, as training indexes the same statements step
+    after step; an iteration's are not."""
+
+    def __init__(self, s, r, o, scope, table: ScopeTable):
+        self.s, self.r, self.o, self.scope, self.table = s, r, o, scope, table
+        self._indexed: list[Statement | None] = [None] * len(s)
+
+    def __len__(self) -> int:
+        return len(self.s)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        stmt = self._indexed[i]
+        if stmt is None:
+            scope = self.table.scopes[self.scope[i]]
+            stmt = Statement(int(self.s[i]), int(self.r[i]), int(self.o[i]), scope)
+            self._indexed[i] = stmt
+        return stmt
+
+    def __iter__(self):
+        scopes = self.table.scopes
+        columns = (self.s.tolist(), self.r.tolist(), self.o.tolist(), self.scope.tolist())
+        for s, r, o, c in zip(*columns):
+            yield Statement(s, r, o, scopes[c])
+
+
+class _KeyRows(dict):
+    """One split's filter rows: a CSR over (s, r) keys, and the (o, lo, hi)
+    rows of each key looked up so far, built on first lookup.
+
+    The key codes s * radix + r are sorted by a stable argsort, so the rows
+    under each key keep statement order. `codes` lists each code once, and
+    `starts[i]:starts[i + 1]` are key i's rows in `o` and `scope`; the two
+    are lists, which a lookup searches faster than arrays."""
+
+    def __init__(self, stmts: Statements):
+        super().__init__()
+        self.table = stmts.table
+        self.radix = int(stmts.r.max()) + 1 if len(stmts) else 1
+        codes = stmts.s.astype(np.int64) * self.radix + stmts.r
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        first = np.flatnonzero(np.diff(codes)) + 1
+        self.codes = codes[np.concatenate(([0], first))].tolist() if len(codes) else []
+        self.starts = [0, *first.tolist(), len(codes)]
+        self.o, self.scope = stmts.o[order], stmts.scope[order]
+
+    def __missing__(self, key: tuple[int, int]) -> list:
+        s, r = key
+        rows = []
+        if 0 <= r < self.radix:
+            code = s * self.radix + r
+            i = bisect_left(self.codes, code)
+            if i < len(self.codes) and self.codes[i] == code:
+                a, b = self.starts[i], self.starts[i + 1]
+                spans = self.table.spans
+                objects, scopes = self.o[a:b].tolist(), self.scope[a:b].tolist()
+                rows = [(o, *spans[c]) for o, c in zip(objects, scopes)]
+        self[key] = rows
+        return rows
+
+
 class FilterIndex:
     """True answers per split as validity rows: (s, r) -> [(o, lo, hi), ...].
 
-    One row per statement. A no-time statement has lo = hi = None; a
-    temporal one covers the axis indices lo..hi of its discretization (the
-    known endpoint for half-open scopes, every year for closed ones).
-    Atemporal lookups see every row, timed lookups stab the intervals.
-    An index belongs to one axis; _write_split writes its rows, and
-    `_spans` is _write_split's table of the axis scopes it has seen.
+    One row per statement, in statement order under each key. A no-time
+    statement has lo = hi = None; a temporal one covers the axis indices
+    lo..hi of its discretization (the known endpoint for half-open scopes,
+    every year for closed ones). Atemporal lookups see every row, timed
+    lookups stab the intervals. Each split's rows are a CSR (_KeyRows).
     """
 
-    def __init__(self):
-        self.rows: dict[str, dict[tuple[int, int], list[tuple[int, int | None, int | None]]]] = {
-            sp: {} for sp in SPLITS
-        }
-        self._spans: dict[int, tuple[TimeScope, int | None, int | None]] = {}
+    def __init__(self, splits: dict[str, Statements]):
+        self._rows = {sp: _KeyRows(stmts) for sp, stmts in splits.items()}
 
-    def copy(self) -> "FilterIndex":
-        """An index on the same axis with copies of this one's row lists,
-        which rows written into the copy extend without touching this index."""
-        out = FilterIndex()
-        out.rows = {
-            sp: {key: rows.copy() for key, rows in keyed.items()} for sp, keyed in self.rows.items()
-        }
-        out._spans = self._spans.copy()
-        return out
+    def keys(self, split: str) -> list[tuple[int, int]]:
+        """The (s, r) keys with rows in a split, sorted."""
+        rows = self._rows[split]
+        return [divmod(code, rows.radix) for code in rows.codes]
+
+    def rows(self, split: str, s: int, r: int) -> list[tuple[int, int | None, int | None]]:
+        """A copy of the (o, lo, hi) rows under (s, r) in a split, in statement order."""
+        return list(self._rows[split][s, r])
 
     @cached_property
     def max_train_objects(self) -> int:
         """Most distinct training objects under one (s, r) key, computed on
-        first use; read it only once the index is complete."""
-        most = 0
-        for rows in self.rows["train"].values():
-            # a key with no more rows than the best count cannot beat it
-            if len(rows) > most:
-                most = max(most, len({o for o, _, _ in rows}))
-        return most
+        first use."""
+        rows = self._rows["train"]
+        key_of_row = np.repeat(np.arange(len(rows.codes), dtype=np.int64), np.diff(rows.starts))
+        n_objects = int(rows.o.max(initial=0)) + 1
+        pairs = np.unique(key_of_row * n_objects + rows.o)
+        return int(np.bincount(pairs // n_objects, minlength=1).max())
 
     def atemporal_objects(self, s: int, r: int, splits=SPLITS) -> set[int]:
-        return {o for sp in splits for o, _, _ in self.rows[sp].get((s, r), ())}
+        key = (s, r)
+        return {o for sp in splits for o, _, _ in self._rows[sp][key]}
 
     def timed_objects(self, s: int, r: int, t: int, splits=SPLITS) -> set[int]:
+        key = (s, r)
         out: set[int] = set()
         for sp in splits:
-            for o, lo, hi in self.rows[sp].get((s, r), ()):
+            for o, lo, hi in self._rows[sp][key]:
                 if lo is not None and lo <= t <= hi:
                     out.add(o)
         return out
@@ -181,7 +268,7 @@ class FilterIndex:
     def false_times(self, s: int, r: int, o: int, n_times: int) -> np.ndarray:
         """Boolean axis mask: True at t where (s, r, o, t) is not in training."""
         mask = np.ones(n_times, dtype=bool)
-        for o2, lo, hi in self.rows["train"].get((s, r), ()):
+        for o2, lo, hi in self._rows["train"][s, r]:
             if o2 == o and lo is not None:
                 mask[lo : hi + 1] = False
         return mask
@@ -189,12 +276,13 @@ class FilterIndex:
 
 @dataclass
 class TemporalKB:
-    """Immutable after construction; safe to share across readers."""
+    """Immutable after construction; safe to share across readers. A split
+    is Statements as built, or any sequence of Statement objects."""
 
     entities: Vocab
     relations: Vocab
     axis: TimeAxis
-    splits: dict[str, list[Statement]]
+    splits: dict[str, Sequence[Statement]]
     filter: FilterIndex
     n_base_relations: int
 
@@ -212,9 +300,15 @@ class TemporalKB:
 
     def type_counts(self, split: str) -> dict[str, int]:
         counts = {"all": 0} | {k.value: 0 for k in ScopeKind}
-        for stmt in self.splits[split]:
-            counts["all"] += 1
-            counts[stmt.scope.kind.value] += 1
+        stmts = self.splits[split]
+        if isinstance(stmts, Statements):  # each distinct scope's count, from the column
+            per_scope = np.bincount(stmts.scope, minlength=len(stmts.table.scopes)).tolist()
+            pairs = zip(stmts.table.scopes, per_scope)
+        else:
+            pairs = ((stmt.scope, 1) for stmt in stmts)
+        for scope, n in pairs:
+            counts["all"] += n
+            counts[scope.kind.value] += n
         return counts
 
 
@@ -338,19 +432,6 @@ def discretize(scope: TimeScope, axis: TimeAxis | None = None) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-@contextmanager
-def _collector_paused():
-    """Run the body with the cyclic garbage collector off, and leave it as
-    the caller had it on every exit, exceptions included."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _utf8_error(path) -> DatasetError:
     """The error for a file that does not decode as UTF-8: its first bad
     byte, after "path:line: ", with lines counted as text mode counts
@@ -388,21 +469,22 @@ def _line_scope(line: str, cols: list[str], missing: str) -> TimeScope:
 
 
 def _read_split(
-    path, entities: Vocab, relations: Vocab, missing: str, pairs: dict, shared: dict
-) -> list[tuple[int, int, int, TimeScope]]:
-    """(s, r, o, year scope) per non-blank line, vocabulary ids assigned as
-    parse_statement assigns them.
+    path, entities: Vocab, relations: Vocab, missing: str, pairs: dict, scopes: dict
+) -> np.ndarray:
+    """(4, n) int32 columns of a split's non-blank lines: subject, relation
+    and object ids, assigned as parse_statement assigns them, and the id of
+    the line's year scope.
 
     A line is split at its first three tabs. `pairs` maps the text after
-    them (the year columns and the line end) to their TimeScope, and
-    `shared` maps each TimeScope value to the one object that all equal
-    scopes share, so only unseen year text is classified (_line_scope).
+    them (the year columns and the line end) to its year-scope id, and
+    `scopes` maps each year TimeScope value to its id, given in order of
+    first sight, so only unseen year text is classified (_line_scope).
     Text that parsed holds one tab, and the text of a line with a wrong
     column count does not, so such a line never matches. An error is
     raised again as a DatasetError that starts with "path:line: ".
     """
-    rows = []
-    append = rows.append
+    ints: list[int] = []
+    extend = ints.extend
     entity_id, relation_id = entities._ids.get, relations._ids.get
     add_entity, add_relation = entities.add, relations.add
     for line_no, line in _numbered_lines(path):
@@ -412,10 +494,10 @@ def _read_split(
         scope = pairs.get(cols[-1])
         if scope is None:
             try:
-                scope = _line_scope(line, cols, missing)
+                value = _line_scope(line, cols, missing)
             except DatasetError as exc:
                 raise DatasetError(f"{path}:{line_no}: {exc}") from None
-            scope = pairs[cols[-1]] = shared.setdefault(scope, scope)
+            scope = pairs[cols[-1]] = scopes.setdefault(value, len(scopes))
         s_lab, r_lab, o_lab, _ = cols
         # a label's id, or a new one in first-seen order: subject, relation, object
         s = entity_id(s_lab)
@@ -427,8 +509,8 @@ def _read_split(
         o = entity_id(o_lab)
         if o is None:
             o = add_entity(o_lab)
-        append((s, r, o, scope))
-    return rows
+        extend((s, r, o, scope))
+    return np.array(ints, dtype=np.int32).reshape(-1, 4).T.copy()
 
 
 def _train_year_span(scopes) -> tuple[int, int]:
@@ -438,66 +520,19 @@ def _train_year_span(scopes) -> tuple[int, int]:
     return min(years), max(years)
 
 
-def _span_entry(scope: TimeScope, axis: TimeAxis) -> tuple[TimeScope, int | None, int | None]:
-    """An axis scope with the (lo, hi) of its filter rows, checked against
-    the axis (scope_span); (None, None) for no time."""
-    if not scope.is_temporal:
-        return scope, None, None
-    return (scope, *scope_span(scope, axis))
-
-
-def _year_spans(scopes, axis: TimeAxis, filt: "FilterIndex") -> dict[int, tuple]:
-    """_write_split's table for year scopes: id(scope) -> (axis scope, lo,
-    hi). Each distinct value is converted to the axis once, equal axis
-    scopes share one object, and each axis scope's entry also goes into
-    filt's own table. The caller holds the year scopes while the returned
-    table is in use, so no id in it is reused."""
-    by_value: dict[TimeScope, tuple] = {}
-    by_axis: dict[TimeScope, tuple] = {}
-    out = {}
-    for scope in scopes:
-        entry = by_value.get(scope)
-        if entry is None:
-            converted = scope_to_axis(scope, axis)
-            entry = by_axis.get(converted)
-            if entry is None:
-                entry = by_axis[converted] = _span_entry(converted, axis)
-                filt._spans[id(converted)] = entry
-            by_value[scope] = entry
-        out[id(scope)] = entry
-    return out
-
-
-def _write_split(rows, spans: dict, keyed: dict, axis: TimeAxis) -> list[Statement]:
-    """One split's statements and filter rows, in one pass: each (s, r, o,
-    scope) row becomes Statement(s, r, o, axis scope) and the filter row
-    (o, lo, hi) under (s, r), in row order. `keyed` is the split's
-    FilterIndex rows.
-
-    `spans` maps id(scope) to (axis scope, lo, hi): _year_spans' table for
-    year scopes, or a FilterIndex's own for axis scopes. It is looked up
-    by object, so a row pays no TimeScope hash. A scope not in it is an
-    axis scope and is entered with its own span (_span_entry); the entry
-    holds the scope, so its id stays its own.
-
-    This is the one writer of filter rows: build_kb, load_dataset and
-    add_inverse_relations all call it.
-    """
-    out = []
-    append = out.append
-    get_entry, get_rows = spans.get, keyed.get
-    for s, r, o, scope in rows:
-        entry = get_entry(id(scope))
-        if entry is None:
-            entry = spans[id(scope)] = _span_entry(scope, axis)
-        axis_scope, lo, hi = entry
-        append(Statement(s, r, o, axis_scope))
-        key_rows = get_rows((s, r))
-        if key_rows is None:
-            keyed[s, r] = [(o, lo, hi)]
-        else:
-            key_rows.append((o, lo, hi))
-    return out
+def _columns(statements, table: ScopeTable, in_years: bool) -> Statements:
+    """Statement objects as columns on table, their scopes converted from
+    years to the table's axis first when in_years; each distinct scope is
+    converted and entered once."""
+    ints: list[int] = []
+    seen: dict[TimeScope, int] = {}
+    for st in statements:
+        scope = seen.get(st.scope)
+        if scope is None:
+            axis_scope = scope_to_axis(st.scope, table.axis) if in_years else st.scope
+            scope = seen[st.scope] = table.add(axis_scope)
+        ints.extend((st.s, st.r, st.o, scope))
+    return Statements(*np.array(ints, dtype=np.int32).reshape(-1, 4).T.copy(), table)
 
 
 def build_kb(
@@ -509,46 +544,29 @@ def build_kb(
     scopes_in_years: bool = True,
 ) -> TemporalKB:
     """Assemble a TemporalKB from parsed statements, indexing all splits."""
-    given = {sp: split_statements.get(sp, []) for sp in SPLITS}
-    filt = FilterIndex()
-    spans = filt._spans
-    if scopes_in_years:
-        distinct = {id(st.scope): st.scope for stmts in given.values() for st in stmts}
-        spans = _year_spans(distinct.values(), axis, filt)
-    splits = {
-        sp: _write_split(((st.s, st.r, st.o, st.scope) for st in stmts), spans, filt.rows[sp], axis)
-        for sp, stmts in given.items()
-    }
-    return TemporalKB(
-        entities=entities,
-        relations=relations,
-        axis=axis,
-        splits=splits,
-        filter=filt,
-        n_base_relations=n_base_relations or len(relations),
-    )
+    table = ScopeTable(axis)
+    splits = {sp: _columns(split_statements.get(sp, []), table, scopes_in_years) for sp in SPLITS}
+    n_base = n_base_relations or len(relations)
+    return TemporalKB(entities, relations, axis, splits, FilterIndex(splits), n_base)
 
 
-# Loading builds lists, tuples and statements that form no reference
-# cycle, so a collection during it traverses them all and frees nothing.
-@_collector_paused()
 def load_dataset(train_path, valid_path, test_path, missing: str = MISSING) -> TemporalKB:
     """Load a TSV dataset. The axis spans the training split's year range;
     validation/test years outside it are clamped to the nearest endpoint.
 
-    Each distinct scope is classified and converted to the axis once, and
-    each split's statements and filter rows are written in one pass."""
+    Each distinct year scope is classified and converted to the axis once,
+    and each split is read into int columns in one pass."""
     entities, relations = Vocab(), Vocab()
-    pairs: dict[str, TimeScope] = {}
-    shared: dict[TimeScope, TimeScope] = {}
-    raw = {"train": _read_split(train_path, entities, relations, missing, pairs, shared)}
-    train_scopes = list(shared)
+    pairs: dict[str, int] = {}
+    scopes: dict[TimeScope, int] = {}
+    raw = {"train": _read_split(train_path, entities, relations, missing, pairs, scopes)}
+    train_scopes = list(scopes)
     # ids are assigned in first-seen order and the training split is read
     # first, so the ids it assigned are exactly its entities and relations
     n_train_e, n_train_r = len(entities), len(relations)
-    raw["valid"] = _read_split(valid_path, entities, relations, missing, pairs, shared)
-    raw["test"] = _read_split(test_path, entities, relations, missing, pairs, shared)
-    if not raw["train"]:
+    raw["valid"] = _read_split(valid_path, entities, relations, missing, pairs, scopes)
+    raw["test"] = _read_split(test_path, entities, relations, missing, pairs, scopes)
+    if not raw["train"].shape[1]:
         raise DatasetError(f"training split {train_path} is empty")
     lo, hi = _train_year_span(train_scopes)
     axis = TimeAxis(origin=lo, length=hi - lo + 1)
@@ -561,55 +579,30 @@ def load_dataset(train_path, valid_path, test_path, missing: str = MISSING) -> T
             only_eval_e,
             only_eval_r,
         )
-    # `shared` holds every year scope of the rows, one object per value
-    filt = FilterIndex()
-    spans = _year_spans(shared, axis, filt)
-    splits = {sp: _write_split(rows, spans, filt.rows[sp], axis) for sp, rows in raw.items()}
-    return TemporalKB(
-        entities=entities,
-        relations=relations,
-        axis=axis,
-        splits=splits,
-        filter=filt,
-        n_base_relations=len(relations),
-    )
+    table = ScopeTable(axis)
+    to_table = np.array([table.add(scope_to_axis(y, axis)) for y in scopes], dtype=np.int32)
+    splits = {sp: Statements(s, r, o, to_table[c], table) for sp, (s, r, o, c) in raw.items()}
+    return TemporalKB(entities, relations, axis, splits, FilterIndex(splits), len(relations))
 
 
-@_collector_paused()  # as load_dataset: the mirrors form no reference cycle
 def add_inverse_relations(kb: TemporalKB) -> TemporalKB:
     """Return a KB with a reciprocal relation r^-1 and a mirrored statement
-    (o, r^-1, s, scope) for every statement; doubles the relation count."""
+    (o, r^-1, s, scope) for every statement, each right after its
+    statement; doubles the relation count."""
     if kb.has_inverses:
         return kb
     relations = Vocab()
-    for label in kb.relations.labels:
+    for label in [*kb.relations.labels, *(f"{label}^-1" for label in kb.relations.labels)]:
         relations.add(label)
-    for label in kb.relations.labels:
-        relations.add(f"{label}^-1")
     n_base = kb.n_base_relations
-    # forward and inverse keys are disjoint, so copying the base rows and
-    # writing the mirrors gives every key its rows in statement order
-    filt = kb.filter.copy()
     splits = {}
     for sp in SPLITS:
         stmts = kb.splits[sp]
-        mirrors = _write_split(
-            ((st.o, st.r + n_base, st.s, st.scope) for st in stmts),
-            filt._spans,
-            filt.rows[sp],
-            kb.axis,
-        )
-        out = [None] * (2 * len(stmts))
-        out[0::2], out[1::2] = stmts, mirrors
-        splits[sp] = out
-    return TemporalKB(
-        entities=kb.entities,
-        relations=relations,
-        axis=kb.axis,
-        splits=splits,
-        filter=filt,
-        n_base_relations=n_base,
-    )
+        out = np.empty((4, 2 * len(stmts)), dtype=np.int32)
+        out[:, 0::2] = stmts.s, stmts.r, stmts.o, stmts.scope
+        out[:, 1::2] = stmts.o, stmts.r + n_base, stmts.s, stmts.scope
+        splits[sp] = Statements(*out, stmts.table)
+    return TemporalKB(kb.entities, relations, kb.axis, splits, FilterIndex(splits), n_base)
 
 
 @dataclass(frozen=True)

@@ -571,7 +571,8 @@ def eval_time_prediction(
     and only their integer bounds are kept, by statement index, so memory
     is set by the chunk. If a timeline holds NaN or infinity,
     NonFiniteScoreError is raised for the first such statement in
-    statement order.
+    statement order; it names the statement by labels and the first
+    non-finite year.
 
     The metrics then run once over all (statement, prediction) pairs in
     statement order: @1 is read at each statement's first prediction and
@@ -610,8 +611,10 @@ def eval_time_prediction(
         i, timeline = bad
         t = int(np.flatnonzero(~np.isfinite(timeline))[0])
         stmt = statements[i]
+        labels = kb.entities.labels
         raise NonFiniteScoreError(
-            f"non-finite score {timeline[t]} at timestamp {t} of statement {(stmt.s, stmt.r, stmt.o)}"
+            f"non-finite score {timeline[t]} at year {kb.axis.year_of(t)} of statement "
+            f"({labels[stmt.s]}, {kb.relations.labels[stmt.r]}, {labels[stmt.o]})"
         )
 
     gold_lo: list[int] = []

@@ -929,6 +929,15 @@ def _train_m_below_zero(data_dir, run_dir, tmp_path):
     return argv, out, "m must satisfy 0 <= m <= k"
 
 
+def _batch_beyond_address_space(data_dir, run_dir, tmp_path):
+    """A batch whose picks alone need 8 PB, beyond any address space, so
+    the allocation fails at once."""
+    out = tmp_path / "out"
+    batch = "1000000000000000"
+    argv = ["train", "--data", data_dir, "--out", out, "--batch", batch, "--steps", "1", "--quiet"]
+    return argv, out, f"cannot allocate a batch of {batch} statements"
+
+
 def _sampler_bound(k):
     def build(data_dir, run_dir, tmp_path):
         out = tmp_path / "out"
@@ -1008,6 +1017,7 @@ FAULTS = [
     ("train-unknown-config-key", _unknown_train_key, 2),
     ("train-unparsable-config-value", _unparsable_train_value, 1),
     ("train-m-below-zero", _train_m_below_zero, 1),
+    ("train-batch-beyond-address-space", _batch_beyond_address_space, 1),
     ("train-sampler-bound", _sampler_bound(30), 2),
     ("train-k-equals-entities", _sampler_bound(25), 2),
     ("train-one-entity", _tiny_kb(["a\tr\ta\t1990\t1995"], "only 1 entities"), 2),

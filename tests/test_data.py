@@ -1,5 +1,8 @@
+import dataclasses
 import gc
 import itertools
+import pathlib
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -252,7 +255,7 @@ class TestSyntheticGenerator:
         kb1, man1 = generate_synthetic(self.CFG)
         kb2, man2 = generate_synthetic(self.CFG)
         assert man1 == man2
-        assert kb1.splits == kb2.splits
+        assert statement_lists(kb1) == statement_lists(kb2)
 
     def test_seeds_differ(self):
         _, man1 = generate_synthetic(self.CFG)
@@ -314,10 +317,10 @@ class TestSyntheticGenerator:
                 for st in kb.splits[sp]
             }
 
-        # the generator makes one scope object per statement, a reload one
-        # per distinct scope; mirroring either gives the same statements and
-        # the same rows, in order under each key (the two number their
-        # vocabularies differently, so both are read as labels)
+        # the generated KB and its reload hold one scope object per distinct
+        # scope; mirroring either gives the same statements and the same
+        # rows, in order under each key (the two number their vocabularies
+        # differently, so both are read as labels)
         def labelled(kb):
             ents, rels = kb.entities.labels, kb.relations.labels
             stmts = [
@@ -327,20 +330,23 @@ class TestSyntheticGenerator:
             ]
             rows = {
                 (sp, ents[s], rels[r]): [(ents[o], lo, hi) for o, lo, hi in key_rows]
-                for sp in data.SPLITS
-                for (s, r), key_rows in kb.filter.rows[sp].items()
+                for sp, keyed in filter_rows(kb).items()
+                for (s, r), key_rows in keyed.items()
             }
             return stmts, rows
 
-        def n_scope_objects(kb):
-            return len({id(st.scope) for sp in data.SPLITS for st in kb.splits[sp]})
+        def scope_objects(kb):
+            """Distinct scope objects and distinct scope values."""
+            scopes = [st.scope for sp in data.SPLITS for st in kb.splits[sp]]
+            return len({id(scope) for scope in scopes}), len(set(scopes))
 
         n_stmts = sum(len(kb.splits[sp]) for sp in data.SPLITS)
-        assert n_scope_objects(kb) == n_stmts
-        assert n_scope_objects(reloaded) < n_stmts // 2
+        n_objects, n_values = scope_objects(kb)
+        assert n_objects == n_values < n_stmts // 2
+        assert scope_objects(reloaded) == (n_values, n_values)
         mirrored = add_inverse_relations(kb)
         assert labelled(add_inverse_relations(reloaded)) == labelled(mirrored)
-        assert mirrored.filter.rows == rows_in_statement_order(mirrored)
+        assert filter_rows(mirrored) == rows_in_statement_order(mirrored)
 
 
 def test_eval_only_vocabulary_is_logged(tmp_path, caplog):
@@ -566,7 +572,7 @@ def test_scope_readers_follow_scope_span(kind):
         assert plan.time_projections == tuple(times[:1])
     closed_gold = kind in (ScopeKind.INSTANT, ScopeKind.CLOSED)
     assert gold_interval(stmt) == (Interval(*span) if closed_gold else None)
-    assert (1, *span) in kb.filter.rows["train"][(0, 0)]
+    assert (1, *span) in kb.filter.rows("train", 0, 0)
     # drawing every non-positive entity leaves exactly the complement of the
     # answers at the discretized timestamps (of every answer without time)
     positives = {1, *(2 + t for t in times)} if times else set(range(1, 12))
@@ -617,9 +623,22 @@ def kb_state(kb):
         kb.relations.labels,
         kb.axis,
         kb.n_base_relations,
-        kb.splits,
-        {sp: kb.filter.rows[sp] for sp in data.SPLITS},
+        statement_lists(kb),
+        filter_rows(kb),
     )
+
+
+def statement_lists(kb):
+    """Each split's statements as a list of Statement objects."""
+    return {sp: list(kb.splits[sp]) for sp in data.SPLITS}
+
+
+def filter_rows(kb):
+    """Each split's filter rows read through the index's keys and rows:
+    split -> {(s, r): [(o, lo, hi), ...]}."""
+    return {
+        sp: {key: kb.filter.rows(sp, *key) for key in kb.filter.keys(sp)} for sp in data.SPLITS
+    }
 
 
 def rows_in_statement_order(kb):
@@ -674,7 +693,7 @@ class TestLoaderWork:
         assert kb_state(base) == kb_state(want_base)
         assert kb_state(aug) == kb_state(want_aug)
         for kb in (base, aug):
-            assert kb.filter.rows == rows_in_statement_order(kb)
+            assert filter_rows(kb) == rows_in_statement_order(kb)
         kinds = {st.scope.kind for sp in data.SPLITS for st in base.splits[sp]}
         assert kinds == set(ScopeKind)
 
@@ -747,11 +766,11 @@ class TestLoaderWork:
         before = copy.deepcopy(kb_state(base))
         aug = add_inverse_relations(base)
         assert kb_state(base) == before
+        base_rows, aug_rows = filter_rows(base), filter_rows(aug)
         for sp in data.SPLITS:
-            for key, rows in base.filter.rows[sp].items():
-                assert aug.filter.rows[sp][key] == rows
-                assert aug.filter.rows[sp][key] is not rows
-        assert len(aug.filter.rows["train"]) > len(base.filter.rows["train"])
+            for key, rows in base_rows[sp].items():
+                assert aug_rows[sp][key] == rows
+        assert len(aug_rows["train"]) > len(base_rows["train"])
 
     def test_equal_scopes_share_one_object(self, mixed_dataset):
         base = load_dataset(*mixed_dataset, missing="?")
@@ -764,52 +783,117 @@ class TestLoaderWork:
 
     def test_max_train_objects(self, mixed_dataset):
         aug = add_inverse_relations(load_dataset(*mixed_dataset, missing="?"))
-        want = max(
-            len({o for o, _, _ in rows}) for rows in aug.filter.rows["train"].values()
-        )
+        want = max(len({o for o, _, _ in rows}) for rows in filter_rows(aug)["train"].values())
         assert aug.filter.max_train_objects == want == 3  # x worksFor^-1: a, b, c
 
 
-@pytest.fixture
-def collector():
-    """The gc module, put back as the test found it."""
-    enabled = gc.isenabled()
-    yield gc
-    (gc.enable if enabled else gc.disable)()
+@st.composite
+def year_lines(draw, first: int, last: int, timed: bool = False):
+    """A TSV line over 4 entity and 2 relation labels, with a scope of any
+    kind (a temporal one when `timed`) whose years lie in first..last."""
+    s, o = draw(st.sampled_from("abcd")), draw(st.sampled_from("abcd"))
+    r = draw(st.sampled_from("pq"))
+    kinds = [kind for kind in ScopeKind if not (timed and kind is ScopeKind.NO_TIME)]
+    kind = draw(st.sampled_from(kinds))
+    year = st.integers(first, last).map(str)
+    if kind is ScopeKind.CLOSED:
+        years = st.lists(st.integers(first, last), min_size=2, max_size=2, unique=True)
+        start, end = map(str, sorted(draw(years)))
+    else:
+        start = draw(year) if kind in (ScopeKind.INSTANT, ScopeKind.RIGHT_OPEN) else data.MISSING
+        end = draw(year) if kind is ScopeKind.LEFT_OPEN else data.MISSING
+        if kind is ScopeKind.INSTANT:
+            end = start
+    return "\t".join((s, r, o, start, end))
 
 
-class TestCollectorState:
-    """Loading pauses the cyclic collector and leaves it as the caller had it."""
+@st.composite
+def year_datasets(draw):
+    """Lines per split: training years in 2000..2007, with a temporal line
+    first so the axis is defined, and valid and test years in 1995..2012,
+    so some lie off the training axis and are clamped onto it."""
+    train = [draw(year_lines(2000, 2007, timed=True))]
+    train += draw(st.lists(year_lines(2000, 2007), max_size=12))
+    evaluation = st.lists(year_lines(1995, 2012), max_size=8)
+    return {"train": train, "valid": draw(evaluation), "test": draw(evaluation)}
 
-    def test_paused_while_writing_and_restored(self, mixed_dataset, collector, monkeypatch):
-        seen = []
-        write = data._write_split
 
-        def spy(*args):
-            seen.append(collector.isenabled())
-            return write(*args)
+def tuple_oracle(lines):
+    """The axis, statements and (o, lo, hi) rows per split that
+    add_inverse_relations(load_dataset(...)) should give, built line by
+    line as tuple lists: parse_statement, scope_to_axis, and each statement
+    followed by its mirror."""
+    ents, rels = Vocab(), Vocab()
+    parsed = {sp: [parse_statement(line, ents, rels) for line in lines[sp]] for sp in data.SPLITS}
+    years = [y for x in parsed["train"] for y in (x.scope.start, x.scope.end) if y is not None]
+    axis = TimeAxis(min(years), max(years) - min(years) + 1)
+    n = len(rels)
+    statements = {sp: [] for sp in data.SPLITS}
+    rows = {sp: {} for sp in data.SPLITS}
+    for sp in data.SPLITS:
+        for x in parsed[sp]:
+            scope = data.scope_to_axis(x.scope, axis)
+            span = scope_span(scope, axis) if scope.is_temporal else (None, None)
+            for s, r, o in ((x.s, x.r, x.o), (x.o, x.r + n, x.s)):
+                statements[sp].append(Statement(s, r, o, scope))
+                rows[sp].setdefault((s, r), []).append((o, *span))
+    return axis, statements, rows
 
-        monkeypatch.setattr(data, "_write_split", spy)
-        collector.enable()
-        add_inverse_relations(load_dataset(*mixed_dataset, missing="?"))
-        assert collector.isenabled()
-        assert seen == [False] * 6  # three splits, then their three mirrors
 
-    def test_restored_after_an_error_partway_through_a_file(self, tmp_path, collector):
-        good = ["a\tworksFor\tx\t1990\t1995", "b\tr\ty\t1995\t1995"]
-        for sp in data.SPLITS:
-            write_split(tmp_path / f"{sp}.txt", good)
-        write_split(tmp_path / "valid.txt", [*good, "c\tr\tx\t1990\t19x0", *good])
-        collector.enable()
-        with pytest.raises(DatasetError, match="valid.txt:3: non-integer year"):
-            load_dataset(*(tmp_path / f"{sp}.txt" for sp in data.SPLITS))
-        assert collector.isenabled()
+@settings(max_examples=40, deadline=None)
+@given(year_datasets())
+def test_columnar_kb_equals_tuple_oracle(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [pathlib.Path(tmp) / f"{sp}.txt" for sp in data.SPLITS]
+        for sp, path in zip(data.SPLITS, paths):
+            write_split(path, lines[sp])
+        kb = add_inverse_relations(load_dataset(*paths))
+    axis, statements, rows = tuple_oracle(lines)
+    assert kb.axis == axis
+    assert statement_lists(kb) == statements
+    assert filter_rows(kb) == rows_in_statement_order(kb) == rows
+    listed = dataclasses.replace(kb, splits=statements)  # counted statement by statement
+    assert all(kb.type_counts(sp) == listed.type_counts(sp) for sp in data.SPLITS)
 
-    def test_a_disabled_collector_stays_disabled(self, mixed_dataset, tmp_path, collector):
-        collector.disable()
-        add_inverse_relations(load_dataset(*mixed_dataset, missing="?"))
-        assert not collector.isenabled()
-        write_split(tmp_path / "bad.txt", ["a\tr\tx"])
-        with pytest.raises(DatasetError):
-            load_dataset(tmp_path / "bad.txt", *mixed_dataset[1:], missing="?")
-        assert not collector.isenabled()
+    def key_rows(sp, s, r):
+        return rows[sp].get((s, r), [])
+
+    f = kb.filter
+    assert f.max_train_objects == max(len({o for o, _, _ in x}) for x in rows["train"].values())
+    for s, r in itertools.product(range(kb.n_entities), range(kb.n_relations)):
+        for splits in SPLIT_SUBSETS:
+            want = {o for sp in splits for o, _, _ in key_rows(sp, s, r)}
+            assert f.atemporal_objects(s, r, splits=splits) == want
+            for t in range(-1, axis.length + 1):
+                want = {
+                    o
+                    for sp in splits
+                    for o, lo, hi in key_rows(sp, s, r)
+                    if lo is not None and lo <= t <= hi
+                }
+                assert f.timed_objects(s, r, t, splits=splits) == want
+        for o in range(kb.n_entities):
+            want = np.ones(axis.length, dtype=bool)
+            for o2, lo, hi in key_rows("train", s, r):
+                if o2 == o and lo is not None:
+                    want[lo : hi + 1] = False
+            assert np.array_equal(f.false_times(s, r, o, axis.length), want)
+
+
+def test_loading_creates_no_per_statement_objects(tmp_path):
+    """A loaded and mirrored KB holds its statements and filter rows in
+    arrays: the objects the collector tracks grow by a small fraction of
+    the statement count (the distinct scopes, vocabularies and the KB's
+    containers), so a collection after loading has little to walk."""
+    kb, _ = generate_synthetic(
+        SynthConfig(seed=11, n_entities=2000, n_relations=4, axis_length=30, n_rules=600)
+    )
+    data.write_dataset(kb, tmp_path)
+    paths = [tmp_path / f"{sp}.txt" for sp in data.SPLITS]
+    gc.collect()
+    before = len(gc.get_objects())
+    aug = add_inverse_relations(load_dataset(*paths))
+    grown = len(gc.get_objects()) - before
+    n_statements = sum(len(aug.splits[sp]) for sp in data.SPLITS)
+    assert n_statements > 5000
+    assert grown < n_statements / 10, f"{grown} tracked objects for {n_statements} statements"

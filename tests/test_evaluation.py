@@ -576,7 +576,7 @@ class TestLinkChunks:
             8, kb.n_entities, kb.n_relations, kb.axis.length, rng=np.random.default_rng(chunk)
         )
         v = Variant.parse(variant)
-        statements = kb.splits["train"] + kb.splits["test"] + kb.splits["valid"]
+        statements = [*kb.splits["train"], *kb.splits["test"], *kb.splits["valid"]]
         report = eval_link_prediction(statements, params, kb, v)
         assert_report_equals_oracle(report, brute_force_link_report(statements, params, kb, v))
 
@@ -857,12 +857,12 @@ class TestTimeChunks:
             monkeypatch.setattr(ev, "TIME_CHUNK_ELEMENTS", chunk * kb.axis.length * 8)
             with pytest.raises(
                 ev.NonFiniteScoreError,
-                match=re.escape("at timestamp 0 of statement (0, 1, 3)"),
+                match=re.escape("at year 1980 of statement (e00, rel1, e03)"),
             ):
                 eval_time_prediction(statements, params, kb)
             with pytest.raises(
                 ev.NonFiniteScoreError,
-                match=re.escape("at timestamp 0 of statement (0, 0, 4)"),
+                match=re.escape("at year 1980 of statement (e00, rel0, e04)"),
             ):
                 eval_time_prediction(statements[:1] + statements[2:], params, kb)
 
@@ -1056,11 +1056,11 @@ class TestSharedTimelineBoxes:
             Statement(0, 0, 6, gold),
         ]
         with pytest.raises(
-            ev.NonFiniteScoreError, match=re.escape("at timestamp 0 of statement (2, 0, 5)")
+            ev.NonFiniteScoreError, match=re.escape("at year 1980 of statement (e02, rel0, e05)")
         ):
             eval_time_prediction(statements, params, kb)
         with pytest.raises(
-            ev.NonFiniteScoreError, match=re.escape("at timestamp 0 of statement (0, 0, 4)")
+            ev.NonFiniteScoreError, match=re.escape("at year 1980 of statement (e00, rel0, e04)")
         ):
             eval_time_prediction(statements[:1] + statements[2:], params, kb)
 
@@ -1092,7 +1092,7 @@ class TestTimeMemory:
             64, kb.n_entities, kb.n_relations, kb.axis.length, rng=np.random.default_rng(0)
         )
         v = Variant.parse("te,tns")
-        full = kb.splits["test"] * 10
+        full = list(kb.splits["test"]) * 10
         size = ev.time_chunk_size(kb.axis.length, params.d)
         assert size == 25
         first = []
