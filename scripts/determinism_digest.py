@@ -21,7 +21,11 @@ add_inverse_relations(load_dataset(...)) reads back from its TSVs, written
 by write_dataset with one valid and one test line whose years lie off the
 training axis: the vocabulary labels, the axis, every split's statements
 in order, and every split's filter rows, keys sorted and the row order
-under each key kept. Its fields det.gen and c07.gen hold the same digest
+under each key kept. Its field edge holds that digest for EDGE_SPLITS, a
+small dataset of year texts that loading must convert alike: leading
+zeros, negative years and -0, half-open scopes at both axis ends, and
+valid and test years off the axis, some of whose scopes merge once
+clamped. Its fields det.gen and c07.gen hold the same digest
 of add_inverse_relations(generate_synthetic(...)[0]), the KB that
 build_kb assembles: build_kb, load_dataset and add_inverse_relations
 build every split's filter rows the same way (FilterIndex), so a change
@@ -97,6 +101,31 @@ C07_VARIANTS = (("te,tns", 0.0), ("dm,tr,si", 0.01))
 #: timestamps per plan, and entity negatives only
 SAMPLE_VARIANTS = ("te,tns", "te,si,tns", "dm,tr,si")
 ROWS_SYNTH = SynthConfig(seed=11, n_entities=2000, n_relations=4, axis_length=30, n_rules=600)
+#: the lines of the load= line's edge dataset per split; its axis is -5..12
+EDGE_SPLITS = {
+    "train": (
+        "a\tr\tb\t-0005\t0003",  # closed, from the axis start
+        "a\tr\tc\t-5\t-",  # right-open at the axis start
+        "b\tr\tc\t-\t0012",  # left-open at the axis end
+        "c\ts\ta\t007\t7",  # an instant written two ways
+        "c\ts\tb\t-\t-",
+        "d\ts\ta\t0\t-0",  # 0 and -0 are one instant
+    ),
+    "valid": (
+        "a\tr\tb\t-20\t-9",  # below the axis: clamped to its first year
+        "a\tr\tc\t-7\t3",
+        "b\ts\td\t13\t-",  # right-open past the axis end
+        "d\tr\ta\t-\t-6",  # left-open before the axis start
+        "a\tr\tb\t-19\t-10",  # merges with -20..-9 once clamped
+    ),
+    "test": (
+        "c\tr\td\t12\t40",
+        "c\tr\td\t-\t012",
+        "d\ts\tc\t-0012\t-0012",
+        "a\tr\tb\t00\t5",
+        "e\tr\ta\t99\t-",  # an entity seen only in the test split
+    ),
+}
 
 
 def sha256(blob: bytes) -> str:
@@ -151,7 +180,14 @@ def kb_digest(kb) -> str:
 
 
 def load_line(work_dir: str) -> str:
-    fields, generated = [], []
+    edge_dir = os.path.join(work_dir, "edge")
+    os.makedirs(edge_dir)
+    paths = [os.path.join(edge_dir, f"{sp}.txt") for sp in SPLITS]
+    for sp, path in zip(SPLITS, paths):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in EDGE_SPLITS[sp]))
+    fields = [f"edge:{kb_digest(add_inverse_relations(load_dataset(*paths)))}"]
+    generated = []
     for name, cfg in (("det", SYNTH), ("c07", C07_SYNTH)):
         kb, _ = generate_synthetic(cfg)
         generated.append(f"{name}.gen:{kb_digest(add_inverse_relations(kb))}")

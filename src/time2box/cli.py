@@ -38,7 +38,7 @@ from .evaluation import (
     giou,
     gold_interval,
 )
-from .model import Variant, query_box, score_entities
+from .model import Variant, param_shapes, query_box, score_entities
 from .training import (
     CheckpointError,
     TrainConfig,
@@ -204,6 +204,16 @@ def cmd_train(args) -> int:
         np.empty(cfg.batch, dtype=np.int64)
     except MemoryError:
         raise ValueError(f"cannot allocate a batch of {cfg.batch} statements") from None
+    shapes = param_shapes(cfg.d, kb.n_entities, kb.n_relations, kb.axis.length)
+    try:  # the parameter tables, held together once; numpy raises ValueError past its size limit
+        tables = [np.empty(shape) for shape in shapes.values()]
+    except (MemoryError, ValueError):
+        raise ValueError(
+            f"cannot allocate the parameter tables for d={cfg.d}, |E|={kb.n_entities}, "
+            f"|R|={kb.n_relations}, |T|={kb.axis.length} "
+            f"(years {kb.axis.origin}..{kb.axis.last_year})"
+        ) from None
+    del tables
     os.makedirs(args.out, exist_ok=True)
     write_snapshot(
         os.path.join(args.out, "config.resolved"), args, data=data_dir, missing=missing, **vars(cfg)

@@ -36,6 +36,12 @@ class ScopeKind(str, Enum):
     CLOSED = "closed"
 
 
+#: the ScopeKind of each kind code of a scope tuple (kind code, start, end),
+#: the form a scope takes while a KB is loaded or assembled
+KINDS = tuple(ScopeKind)
+_NO_TIME, _INSTANT, _RIGHT_OPEN, _LEFT_OPEN, _CLOSED = range(len(KINDS))
+
+
 @dataclass(frozen=True, slots=True)
 class TimeScope:
     """Validity scope of a statement; start/end are years or axis indices."""
@@ -130,27 +136,14 @@ class Vocab:
 
 
 class ScopeTable:
-    """The distinct axis scopes of one KB: per id, the one TimeScope object
-    of that value and the (lo, hi) span of its filter rows, the axis indices
-    that scope_span gives (None, None for no time). Ids are given in order
-    of entry and never change, so splits share a table."""
+    """The distinct axis scopes of one KB, from scope tuples: per id, the one
+    TimeScope object of that value and the (lo, hi) span of its filter rows,
+    the axis indices that scope_span gives (None, None for no time; a span
+    off the axis raises DatasetError). The splits of a KB share its table."""
 
-    def __init__(self, axis: TimeAxis):
-        self.axis = axis
-        self.scopes: list[TimeScope] = []
-        self.spans: list[tuple[int, int] | tuple[None, None]] = []
-        self._ids: dict[TimeScope, int] = {}
-
-    def add(self, scope: TimeScope) -> int:
-        """The id of an axis scope; a new value is checked against the axis
-        (scope_span) and entered."""
-        i = self._ids.get(scope)
-        if i is None:
-            span = scope_span(scope, self.axis) if scope.is_temporal else (None, None)
-            i = self._ids[scope] = len(self.scopes)
-            self.scopes.append(scope)
-            self.spans.append(span)
-        return i
+    def __init__(self, axis: TimeAxis, scopes):
+        self.scopes = [TimeScope(KINDS[k], start, end) for k, start, end in scopes]
+        self.spans = [scope_span(x, axis) if x.is_temporal else (None, None) for x in self.scopes]
 
 
 class Statements(Sequence):
@@ -339,13 +332,14 @@ def parse_statement(
     if len(cols) != 5:
         raise DatasetError(f"expected 5 tab-separated columns, got {len(cols)}{where}")
     s_lab, r_lab, o_lab, start_s, end_s = cols
-    scope = _parse_scope(start_s, end_s, missing, where)
+    kind, start, end = _parse_scope(start_s, end_s, missing, where)
+    scope = TimeScope(KINDS[kind], start, end)
     return Statement(entities.add(s_lab), relations.add(r_lab), entities.add(o_lab), scope)
 
 
-def _parse_scope(start_s: str, end_s: str, missing: str, where: str = "") -> TimeScope:
-    """parse_statement's scope of the year columns start_s and end_s;
-    `where` ends each error message."""
+def _parse_scope(start_s: str, end_s: str, missing: str, where: str = "") -> tuple:
+    """parse_statement's scope of the year columns start_s and end_s, as a
+    scope tuple (kind code, start, end); `where` ends each error message."""
 
     def year(text: str) -> int | None:
         if text == missing:
@@ -355,16 +349,14 @@ def _parse_scope(start_s: str, end_s: str, missing: str, where: str = "") -> Tim
         return int(text)
 
     start, end = year(start_s), year(end_s)
-    if start is None and end is None:
-        return TimeScope.no_time()
-    if start is not None and end is None:
-        return TimeScope.right_open(start)
     if start is None:
-        return TimeScope.left_open(end)
+        return (_NO_TIME, None, None) if end is None else (_LEFT_OPEN, None, end)
+    if end is None:
+        return _RIGHT_OPEN, start, None
     if start == end:
-        return TimeScope.instant(start)
+        return _INSTANT, start, end
     if start < end:
-        return TimeScope.closed(start, end)
+        return _CLOSED, start, end
     raise DatasetError(f"closed interval with start {start} > end {end}{where}")
 
 
@@ -392,15 +384,6 @@ def format_statement(
             col(scope.end),
         )
     )
-
-
-def scope_to_axis(scope: TimeScope, axis: TimeAxis) -> TimeScope:
-    """Convert a year-valued scope to axis indices, clamping out-of-span years."""
-
-    def conv(year: int | None) -> int | None:
-        return None if year is None else axis.index_of(year, clamp=True)
-
-    return TimeScope(scope.kind, conv(scope.start), conv(scope.end))
 
 
 def scope_span(scope: TimeScope, axis: TimeAxis | None = None) -> tuple[int, int]:
@@ -451,16 +434,17 @@ def _utf8_error(path) -> DatasetError:
 
 def _numbered_lines(path):
     """(line number, line) per line of a UTF-8 text file, the line end
-    kept; a byte that is not UTF-8 raises _utf8_error's DatasetError."""
+    kept and a leading byte-order mark dropped; a byte that is not UTF-8
+    raises _utf8_error's DatasetError."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield from enumerate(fh, start=1)
     except UnicodeDecodeError:
         raise _utf8_error(path) from None
 
 
-def _line_scope(line: str, cols: list[str], missing: str) -> TimeScope:
-    """The year scope of a line split at its first three tabs into cols. A
+def _line_scope(line: str, cols: list[str], missing: str) -> tuple:
+    """The scope tuple of a line split at its first three tabs into cols. A
     line with a wrong column count fails as parse_statement fails on it."""
     years = cols[3].rstrip("\n").split("\t") if len(cols) == 4 else ()
     if len(years) != 2:
@@ -477,8 +461,8 @@ def _read_split(
 
     A line is split at its first three tabs. `pairs` maps the text after
     them (the year columns and the line end) to its year-scope id, and
-    `scopes` maps each year TimeScope value to its id, given in order of
-    first sight, so only unseen year text is classified (_line_scope).
+    `scopes` maps each year scope tuple to its id, given in order of first
+    sight, so only unseen year text is classified (_line_scope).
     Text that parsed holds one tab, and the text of a line with a wrong
     column count does not, so such a line never matches. An error is
     raised again as a DatasetError that starts with "path:line: ".
@@ -513,26 +497,42 @@ def _read_split(
     return np.array(ints, dtype=np.int32).reshape(-1, 4).T.copy()
 
 
-def _train_year_span(scopes) -> tuple[int, int]:
-    years = [y for scope in scopes for y in (scope.start, scope.end) if y is not None]
+def _train_axis(scopes) -> TimeAxis:
+    years = [y for _, start, end in scopes for y in (start, end) if y is not None]
     if not years:
         raise DatasetError("training split has no temporal statements; time axis is undefined")
-    return min(years), max(years)
+    return TimeAxis(origin=min(years), length=max(years) - min(years) + 1)
 
 
-def _columns(statements, table: ScopeTable, in_years: bool) -> Statements:
-    """Statement objects as columns on table, their scopes converted from
-    years to the table's axis first when in_years; each distinct scope is
-    converted and entered once."""
+def _assemble(raw, scopes, entities, relations, axis, n_base, in_years: bool) -> TemporalKB:
+    """The KB of the splits' (4, n) columns `raw`, whose scope ids index the
+    distinct scope tuples `scopes`. Tuples in years (in_years) go to axis
+    indices first, a year off the axis clamped to the nearest end, so they
+    may merge; each axis tuple enters the ScopeTable once, in first-seen order."""
+    if in_years:
+        origin, last_year, last = axis.origin, axis.last_year, axis.length - 1
+
+        def index(year: int | None) -> int | None:  # axis.index_of(year, clamp=True)
+            if year is None:
+                return None
+            return 0 if year <= origin else last if year >= last_year else year - origin
+
+        scopes = [(kind, index(start), index(end)) for kind, start, end in scopes]
+    ids: dict[tuple, int] = {}
+    to_table = np.array([ids.setdefault(x, len(ids)) for x in scopes], dtype=np.int32)
+    table = ScopeTable(axis, ids)
+    splits = {sp: Statements(s, r, o, to_table[c], table) for sp, (s, r, o, c) in raw.items()}
+    return TemporalKB(entities, relations, axis, splits, FilterIndex(splits), n_base)
+
+
+def _columns(statements, seen: dict) -> np.ndarray:
+    """(4, n) int32 columns of Statement objects: s, r, o and the id that
+    `seen` gives the statement's scope value, in order of first sight."""
     ints: list[int] = []
-    seen: dict[TimeScope, int] = {}
     for st in statements:
-        scope = seen.get(st.scope)
-        if scope is None:
-            axis_scope = scope_to_axis(st.scope, table.axis) if in_years else st.scope
-            scope = seen[st.scope] = table.add(axis_scope)
+        scope = seen.setdefault(st.scope, len(seen))
         ints.extend((st.s, st.r, st.o, scope))
-    return Statements(*np.array(ints, dtype=np.int32).reshape(-1, 4).T.copy(), table)
+    return np.array(ints, dtype=np.int32).reshape(-1, 4).T.copy()
 
 
 def build_kb(
@@ -543,22 +543,25 @@ def build_kb(
     n_base_relations: int | None = None,
     scopes_in_years: bool = True,
 ) -> TemporalKB:
-    """Assemble a TemporalKB from parsed statements, indexing all splits."""
-    table = ScopeTable(axis)
-    splits = {sp: _columns(split_statements.get(sp, []), table, scopes_in_years) for sp in SPLITS}
+    """Assemble a TemporalKB from parsed statements, indexing all splits;
+    each distinct scope is converted and entered once (_assemble)."""
+    seen: dict[TimeScope, int] = {}
+    raw = {sp: _columns(split_statements.get(sp, []), seen) for sp in SPLITS}
+    scopes = [(KINDS.index(x.kind), x.start, x.end) for x in seen]
     n_base = n_base_relations or len(relations)
-    return TemporalKB(entities, relations, axis, splits, FilterIndex(splits), n_base)
+    return _assemble(raw, scopes, entities, relations, axis, n_base, scopes_in_years)
 
 
 def load_dataset(train_path, valid_path, test_path, missing: str = MISSING) -> TemporalKB:
     """Load a TSV dataset. The axis spans the training split's year range;
     validation/test years outside it are clamped to the nearest endpoint.
 
-    Each distinct year scope is classified and converted to the axis once,
-    and each split is read into int columns in one pass."""
+    Each distinct year text is classified once, into a scope tuple (kind
+    code, start, end), each distinct tuple is converted to the axis once
+    (_assemble), and each split is read into int columns in one pass."""
     entities, relations = Vocab(), Vocab()
     pairs: dict[str, int] = {}
-    scopes: dict[TimeScope, int] = {}
+    scopes: dict[tuple, int] = {}
     raw = {"train": _read_split(train_path, entities, relations, missing, pairs, scopes)}
     train_scopes = list(scopes)
     # ids are assigned in first-seen order and the training split is read
@@ -568,8 +571,7 @@ def load_dataset(train_path, valid_path, test_path, missing: str = MISSING) -> T
     raw["test"] = _read_split(test_path, entities, relations, missing, pairs, scopes)
     if not raw["train"].shape[1]:
         raise DatasetError(f"training split {train_path} is empty")
-    lo, hi = _train_year_span(train_scopes)
-    axis = TimeAxis(origin=lo, length=hi - lo + 1)
+    axis = _train_axis(train_scopes)
 
     only_eval_e = len(entities) - n_train_e
     only_eval_r = len(relations) - n_train_r
@@ -579,10 +581,7 @@ def load_dataset(train_path, valid_path, test_path, missing: str = MISSING) -> T
             only_eval_e,
             only_eval_r,
         )
-    table = ScopeTable(axis)
-    to_table = np.array([table.add(scope_to_axis(y, axis)) for y in scopes], dtype=np.int32)
-    splits = {sp: Statements(s, r, o, to_table[c], table) for sp, (s, r, o, c) in raw.items()}
-    return TemporalKB(entities, relations, axis, splits, FilterIndex(splits), len(relations))
+    return _assemble(raw, scopes, entities, relations, axis, len(relations), in_years=True)
 
 
 def add_inverse_relations(kb: TemporalKB) -> TemporalKB:

@@ -938,6 +938,15 @@ def _batch_beyond_address_space(data_dir, run_dir, tmp_path):
     return argv, out, f"cannot allocate a batch of {batch} statements"
 
 
+def _year_beyond_address_space(data_dir, run_dir, tmp_path):
+    """A training year of 10^18 makes the time tables about 10^18 rows,
+    beyond any address space, so their allocation fails at once."""
+    data, _ = _with_line(data_dir, tmp_path, "train", "e00\trel0\te01\t1985\t1000000000000000000")
+    out = tmp_path / "out"
+    argv = ["train", "--data", data, "--out", out, "--steps", "1", "--quiet"]
+    return argv, out, "cannot allocate the parameter tables for d="
+
+
 def _sampler_bound(k):
     def build(data_dir, run_dir, tmp_path):
         out = tmp_path / "out"
@@ -1018,6 +1027,7 @@ FAULTS = [
     ("train-unparsable-config-value", _unparsable_train_value, 1),
     ("train-m-below-zero", _train_m_below_zero, 1),
     ("train-batch-beyond-address-space", _batch_beyond_address_space, 1),
+    ("train-year-beyond-address-space", _year_beyond_address_space, 1),
     ("train-sampler-bound", _sampler_bound(30), 2),
     ("train-k-equals-entities", _sampler_bound(25), 2),
     ("train-one-entity", _tiny_kb(["a\tr\ta\t1990\t1995"], "only 1 entities"), 2),

@@ -788,22 +788,31 @@ class TestLoaderWork:
 
 
 @st.composite
-def year_lines(draw, first: int, last: int, timed: bool = False):
-    """A TSV line over 4 entity and 2 relation labels, with a scope of any
-    kind (a temporal one when `timed`) whose years lie in first..last."""
+def year_texts(draw, years):
+    """A year drawn from `years`, written plainly or with leading zeros; 0
+    is sometimes written -0."""
+    y = draw(years)
+    sign = "-" if y < 0 or (y == 0 and draw(st.booleans())) else ""
+    return f"{sign}{'0' * draw(st.integers(0, 2))}{abs(y)}"
+
+
+@st.composite
+def scoped_lines(draw, years, timed=False):
+    """A TSV line over 4 entity and 2 relation labels with a scope of any
+    kind (a temporal one when `timed`); an instant's two years may be
+    written differently."""
     s, o = draw(st.sampled_from("abcd")), draw(st.sampled_from("abcd"))
     r = draw(st.sampled_from("pq"))
-    kinds = [kind for kind in ScopeKind if not (timed and kind is ScopeKind.NO_TIME)]
-    kind = draw(st.sampled_from(kinds))
-    year = st.integers(first, last).map(str)
+    kind = draw(st.sampled_from([k for k in ScopeKind if not (timed and k is ScopeKind.NO_TIME)]))
     if kind is ScopeKind.CLOSED:
-        years = st.lists(st.integers(first, last), min_size=2, max_size=2, unique=True)
-        start, end = map(str, sorted(draw(years)))
+        a, b = sorted(draw(st.lists(years, min_size=2, max_size=2, unique=True)))
+        start, end = draw(year_texts(st.just(a))), draw(year_texts(st.just(b)))
+    elif kind is ScopeKind.INSTANT:
+        y = st.just(draw(years))
+        start, end = draw(year_texts(y)), draw(year_texts(y))
     else:
-        start = draw(year) if kind in (ScopeKind.INSTANT, ScopeKind.RIGHT_OPEN) else data.MISSING
-        end = draw(year) if kind is ScopeKind.LEFT_OPEN else data.MISSING
-        if kind is ScopeKind.INSTANT:
-            end = start
+        start = draw(year_texts(years)) if kind is ScopeKind.RIGHT_OPEN else data.MISSING
+        end = draw(year_texts(years)) if kind is ScopeKind.LEFT_OPEN else data.MISSING
     return "\t".join((s, r, o, start, end))
 
 
@@ -812,10 +821,35 @@ def year_datasets(draw):
     """Lines per split: training years in 2000..2007, with a temporal line
     first so the axis is defined, and valid and test years in 1995..2012,
     so some lie off the training axis and are clamped onto it."""
-    train = [draw(year_lines(2000, 2007, timed=True))]
-    train += draw(st.lists(year_lines(2000, 2007), max_size=12))
-    evaluation = st.lists(year_lines(1995, 2012), max_size=8)
+    train = [draw(scoped_lines(st.integers(2000, 2007), timed=True))]
+    train += draw(st.lists(scoped_lines(st.integers(2000, 2007)), max_size=12))
+    evaluation = st.lists(scoped_lines(st.integers(1995, 2012)), max_size=8)
     return {"train": train, "valid": draw(evaluation), "test": draw(evaluation)}
+
+
+def scope_to_axis(scope, axis):
+    """A year scope on the axis, each year clamped onto it: the loader's
+    former per-statement conversion, kept as a reference."""
+
+    def conv(year):
+        return None if year is None else axis.index_of(year, clamp=True)
+
+    return TimeScope(scope.kind, conv(scope.start), conv(scope.end))
+
+
+class OracleScopeTable:
+    """The loader's former ScopeTable, which entered one axis scope at a
+    time: ids in order of entry, each new value checked against the axis."""
+
+    def __init__(self, axis):
+        self.axis, self.scopes, self.spans, self.ids = axis, [], [], {}
+
+    def add(self, scope):
+        if scope not in self.ids:
+            self.ids[scope] = len(self.scopes)
+            self.scopes.append(scope)
+            self.spans.append(scope_span(scope, self.axis) if scope.is_temporal else (None, None))
+        return self.ids[scope]
 
 
 def tuple_oracle(lines):
@@ -832,7 +866,7 @@ def tuple_oracle(lines):
     rows = {sp: {} for sp in data.SPLITS}
     for sp in data.SPLITS:
         for x in parsed[sp]:
-            scope = data.scope_to_axis(x.scope, axis)
+            scope = scope_to_axis(x.scope, axis)
             span = scope_span(scope, axis) if scope.is_temporal else (None, None)
             for s, r, o in ((x.s, x.r, x.o), (x.o, x.r + n, x.s)):
                 statements[sp].append(Statement(s, r, o, scope))
@@ -897,3 +931,125 @@ def test_loading_creates_no_per_statement_objects(tmp_path):
     n_statements = sum(len(aug.splits[sp]) for sp in data.SPLITS)
     assert n_statements > 5000
     assert grown < n_statements / 10, f"{grown} tracked objects for {n_statements} statements"
+
+
+#: a year beyond int64, which the loader keeps as a Python int
+HUGE = 10**25
+
+
+@st.composite
+def scope_datasets(draw):
+    """Lines per split: training years in -3..4 (in some datasets also
+    beyond int64), with a temporal line first so the axis is defined, and
+    valid and test years in -9..10 or beyond int64, so that many lie off
+    the training axis and distinct year scopes merge once clamped."""
+    wide = draw(st.booleans())
+    train_years = st.integers(-3, 4) | st.sampled_from([-HUGE, HUGE] if wide else [0])
+    eval_years = st.integers(-9, 10) | st.sampled_from([-HUGE, -(2**63) - 1, 2**63, HUGE])
+    train = [draw(scoped_lines(train_years, timed=True))]
+    train += draw(st.lists(scoped_lines(train_years), max_size=10))
+    evaluation = st.lists(scoped_lines(eval_years), max_size=10)
+    return {"train": train, "valid": draw(evaluation), "test": draw(evaluation)}
+
+
+def per_line_oracle(lines):
+    """The axis, scope table, per-split scope ids and statements that
+    load_dataset should give, one line at a time: parse_statement, then
+    scope_to_axis and OracleScopeTable.add per statement."""
+    ents, rels = Vocab(), Vocab()
+    parsed = {sp: [parse_statement(line, ents, rels) for line in lines[sp]] for sp in data.SPLITS}
+    years = [y for x in parsed["train"] for y in (x.scope.start, x.scope.end) if y is not None]
+    axis = TimeAxis(min(years), max(years) - min(years) + 1)
+    table = OracleScopeTable(axis)
+    ids = {sp: [table.add(scope_to_axis(x.scope, axis)) for x in parsed[sp]] for sp in data.SPLITS}
+    statements = {
+        sp: [Statement(x.s, x.r, x.o, table.scopes[i]) for x, i in zip(parsed[sp], ids[sp])]
+        for sp in data.SPLITS
+    }
+    return axis, table, ids, statements
+
+
+@settings(max_examples=60, deadline=None)
+@given(scope_datasets())
+def test_scope_conversion_equals_per_line_oracle(lines):
+    """Converting each distinct year text and each distinct scope tuple once
+    gives the KB that converting every line's scope gives: the same
+    statements, the same table (scopes, spans and id order), the same
+    filter rows and the same counts per kind."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [pathlib.Path(tmp) / f"{sp}.txt" for sp in data.SPLITS]
+        for sp, path in zip(data.SPLITS, paths):
+            write_split(path, lines[sp])
+        kb = load_dataset(*paths)
+    axis, table, ids, statements = per_line_oracle(lines)
+    assert kb.axis == axis
+    got = kb.splits["train"].table
+    assert all(kb.splits[sp].table is got for sp in data.SPLITS)
+    assert got.scopes == table.scopes and got.spans == table.spans
+    assert {sp: kb.splits[sp].scope.tolist() for sp in data.SPLITS} == ids
+    assert statement_lists(kb) == statements
+    listed = dataclasses.replace(kb, splits=statements)  # read statement by statement
+    assert filter_rows(kb) == rows_in_statement_order(listed)
+    assert all(kb.type_counts(sp) == listed.type_counts(sp) for sp in data.SPLITS)
+
+
+@pytest.mark.parametrize("split", data.SPLITS)
+@pytest.mark.parametrize("bad_year_first", [True, False], ids=["bad-year", "bad-columns"])
+def test_first_bad_line_is_named(tmp_path, split, bad_year_first):
+    """A bad year text and a wrong column count in one split: loading fails
+    on whichever comes first, with its exact path:line: message."""
+    good = ["a\tworksFor\tx\t1990\t1995", "b\tr\ty\t1995\t1995"]
+    bad = ["c\tr\tx\t1990\t19x5", "c\tr\tx\t1990\t1995\textra"]
+    if not bad_year_first:
+        bad.reverse()
+    lines = {sp: list(good) for sp in data.SPLITS}
+    lines[split] += bad
+    for sp in data.SPLITS:
+        write_split(tmp_path / f"{sp}.txt", lines[sp])
+    with pytest.raises(DatasetError) as want:
+        parse_statement(bad[0], Vocab(), Vocab())
+    with pytest.raises(DatasetError) as got:
+        load_dataset(*(tmp_path / f"{sp}.txt" for sp in data.SPLITS))
+    assert str(got.value) == f"{tmp_path / f'{split}.txt'}:3: {want.value}"
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("split", data.SPLITS)
+    def test_same_kb_with_and_without_bom(self, mixed_dataset, split):
+        """A split that starts with a byte-order mark loads as without one:
+        its first label is the same entity, not a new one."""
+        want = kb_state(load_dataset(*mixed_dataset, missing="?"))
+        path = mixed_dataset[data.SPLITS.index(split)]
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert kb_state(load_dataset(*mixed_dataset, missing="?")) == want
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (b"a\tr\tx\t19x0\t1995\n", "non-integer year '19x0'"),
+            (b"a\tr\tx\xff\t1990\t1995\n", "byte 0xff is not UTF-8 (invalid start byte)"),
+        ],
+        ids=["bad-year", "bad-byte"],
+    )
+    @pytest.mark.parametrize("split", data.SPLITS)
+    def test_error_on_first_line_after_bom(self, tmp_path, split, line, message):
+        for sp in data.SPLITS:
+            write_split(tmp_path / f"{sp}.txt", ["a\tr\tx\t1990\t1995"])
+        path = tmp_path / f"{split}.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + line + b"b\tr\ty\t1990\t1995\n")
+        with pytest.raises(DatasetError) as got:
+            load_dataset(*(tmp_path / f"{sp}.txt" for sp in data.SPLITS))
+        assert str(got.value) == f"{path}:1: {message}"
+
+
+def test_year_beyond_int64_loads(tmp_path):
+    """Years stay Python ints: a 31-digit training year sets the axis and
+    a valid year beyond int64 clamps onto it."""
+    big = 10**30 + 7
+    write_split(tmp_path / "train.txt", ["a\tr\tx\t1990\t1995", f"b\tr\ty\t-\t{big}"])
+    write_split(tmp_path / "valid.txt", [f"a\tr\ty\t{10**40}\t-"])
+    write_split(tmp_path / "test.txt", [])
+    kb = load_dataset(*(tmp_path / f"{sp}.txt" for sp in data.SPLITS))
+    assert kb.axis == TimeAxis(1990, big - 1990 + 1)
+    assert kb.splits["train"][1].scope == TimeScope.left_open(big - 1990)
+    assert kb.filter.rows("valid", 0, 0) == [(3, big - 1990, big - 1990)]  # y
