@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -193,6 +194,16 @@ def _train_config_from(args) -> tuple[TrainConfig, str, str]:
     return TrainConfig(**settings), data_dir, MISSING if missing is None else missing
 
 
+def _probe_allocation(items: int, what: str) -> None:
+    """Allocate `items` 8-byte items as one block and free it, so that memory
+    a run cannot get fails before anything is written. numpy raises
+    ValueError past its size limit, MemoryError past what the system grants."""
+    try:
+        np.empty(items)
+    except (MemoryError, ValueError):
+        raise ValueError(f"cannot allocate {what}") from None
+
+
 def cmd_train(args) -> int:
     cfg, data_dir, missing = _train_config_from(args)
     kb = add_inverse_relations(load_kb(data_dir, missing))
@@ -200,20 +211,14 @@ def cmd_train(args) -> int:
         check_negative_sampling(kb, cfg)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    try:  # a step's batch picks, allocated once so an impossible batch fails before writing
-        np.empty(cfg.batch, dtype=np.int64)
-    except MemoryError:
-        raise ValueError(f"cannot allocate a batch of {cfg.batch} statements") from None
-    shapes = param_shapes(cfg.d, kb.n_entities, kb.n_relations, kb.axis.length)
-    try:  # the parameter tables, held together once; numpy raises ValueError past its size limit
-        tables = [np.empty(shape) for shape in shapes.values()]
-    except (MemoryError, ValueError):
-        raise ValueError(
-            f"cannot allocate the parameter tables for d={cfg.d}, |E|={kb.n_entities}, "
-            f"|R|={kb.n_relations}, |T|={kb.axis.length} "
-            f"(years {kb.axis.origin}..{kb.axis.last_year})"
-        ) from None
-    del tables
+    _probe_allocation(cfg.batch, f"a batch of {cfg.batch} statements")
+    # training holds each parameter table three times: the values and Adam's m and v
+    shapes = param_shapes(cfg.d, kb.n_entities, kb.n_relations, kb.axis.length).values()
+    _probe_allocation(
+        3 * sum(math.prod(shape) for shape in shapes),
+        f"the parameter tables for d={cfg.d}, |E|={kb.n_entities}, |R|={kb.n_relations}, "
+        f"|T|={kb.axis.length} (years {kb.axis.origin}..{kb.axis.last_year}) and their Adam state",
+    )
     os.makedirs(args.out, exist_ok=True)
     write_snapshot(
         os.path.join(args.out, "config.resolved"), args, data=data_dir, missing=missing, **vars(cfg)

@@ -510,14 +510,15 @@ def _assemble(raw, scopes, entities, relations, axis, n_base, in_years: bool) ->
     indices first, a year off the axis clamped to the nearest end, so they
     may merge; each axis tuple enters the ScopeTable once, in first-seen order."""
     if in_years:
-        origin, last_year, last = axis.origin, axis.last_year, axis.length - 1
-
-        def index(year: int | None) -> int | None:  # axis.index_of(year, clamp=True)
-            if year is None:
-                return None
-            return 0 if year <= origin else last if year >= last_year else year - origin
-
-        scopes = [(kind, index(start), index(end)) for kind, start, end in scopes]
+        index = axis.index_of
+        scopes = [
+            (
+                kind,
+                None if start is None else index(start, clamp=True),
+                None if end is None else index(end, clamp=True),
+            )
+            for kind, start, end in scopes
+        ]
     ids: dict[tuple, int] = {}
     to_table = np.array([ids.setdefault(x, len(ids)) for x in scopes], dtype=np.int32)
     table = ScopeTable(axis, ids)

@@ -183,6 +183,28 @@ class TestTrain:
         assert not (out / "checkpoint.t2b").exists()
         assert (out / "config.resolved").exists() and (out / "train.log").exists()
 
+    def test_allocation_probe_covers_what_training_holds(
+        self, dataset_dir, tmp_path, capsys, monkeypatch
+    ):
+        """The block train probes before writing is as large as the parameter
+        tables plus Adam's m and v, which training holds from its first step."""
+        from time2box import cli, training
+
+        probed, held = [], []
+        monkeypatch.setattr(cli, "_probe_allocation", lambda items, what: probed.append(items))
+        step = training.Adam.step
+
+        def counting_step(self, arrays, grads):
+            step(self, arrays, grads)
+            tables = (*arrays.values(), *self.m.values(), *self.v.values())
+            held.append(sum(table.size for table in tables))
+
+        monkeypatch.setattr(training.Adam, "step", counting_step)
+        code, _, _ = run(capsys, "train", "--data", dataset_dir, "--out", tmp_path / "p",
+                         "--d", "8", "--k", "4", "--batch", "16", "--steps", "2", "--quiet")
+        assert code == 0
+        assert probed == [16, held[0]] and held == [held[0]] * 2
+
     DIVERGING = ("--d", "8", "--k", "4", "--lr", "1e160", "--steps", "5", "--quiet")
 
     def test_diverging_validation_names_labels(self, dataset_dir, tmp_path, capsys):
