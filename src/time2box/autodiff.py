@@ -1,8 +1,9 @@
 """Reverse-mode autodiff on numpy arrays over a per-batch tape.
 
 Only the ops the box model needs are provided: elementwise arithmetic,
-log_sigmoid, sums, and three fused ops with hand-written vjps, the
-point-to-box distance and the two halves of the box intersection.
+sums, and four fused ops with hand-written vjps, the point-to-box
+distance, the two halves of the box intersection and the batch's margin
+loss.
 Everything runs in float64. Subgradient conventions are fixed so
 gradients are deterministic: box_distance routes the gradient of a point
 on a box face to the face, and gated_min gives relu derivative 0 exactly
@@ -154,26 +155,16 @@ def mul(a, b) -> Node:
     )
 
 
-def neg(a) -> Node:
-    a = wrap(a)
-    return _op("neg", (a,), lambda x: -x, lambda g, *_: (-g,))
-
-
 def log_sigmoid_value(x: np.ndarray) -> np.ndarray:
     """Forward value of log_sigmoid, shared with the tape-free scoring kernel."""
     softplus_neg_abs = np.log1p(np.exp(-np.abs(x)))
     return np.where(x < 0, x - softplus_neg_abs, -softplus_neg_abs)
 
 
-def log_sigmoid(a) -> Node:
-    a = wrap(a)
-
-    def vjp(g, _, x):
-        # d/dx log sigmoid(x) = sigmoid(-x), from e = exp(-|x|) on both sides
-        e = np.exp(-np.abs(x))
-        return (g * (np.maximum(e, x < 0) / (1.0 + e)),)
-
-    return _op("log_sigmoid", (a,), log_sigmoid_value, vjp)
+def log_sigmoid_slope(x: np.ndarray) -> np.ndarray:
+    """d/dx log sigmoid(x) = sigmoid(-x), from e = exp(-|x|) on both sides."""
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, x < 0) / (1.0 + e)
 
 
 def box_distance_value(points, center, b_min, b_max, alpha, clamped, diff) -> np.ndarray:
@@ -211,42 +202,91 @@ def box_distance(point, center, offset, alpha: float) -> Node:
     running sums get the same bits as from the primitive ops.
     """
     point, center, offset = wrap(point), wrap(center), wrap(offset)
-    p, c, o = point.value, center.value, offset.value
+    value, saved = _distance(point.value, center.value, offset.value, alpha)
+    tape = _tape_of(point, center, offset)
+    if tape is None:
+        return Node(value, "box_distance")
+    parents = (point,) * 3 + (center,) * 3 + (offset,) * 2
+    return Node(value, "box_distance", parents, tape, lambda g, *_: _distance_grads(g, saved))
+
+
+def _distance(p, c, o, alpha: float) -> tuple[np.ndarray, tuple]:
+    """box_distance's value, and what _distance_grads reads."""
     b_min, b_max = c - o, c + o
     shape = np.broadcast_shapes(p.shape, b_min.shape)
     clamped = np.empty(shape)
     value = box_distance_value(p, c, b_min, b_max, alpha, clamped, np.empty(shape))
-    tape = _tape_of(point, center, offset)
-    if tape is None:
-        return Node(value, "box_distance")
+    return value, (p, c, o.shape, b_min, b_max, clamped, alpha)
 
-    def vjp(g, *_):
-        g_out = g[..., None]
-        # relu(b_min - p)'s gradient is -down at p and +down at b_min
-        down = g_out * (b_min > p)
-        up = g_out * (p > b_max)
-        # the inside term's gradient at the clamped point is -alpha*g*sign(c - k)
-        through = (g * -alpha)[..., None] * np.sign(c - clamped)
-        to_hi = clamped == b_max
-        to_lo = p <= b_min
-        to_lo &= ~to_hi
-        to_x = ~to_hi
-        to_x ^= to_lo
-        g_min = _unbroadcast(down, b_min.shape) + _unbroadcast(through * to_lo, b_min.shape)
-        g_max = _unbroadcast(-up, b_max.shape) + _unbroadcast(through * to_hi, b_max.shape)
-        return (
-            _unbroadcast(-down, p.shape),
-            _unbroadcast(up, p.shape),
-            _unbroadcast(through * to_x, p.shape),
-            -_unbroadcast(through, c.shape),
-            _unbroadcast(g_max, c.shape),
-            _unbroadcast(g_min, c.shape),
-            _unbroadcast(g_max, o.shape),
-            _unbroadcast(-g_min, o.shape),
-        )
 
-    parents = (point,) * 3 + (center,) * 3 + (offset,) * 2
-    return Node(value, "box_distance", parents, tape, vjp)
+def _distance_grads(g: np.ndarray, saved: tuple) -> tuple:
+    """box_distance's eight contributions for the distance gradient g:
+    point (relu(b_min - p), relu(p - b_max), the clamp), center (the inside
+    term, b_max, b_min) and offset (b_max, -b_min), each unbroadcast on its
+    own."""
+    p, c, o_shape, b_min, b_max, clamped, alpha = saved
+    g_out = g[..., None]
+    # relu(b_min - p)'s gradient is -down at p and +down at b_min
+    down = g_out * (b_min > p)
+    up = g_out * (p > b_max)
+    # the inside term's gradient at the clamped point is -alpha*g*sign(c - k)
+    through = (g * -alpha)[..., None] * np.sign(c - clamped)
+    to_hi = clamped == b_max
+    to_lo = p <= b_min
+    to_lo &= ~to_hi
+    to_x = ~to_hi
+    to_x ^= to_lo
+    g_min = _unbroadcast(down, b_min.shape) + _unbroadcast(through * to_lo, b_min.shape)
+    g_max = _unbroadcast(-up, b_max.shape) + _unbroadcast(through * to_hi, b_max.shape)
+    return (
+        _unbroadcast(-down, p.shape),
+        _unbroadcast(up, p.shape),
+        _unbroadcast(through * to_x, p.shape),
+        -_unbroadcast(through, c.shape),
+        _unbroadcast(g_max, c.shape),
+        _unbroadcast(g_min, c.shape),
+        _unbroadcast(g_max, o_shape),
+        _unbroadcast(-g_min, o_shape),
+    )
+
+
+def _point_sum_grads(g: np.ndarray, saved: tuple) -> tuple:
+    """_distance_grads for points of the full shape, whose box (center and
+    offset of one shape) may be broadcast over them: (the point's
+    gradient, the center's inside term, g_max, g_min).
+
+    At most one of the point's three contributions is nonzero at each
+    element (below the box, above it, or strictly inside), so their sum is
+    exact and is returned as one array. The box terms are _distance_grads's
+    sums over the broadcast axes, with -sum(up) in place of sum(-up). Both
+    give the same values; a zero's sign may differ, which row_sums removes.
+    Each full-shape pass writes into one of two buffers, the second of
+    which becomes the point's gradient.
+    """
+    p, c, _, b_min, b_max, clamped, alpha = saved
+    axes = tuple(i for i, s in enumerate(c.shape) if s == 1 and p.shape[i] != 1)
+    fold = (lambda x: x.sum(axis=axes, keepdims=True)) if axes else np.copy
+    g_out = g[..., None]
+    to_hi = clamped == b_max
+    to_lo = p <= b_min
+    to_lo &= ~to_hi
+    work = np.subtract(c, clamped)
+    through = np.sign(work)  # not in place: numpy's in-place sign is several times slower
+    through *= (g * -alpha)[..., None]
+    np.multiply(through, to_hi, out=work)
+    hi = fold(work)
+    np.multiply(through, to_lo, out=work)
+    lo = fold(work)
+    inside = -fold(through)
+    point = through
+    point *= ~(to_hi | to_lo)
+    np.multiply(g_out, p > b_max, out=work)
+    g_max = hi - fold(work)
+    point += work
+    np.multiply(g_out, b_min > p, out=work)
+    g_min = fold(work) + lo
+    point -= work
+    return point, inside, g_max, g_min
 
 
 def reduce_sum(a, axis=None) -> Node:
@@ -421,9 +461,111 @@ def gated_min(items, w_ds_in, w_ds_hidden, w_ds_out) -> Node:
     return Node(value, "gated_min", (*items, *mats), tape, vjp)
 
 
-def reshape(a, shape) -> Node:
-    a = wrap(a)
-    return _op("reshape", (a,), lambda x: x.reshape(shape), lambda g, _, x: (g.reshape(x.shape),))
+@dataclass
+class LossGroup:
+    """margin_loss's inputs for n queries that share one number of time
+    projections and one of time negatives. The nodes hold (n, d) box
+    centers, offsets and answer rows, (n, k_e, d) entity-negative rows and
+    (n, m, d) centers and offsets of one box per corrupted timestamp; a
+    group without entity or time negatives holds None there."""
+
+    center: Node
+    offset: Node
+    answer: Node
+    negatives: Node | None
+    time_center: Node | None
+    time_offset: Node | None
+    weights: np.ndarray  # (n,) 1/n_q per query
+    k: int  # negatives per query, k_e + m
+
+
+def margin_loss(
+    groups: list[LossGroup], gamma: float, alpha: float, batch_size: int, smooth=None, beta=0.0
+) -> Node:
+    """Query2Box's negative-sampling loss of a batch, as one node.
+
+    Per query: -log sig(gamma - D(o)) - (1/k) * sum log sig(D(o') - gamma)
+    over its k negatives (entity negatives o' against the query box, then
+    the answer o against each time negative's box), times its weight; the
+    loss is the sum over the groups divided by batch_size. With `smooth` =
+    (rows 1..T-1, rows 0..T-2) of the timestamp table, beta times their
+    mean squared difference is added. The value and the gradient follow
+    the former primitive nodes' expressions in their order, so both have
+    their bits.
+
+    The parents are listed once per contribution of those nodes, in the
+    order they added them. Per group: the time negatives' box (their
+    distance's center and offset terms) and the answer's summed term from
+    them; the entity negatives' rows and their summed center and offset
+    terms; then the positive distance's answer, center and offset terms.
+    Last come the two smoothness rows. The answer's and the entity
+    negatives' three point terms come as their exact sum
+    (_point_sum_grads).
+    """
+    total, parents, saved = 0.0, [], []
+    for grp in groups:
+        c, o, answer = grp.center.value, grp.offset.value, grp.answer.value
+        n, d = c.shape
+        # each distance keeps what its gradient reads, and its log-sigmoid's input
+        d_pos, pos = _distance(answer, c, o, alpha)
+        pos = (pos, gamma - d_pos)
+        sample_loss = -log_sigmoid_value(pos[1])
+        neg_sum = neg = tneg = None
+        neg_parents, tneg_parents = [], []
+        if grp.negatives is not None:
+            d_neg, neg = _distance(grp.negatives.value, c.reshape(n, 1, d), o.reshape(n, 1, d), alpha)
+            neg = (neg, d_neg - gamma)
+            neg_sum = np.sum(log_sigmoid_value(neg[1]), axis=-1)
+            neg_parents = [grp.negatives, grp.center, grp.offset]
+        if grp.time_center is not None:
+            d_tneg, tneg = _distance(
+                answer.reshape(n, 1, d), grp.time_center.value, grp.time_offset.value, alpha
+            )
+            tneg = (tneg, d_tneg - gamma)
+            t_sum = np.sum(log_sigmoid_value(tneg[1]), axis=-1)
+            neg_sum = t_sum if neg_sum is None else neg_sum + t_sum
+            tneg_parents = [grp.time_center] * 3 + [grp.time_offset] * 2 + [grp.answer]
+        inv_k = 1.0 / grp.k
+        if neg_sum is not None:
+            sample_loss = sample_loss - neg_sum * inv_k
+        total = total + np.sum(sample_loss * grp.weights)
+        parents += tneg_parents + neg_parents
+        parents += [grp.answer] + [grp.center] * 3 + [grp.offset] * 2
+        saved.append((n, d, pos, neg, tneg, inv_k, grp.weights))
+    inv_batch = 1.0 / batch_size
+    value = total * inv_batch
+    if smooth is not None:
+        diff = smooth[0].value - smooth[1].value
+        inv_t = 1.0 / len(diff)
+        value = value + (np.sum(diff * diff) * inv_t) * beta
+        parents += smooth
+    tape = _tape_of(*parents)
+    if tape is None:
+        return Node(value, "margin_loss")
+
+    def vjp(g, *_):
+        out = []
+        g_total = g * inv_batch
+        for n, d, pos, neg, tneg, inv_k, weights in saved:
+            g_loss = g_total * weights
+            g_neg = ((-g_loss) * inv_k)[:, None]
+            if tneg is not None:
+                p1, p2, p3, *box = _distance_grads(g_neg * log_sigmoid_slope(tneg[1]), tneg[0])
+                out += [*box, ((p1 + p2) + p3).reshape(n, d)]
+            if neg is not None:
+                point, inside, g_max, g_min = _point_sum_grads(g_neg * log_sigmoid_slope(neg[1]), neg[0])
+                center = (inside + g_max) + g_min
+                out += [point, center.reshape(n, d), (g_max + -g_min).reshape(n, d)]
+            # -(-g * s) is g * s bit for bit: negation is exact
+            point, inside, g_max, g_min = _point_sum_grads(g_loss * log_sigmoid_slope(pos[1]), pos[0])
+            out += [point, inside, g_max, g_min, g_max, -g_min]
+        if smooth is not None:
+            term = ((g * beta) * inv_t) * diff
+            g_diff = term + term
+            out += [g_diff, -g_diff]
+        return out
+
+    return Node(value, "margin_loss", tuple(parents), tape, vjp)
 
 
 def backward(tape: Tape, root: Node) -> GradientMap:

@@ -26,6 +26,7 @@ from .data import (
     generate_synthetic,
     is_plain_int,
     load_dataset,
+    numbered_lines,
     write_dataset,
 )
 from .evaluation import (
@@ -72,15 +73,14 @@ def load_kb(data_dir: str, missing: str):
 
 def read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DatasetError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+    for line_no, line in numbered_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DatasetError(f"{path}:{line_no}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -350,21 +350,20 @@ def cmd_metrics(args) -> int:
     # the whole input is parsed before anything is written, so a bad line
     # leaves no partial output behind
     rows: list[str] = []
-    with open(args.input, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            cols = line.split("\t")
-            if len(cols) < 4 or not all(is_plain_int(c) for c in cols[:4]):
-                raise DatasetError(f"{args.input}:{line_no}: expected 4 integer columns")
-            g_lo, g_hi, p_lo, p_hi = (int(c) for c in cols[:4])
-            try:
-                gold, pred = Interval(g_lo, g_hi), Interval(p_lo, p_hi)
-            except ValueError as exc:
-                raise DatasetError(f"{args.input}:{line_no}: {exc}") from None
-            values = (giou(gold, pred), aeiou(gold, pred), gaeiou(gold, pred))
-            rows.append(line + "".join(f"\t{v:.6f}" for v in values) + "\n")
+    for line_no, line in numbered_lines(args.input):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        cols = line.split("\t")
+        if len(cols) < 4 or not all(is_plain_int(c) for c in cols[:4]):
+            raise DatasetError(f"{args.input}:{line_no}: expected 4 integer columns")
+        g_lo, g_hi, p_lo, p_hi = (int(c) for c in cols[:4])
+        try:
+            gold, pred = Interval(g_lo, g_hi), Interval(p_lo, p_hi)
+        except ValueError as exc:
+            raise DatasetError(f"{args.input}:{line_no}: {exc}") from None
+        values = (giou(gold, pred), aeiou(gold, pred), gaeiou(gold, pred))
+        rows.append(line + "".join(f"\t{v:.6f}" for v in values) + "\n")
     if not args.output:
         sys.stdout.writelines(rows)
         return 0

@@ -432,7 +432,7 @@ def _utf8_error(path) -> DatasetError:
     return DatasetError(f"{path}: not UTF-8 when first read")  # it changed since
 
 
-def _numbered_lines(path):
+def numbered_lines(path):
     """(line number, line) per line of a UTF-8 text file, the line end
     kept and a leading byte-order mark dropped; a byte that is not UTF-8
     raises _utf8_error's DatasetError."""
@@ -471,7 +471,7 @@ def _read_split(
     extend = ints.extend
     entity_id, relation_id = entities._ids.get, relations._ids.get
     add_entity, add_relation = entities.add, relations.add
-    for line_no, line in _numbered_lines(path):
+    for line_no, line in numbered_lines(path):
         if not line.strip():
             continue
         cols = line.split("\t", 3)

@@ -10,6 +10,7 @@ built, scored and ranked in chunks.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -334,7 +335,7 @@ class LinkPredReport:
 
 
 def eval_link_prediction(
-    statements: list[Statement],
+    statements: Iterable[Statement],
     params: ParameterStore,
     kb: TemporalKB,
     variant=None,
@@ -348,6 +349,7 @@ def eval_link_prediction(
     statement's sum over its queries divided by their count is the same
     float64 as the mean of a per-query loop.
     """
+    statements = list(statements)  # one pass over a Statements split, which builds on access
     queries: list[tuple[int, int, int | None]] = []
     golds: list[int] = []
     offsets: list[int] = []
@@ -551,7 +553,7 @@ def gold_interval(stmt: Statement) -> Interval | None:
 
 
 def eval_time_prediction(
-    statements: list[Statement],
+    statements: Iterable[Statement],
     params: ParameterStore,
     kb: TemporalKB,
     variant=None,
@@ -581,6 +583,7 @@ def eval_time_prediction(
     """
     check_coalesce_parameters(k, tau)
     variant = variant or Variant()
+    statements = list(statements)  # one pass over a Statements split, which builds on access
     groups: dict[int, dict[int, list[int]]] = {}
     for i, stmt in enumerate(statements):
         if gold_interval(stmt) is not None:

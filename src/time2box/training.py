@@ -204,13 +204,20 @@ def make_training_sample(
     return TrainingSample(stmt, plan, neg_entities, neg_times, 1.0 / max(n_q, 1))
 
 
+def smoothness_rows(params: ParameterStore, tape: Tape | None = None) -> tuple:
+    """The timestamp table's rows 1..T-1 and rows 0..T-2."""
+    n_times = params.n_times
+    nxt = params.rows(tape, "time_emb", np.arange(1, n_times))
+    prv = params.rows(tape, "time_emb", np.arange(0, n_times - 1))
+    return nxt, prv
+
+
 def smoothness(params: ParameterStore, tape: Tape | None = None):
     """Mean squared L2 difference of consecutive timestamp embeddings."""
     n_times = params.n_times
     if n_times < 2:
         return ad.constant(0.0)
-    nxt = params.rows(tape, "time_emb", np.arange(1, n_times))
-    prv = params.rows(tape, "time_emb", np.arange(0, n_times - 1))
+    nxt, prv = smoothness_rows(params, tape)
     diff = ad.sub(nxt, prv)
     return ad.mul(ad.reduce_sum(ad.mul(diff, diff)), ad.constant(1.0 / (n_times - 1)))
 
@@ -224,41 +231,31 @@ def batch_loss(
     over its k negatives, multiplied by the sample's 1/n_q weight; the
     batch loss is the mean. Lambda(T) is added once, weighted by beta,
     when any statement in the batch is temporal.
+
+    Samples are grouped by their numbers of time projections and of time
+    negatives. The tape records each group's query boxes and row lookups,
+    then one autodiff.margin_loss node over all of them.
     """
     if not batch:
         raise ValueError("empty batch")
     tape = Tape()
-    gamma = params.gamma
-
     groups: dict[tuple, list[TrainingSample]] = {}
     for sample in batch:
         key = (len(sample.plan.time_projections), len(sample.negatives_times))
         groups.setdefault(key, []).append(sample)
 
-    total = ad.constant(0.0)
+    loss_groups = []
     for (_, n_tneg), group in groups.items():
-        n = len(group)
         plan0 = group[0].plan
         variant = Variant(plan0.projector_kind, plan0.use_tr)
         s_idx = np.array([g.plan.subject for g in group])
         r_idx = np.array([g.plan.relation for g in group])
         t_idx = np.array([g.plan.time_projections for g in group], dtype=np.intp)  # (n, k)
         box = query_box(params, variant, s_idx, r_idx, t_idx, tape)
-        o_idx = np.array([g.statement.o for g in group])
-        o_emb = params.rows(tape, "entity_emb", o_idx)
-        d_pos = ad.box_distance(o_emb, box.center, box.offset, params.alpha)  # (n,)
-        pos_term = ad.neg(ad.log_sigmoid(ad.sub(ad.constant(gamma), d_pos)))
-
-        d = params.d
-        neg_sum = None
-        k_total = len(group[0].negatives_entities) + n_tneg
+        o_emb = params.rows(tape, "entity_emb", [g.statement.o for g in group])
+        ne_emb = t_center = t_offset = None
         if group[0].negatives_entities:
-            center_b = ad.reshape(box.center, (n, 1, d))
-            offset_b = ad.reshape(box.offset, (n, 1, d))
-            ne_idx = np.array([g.negatives_entities for g in group])  # (n, k_e)
-            ne_emb = params.rows(tape, "entity_emb", ne_idx)
-            d_neg = ad.box_distance(ne_emb, center_b, offset_b, params.alpha)  # (n, k_e)
-            neg_sum = ad.reduce_sum(ad.log_sigmoid(ad.sub(d_neg, ad.constant(gamma))), axis=-1)
+            ne_emb = params.rows(tape, "entity_emb", [g.negatives_entities for g in group])
         if n_tneg:
             # one single-timestamp box per (statement, corrupted timestamp);
             # the (n, 1) subject and relation build each relation box once
@@ -266,20 +263,17 @@ def batch_loss(
             tbox = query_box(
                 params, variant, s_idx[:, None], r_idx[:, None], tneg_idx[..., None], tape
             )
-            o_b = ad.reshape(o_emb, (n, 1, d))
-            d_tneg = ad.box_distance(o_b, tbox.center, tbox.offset, params.alpha)  # (n, m)
-            t_sum = ad.reduce_sum(ad.log_sigmoid(ad.sub(d_tneg, ad.constant(gamma))), axis=-1)
-            neg_sum = t_sum if neg_sum is None else ad.add(neg_sum, t_sum)
-
-        sample_loss = pos_term
-        if neg_sum is not None:
-            sample_loss = ad.sub(sample_loss, ad.mul(neg_sum, ad.constant(1.0 / k_total)))
+            t_center, t_offset = tbox.center, tbox.offset
         weights = np.array([g.weight for g in group])
-        total = ad.add(total, ad.reduce_sum(ad.mul(sample_loss, ad.constant(weights))))
+        k = len(group[0].negatives_entities) + n_tneg
+        loss_groups.append(
+            ad.LossGroup(box.center, box.offset, o_emb, ne_emb, t_center, t_offset, weights, k)
+        )
 
-    loss = ad.mul(total, ad.constant(1.0 / len(batch)))
-    if beta > 0.0 and any(s.statement.scope.is_temporal for s in batch):
-        loss = ad.add(loss, ad.mul(smoothness(params, tape), ad.constant(beta)))
+    smooth = None
+    if beta > 0.0 and params.n_times > 1 and any(s.statement.scope.is_temporal for s in batch):
+        smooth = smoothness_rows(params, tape)
+    loss = ad.margin_loss(loss_groups, params.gamma, params.alpha, len(batch), smooth, beta)
     return loss, tape
 
 

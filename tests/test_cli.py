@@ -339,6 +339,15 @@ class TestTrain:
         assert code == 0
         assert (out / "checkpoint.t2b").read_bytes() == (run_dir / "checkpoint.t2b").read_bytes()
 
+    def test_config_with_byte_order_mark_trains_alike(self, run_dir, tmp_path, capsys):
+        config = tmp_path / "marked.cfg"
+        config.write_text((run_dir / "config.resolved").read_text(), encoding="utf-8-sig")
+        assert config.read_bytes().startswith(b"\xef\xbb\xbf")
+        out = tmp_path / "replay"
+        code, _, _ = run(capsys, "train", "--config", config, "--out", out, "--quiet")
+        assert code == 0
+        assert (out / "checkpoint.t2b").read_bytes() == (run_dir / "checkpoint.t2b").read_bytes()
+
     def test_cli_overrides_beat_config_file(self, dataset_dir, run_dir, tmp_path, capsys):
         out = tmp_path / "override"
         code, _, _ = run(
@@ -778,6 +787,14 @@ class TestMetrics:
         assert code == 1
         assert "integer" in err
 
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        text = "2011\t2020\t1998\t2010\n2011\t2016\t2009\t2013\n"
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert run(capsys, "metrics", "--input", marked) == run(capsys, "metrics", "--input", plain)
+
 
 class TestExportEmbeddings:
     def test_entity_table(self, dataset_dir, run_dir, tmp_path, capsys):
@@ -865,6 +882,21 @@ def _non_utf8_byte(data_dir, run_dir, tmp_path):
     with open(path, "ab") as fh:
         fh.write(b"e00\trel0\te\xff01\t1985\t1990\n")
     return ["stats", data], tmp_path / "out", f"{path}:{line_no}: byte 0xff is not UTF-8"
+
+
+def _metrics_non_utf8_byte(data_dir, run_dir, tmp_path):
+    src = tmp_path / "in.tsv"
+    src.write_bytes(b"1990\t1995\t1991\t1994\n1990\t1995\t19\xff93\t1994\n")
+    out = tmp_path / "out.tsv"
+    argv = ["metrics", "--input", src, "--output", out]
+    return argv, out, f"{src}:2: byte 0xff is not UTF-8"
+
+
+def _train_config_non_utf8_byte(data_dir, run_dir, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(f"data={data_dir}\n".encode() + b"steps=2\xff\n")
+    out = tmp_path / "out"
+    return ["train", "--config", config, "--out", out], out, f"{config}:2: byte 0xff is not UTF-8"
 
 
 def _metrics_bad_column(text):
@@ -1066,6 +1098,8 @@ FAULTS = [
     ("eval-time-empty-test", _empty_test("eval-time"), 1),
     ("metrics-underscore", _metrics_bad_column("19_92"), 1),
     ("metrics-plus-sign", _metrics_bad_column("+1992"), 1),
+    ("metrics-non-utf8-byte", _metrics_non_utf8_byte, 1),
+    ("train-config-non-utf8-byte", _train_config_non_utf8_byte, 1),
     ("predict-reversed-interval-before-checkpoint", _predict_reversed_interval, 2),
     ("predict-time-and-interval-before-checkpoint", _predict_time_and_interval, 2),
     *(

@@ -444,6 +444,30 @@ class TestRanking:
             eval_link_prediction(kb.splits["test"], nan_params, kb)
 
 
+class TestStatementsReadOnce:
+    """Each evaluation reads its statements in one pass: a one-shot iterator
+    over a split gives the split's report, and the split keeps no
+    statement objects built for the call."""
+
+    def test_link_prediction(self, ranking_setup):
+        kb, params = ranking_setup
+        split = kb.splits["test"]
+        want = eval_link_prediction(list(split), params, kb).to_text()
+        kept = list(split._indexed)
+        assert eval_link_prediction(iter(split), params, kb).to_text() == want
+        assert eval_link_prediction(split, params, kb).to_text() == want
+        assert split._indexed == kept
+
+    def test_time_prediction(self, ranking_setup):
+        kb, params = ranking_setup
+        split = kb.splits["test"]
+        want = eval_time_prediction(list(split), params, kb).to_text()
+        kept = list(split._indexed)
+        assert eval_time_prediction(iter(split), params, kb).to_text() == want
+        assert eval_time_prediction(split, params, kb).to_text() == want
+        assert split._indexed == kept
+
+
 class TestLinkPredictionReport:
     def test_all_rank_one(self):
         block = MetricBlock.from_ranks([1, 1, 1])

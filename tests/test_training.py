@@ -14,7 +14,8 @@ from time2box.data import (
     add_inverse_relations,
     generate_synthetic,
 )
-from time2box.model import PROJECTOR_DM, ParameterStore, QueryPlan
+from time2box import autodiff as ad
+from time2box.model import PROJECTOR_DM, ParameterStore, QueryPlan, query_box
 from time2box.training import (
     ADAM_BLOCK_ELEMENTS,
     CHECKPOINT_MAGIC,
@@ -575,6 +576,169 @@ class TestBatchLoss:
         ps = ParameterStore.initialize(2, 2, 1, 1)
         with pytest.raises(ValueError):
             batch_loss([], ps)
+
+
+def former_neg(a):
+    return ad._op("neg", (ad.wrap(a),), lambda x: -x, lambda g, *_: (-g,))
+
+
+def former_log_sigmoid(a):
+    return ad._op(
+        "log_sigmoid", (ad.wrap(a),), ad.log_sigmoid_value, lambda g, _, x: (g * ad.log_sigmoid_slope(x),)
+    )
+
+
+def former_reshape(a, shape):
+    return ad._op("reshape", (ad.wrap(a),), lambda x: x.reshape(shape), lambda g, _, x: (g.reshape(x.shape),))
+
+
+def former_batch_loss(batch, params, beta=0.0):
+    """batch_loss as it was recorded before margin_loss: about 14
+    primitive nodes per group for the margin loss's tail, and five for the
+    smoothness term. The fused op must give its loss and gradient bits."""
+    tape = ad.Tape()
+    gamma = params.gamma
+    groups = {}
+    for sample in batch:
+        key = (len(sample.plan.time_projections), len(sample.negatives_times))
+        groups.setdefault(key, []).append(sample)
+    total = ad.constant(0.0)
+    for (_, n_tneg), group in groups.items():
+        n = len(group)
+        plan0 = group[0].plan
+        variant = Variant(plan0.projector_kind, plan0.use_tr)
+        s_idx = np.array([g.plan.subject for g in group])
+        r_idx = np.array([g.plan.relation for g in group])
+        t_idx = np.array([g.plan.time_projections for g in group], dtype=np.intp)
+        box = query_box(params, variant, s_idx, r_idx, t_idx, tape)
+        o_emb = params.rows(tape, "entity_emb", np.array([g.statement.o for g in group]))
+        d_pos = ad.box_distance(o_emb, box.center, box.offset, params.alpha)
+        pos_term = former_neg(former_log_sigmoid(ad.sub(ad.constant(gamma), d_pos)))
+        d = params.d
+        neg_sum = None
+        k_total = len(group[0].negatives_entities) + n_tneg
+        if group[0].negatives_entities:
+            center_b = former_reshape(box.center, (n, 1, d))
+            offset_b = former_reshape(box.offset, (n, 1, d))
+            ne_emb = params.rows(tape, "entity_emb", np.array([g.negatives_entities for g in group]))
+            d_neg = ad.box_distance(ne_emb, center_b, offset_b, params.alpha)
+            neg_sum = ad.reduce_sum(former_log_sigmoid(ad.sub(d_neg, ad.constant(gamma))), axis=-1)
+        if n_tneg:
+            tneg_idx = np.array([g.negatives_times for g in group])
+            tbox = query_box(
+                params, variant, s_idx[:, None], r_idx[:, None], tneg_idx[..., None], tape
+            )
+            o_b = former_reshape(o_emb, (n, 1, d))
+            d_tneg = ad.box_distance(o_b, tbox.center, tbox.offset, params.alpha)
+            t_sum = ad.reduce_sum(former_log_sigmoid(ad.sub(d_tneg, ad.constant(gamma))), axis=-1)
+            neg_sum = t_sum if neg_sum is None else ad.add(neg_sum, t_sum)
+        sample_loss = pos_term
+        if neg_sum is not None:
+            sample_loss = ad.sub(sample_loss, ad.mul(neg_sum, ad.constant(1.0 / k_total)))
+        weights = np.array([g.weight for g in group])
+        total = ad.add(total, ad.reduce_sum(ad.mul(sample_loss, ad.constant(weights))))
+    loss = ad.mul(total, ad.constant(1.0 / len(batch)))
+    if beta > 0.0 and any(s.statement.scope.is_temporal for s in batch):
+        loss = ad.add(loss, ad.mul(smoothness(params, tape), ad.constant(beta)))
+    return loss, tape
+
+
+def on_grid(params, rng):
+    """Every parameter on a grid of quarters: atemporal query boxes (e + r,
+    or e * r, with the relation offset) then have faces on the grid, so
+    answers and negatives lie exactly on faces and on centers."""
+    for name, arr in params.arrays.items():
+        arr[:] = rng.integers(-4, 5, size=arr.shape) / 4.0
+        if name.endswith("_off"):
+            np.abs(arr, out=arr)
+
+
+def zero_offsets(params, rng):
+    """A third of the offsets 0, as clamping leaves them: a box with a zero
+    offset has one face, which points reach from both sides."""
+    for name in ("relation_off", "time_off"):
+        params.arrays[name][rng.random(params.arrays[name].shape) < 1 / 3] = 0.0
+
+
+def same_row_sums(got, want):
+    assert got.keys() == want.keys()
+    for name, (rows, g) in want.items():
+        assert (got[name][0] is None) == (rows is None), name
+        if rows is not None:
+            assert got[name][0].tobytes() == rows.tobytes(), name
+        assert got[name][1].tobytes() == g.tobytes(), name
+
+
+class TestMarginLossEqualsFormerTape:
+    """margin_loss gives the former primitive tape's loss bits and, through
+    backward and row_sums, its gradient bits."""
+
+    @pytest.mark.parametrize("spec", ["te", "te,tns", "te,si,tns", "dm,tr,si", "dm,tr,si,tns"])
+    @settings(max_examples=20, deadline=None)
+    @given(
+        kb=small_synthetic_kbs(),
+        d=st.sampled_from([3, 8]),
+        k=st.integers(1, 6),
+        m_is_k=st.booleans(),
+        beta=st.sampled_from([0.0, 0.25]),
+        grid=st.booleans(),
+        zeros=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_loss_and_row_sums_bits(self, spec, kb, d, k, m_is_k, beta, grid, zeros, seed):
+        assume(k + kb.filter.max_train_objects <= kb.n_entities)
+        config = TrainConfig(d=d, k=k, m=k if m_is_k else None, variant=Variant.parse(spec))
+        rng = np.random.default_rng(seed)
+        params = ParameterStore.initialize(
+            d, kb.n_entities, kb.n_relations, kb.axis.length, rng=rng
+        )
+        if grid:
+            on_grid(params, rng)
+        if zeros:
+            zero_offsets(params, rng)
+        train = kb.splits["train"]
+        batch = [make_training_sample(train[i], kb, config, rng) for i in rng.integers(0, len(train), 12)]
+        loss, tape = batch_loss(batch, params, beta)
+        ref, ref_tape = former_batch_loss(batch, params, beta)
+        assert np.asarray(loss.value).tobytes() == np.asarray(ref.value).tobytes()
+        same_row_sums(
+            ad.row_sums(ad.backward(tape, loss), params.arrays),
+            ad.row_sums(ad.backward(ref_tape, ref), params.arrays),
+        )
+
+    def test_grid_puts_points_on_faces(self):
+        """on_grid's parameters do put entities on atemporal box faces, and
+        zero_offsets makes boxes with one face."""
+        kb = add_inverse_relations(
+            generate_synthetic(SynthConfig(seed=3, n_entities=12, n_relations=2, axis_length=6, n_rules=5))[0]
+        )
+        rng = np.random.default_rng(0)
+        params = ParameterStore.initialize(8, kb.n_entities, kb.n_relations, kb.axis.length, rng=rng)
+        on_grid(params, rng)
+        zero_offsets(params, rng)
+        emb, rel, off = (params.arrays[n] for n in ("entity_emb", "relation_emb", "relation_off"))
+        center = emb[:, None, :] + rel[None, :, :]  # every atemporal te box
+        faces = np.concatenate([center - off, center + off], axis=1)
+        on_face = (emb[:, None, None, :] == faces[None]).any(axis=(1, 2))
+        assert on_face.mean() > 0.2
+        assert (off == 0).mean() > 0.2
+
+    @pytest.mark.parametrize("spec, beta", [("te,tns", 0.0), ("dm,tr,si", 0.01)])
+    def test_c07_step_records_one_loss_node(self, spec, beta):
+        kb = add_inverse_relations(
+            generate_synthetic(
+                SynthConfig(seed=7, n_entities=50, n_relations=5, axis_length=40, n_rules=85, instant_echoes=2)
+            )[0]
+        )
+        config = TrainConfig(d=8, k=16, batch=64, beta=beta, variant=Variant.parse(spec))
+        rng = np.random.default_rng(0)
+        params = ParameterStore.initialize(8, kb.n_entities, kb.n_relations, kb.axis.length, rng=rng)
+        train = kb.splits["train"]
+        batch = [make_training_sample(train[i], kb, config, rng) for i in rng.integers(0, len(train), 64)]
+        _, tape = batch_loss(batch, params, beta)
+        ops = [node.op for node in tape.nodes]
+        assert ops.count("margin_loss") == 1 and ops[-1] == "margin_loss"
+        assert not {"neg", "reshape", "log_sigmoid"} & set(ops)
 
 
 def dense_adam_reference(state, arrays, grads, lr, t, b1=0.9, b2=0.999, eps=1e-8):
