@@ -513,7 +513,8 @@ def margin_loss(
         neg_sum = neg = tneg = None
         neg_parents, tneg_parents = [], []
         if grp.negatives is not None:
-            d_neg, neg = _distance(grp.negatives.value, c.reshape(n, 1, d), o.reshape(n, 1, d), alpha)
+            c_b, o_b = c.reshape(n, 1, d), o.reshape(n, 1, d)
+            d_neg, neg = _distance(grp.negatives.value, c_b, o_b, alpha)
             neg = (neg, d_neg - gamma)
             neg_sum = np.sum(log_sigmoid_value(neg[1]), axis=-1)
             neg_parents = [grp.negatives, grp.center, grp.offset]
@@ -553,11 +554,15 @@ def margin_loss(
                 p1, p2, p3, *box = _distance_grads(g_neg * log_sigmoid_slope(tneg[1]), tneg[0])
                 out += [*box, ((p1 + p2) + p3).reshape(n, d)]
             if neg is not None:
-                point, inside, g_max, g_min = _point_sum_grads(g_neg * log_sigmoid_slope(neg[1]), neg[0])
+                point, inside, g_max, g_min = _point_sum_grads(
+                    g_neg * log_sigmoid_slope(neg[1]), neg[0]
+                )
                 center = (inside + g_max) + g_min
                 out += [point, center.reshape(n, d), (g_max + -g_min).reshape(n, d)]
             # -(-g * s) is g * s bit for bit: negation is exact
-            point, inside, g_max, g_min = _point_sum_grads(g_loss * log_sigmoid_slope(pos[1]), pos[0])
+            point, inside, g_max, g_min = _point_sum_grads(
+                g_loss * log_sigmoid_slope(pos[1]), pos[0]
+            )
             out += [point, inside, g_max, g_min, g_max, -g_min]
         if smooth is not None:
             term = ((g * beta) * inv_t) * diff

@@ -349,7 +349,7 @@ def eval_link_prediction(
     statement's sum over its queries divided by their count is the same
     float64 as the mean of a per-query loop.
     """
-    statements = list(statements)  # one pass over a Statements split, which builds on access
+    statements = list(statements)  # a Statements split builds its objects on access: read it once
     queries: list[tuple[int, int, int | None]] = []
     golds: list[int] = []
     offsets: list[int] = []
@@ -583,7 +583,7 @@ def eval_time_prediction(
     """
     check_coalesce_parameters(k, tau)
     variant = variant or Variant()
-    statements = list(statements)  # one pass over a Statements split, which builds on access
+    statements = list(statements)  # a Statements split builds its objects on access: read it once
     groups: dict[int, dict[int, list[int]]] = {}
     for i, stmt in enumerate(statements):
         if gold_interval(stmt) is not None:

@@ -4,8 +4,8 @@ A query (s, r, ?o, t*) is answered by projecting the subject to a
 relation box (all objects related to s under r), optionally to one or two
 time boxes (all objects co-occurring with s at a timestamp), and taking
 an attention/DeepSets intersection. Candidate objects are ranked by a
-two-part point-to-box distance (autodiff.box_distance on the training
-tape, box_scores and score_entities without one).
+two-part point-to-box distance (autodiff.margin_loss's distances on the
+training tape, box_scores and score_entities without one).
 
 `query_box` is the only place query boxes are built: training's positive
 and time-negative boxes, evaluation's link queries and timelines,
@@ -307,9 +307,9 @@ SCORE_BLOCK_ELEMENTS = 1 << 16
 def box_scores(points, center, offset, gamma: float, alpha: float) -> np.ndarray:
     """log sigmoid(gamma - distance) of points to boxes with nonnegative
     offsets, without a tape; leading dimensions broadcast. The distance is
-    ad.box_distance_value, the kernel training's ad.box_distance runs, so a
-    score here equals log_sigmoid(gamma - box_distance) on the tape bit for
-    bit."""
+    ad.box_distance_value, the kernel training's ad.margin_loss runs, so a
+    score here equals the training loss's log sigmoid(gamma - distance) bit
+    for bit."""
     _check_alpha(alpha)
     points, center, offset = (np.asarray(a, dtype=np.float64) for a in (points, center, offset))
     shape = np.broadcast_shapes(points.shape, center.shape, offset.shape)

@@ -8,9 +8,11 @@ from time2box import autodiff as ad
 
 def log_sigmoid(a):
     """The former log_sigmoid tape op, kept to build test losses."""
-    return ad._op(
-        "log_sigmoid", (ad.wrap(a),), ad.log_sigmoid_value, lambda g, _, x: (g * ad.log_sigmoid_slope(x),)
-    )
+
+    def vjp(g, _, x):
+        return (g * ad.log_sigmoid_slope(x),)
+
+    return ad._op("log_sigmoid", (ad.wrap(a),), ad.log_sigmoid_value, vjp)
 
 
 def neg(a):

@@ -277,11 +277,15 @@ def box_distance(point, box: BoxEmbedding, alpha: float) -> np.ndarray:
 
 
 def tape_score(point, box: BoxEmbedding, gamma: float, alpha: float):
-    """The training loss's score: log sigmoid(gamma - distance) on the tape."""
+    """The training loss's score: log sigmoid(gamma - distance) on the tape,
+    through the former log_sigmoid tape op."""
     distance = ad.box_distance(point, box.center, box.offset, alpha)
     x = ad.sub(ad.constant(gamma), distance)
-    # the former log_sigmoid tape op
-    return ad._op("log_sigmoid", (x,), ad.log_sigmoid_value, lambda g, _, v: (g * ad.log_sigmoid_slope(v),))
+
+    def vjp(g, _, v):
+        return (g * ad.log_sigmoid_slope(v),)
+
+    return ad._op("log_sigmoid", (x,), ad.log_sigmoid_value, vjp)
 
 
 class TestDistance:

@@ -583,13 +583,17 @@ def former_neg(a):
 
 
 def former_log_sigmoid(a):
-    return ad._op(
-        "log_sigmoid", (ad.wrap(a),), ad.log_sigmoid_value, lambda g, _, x: (g * ad.log_sigmoid_slope(x),)
-    )
+    def vjp(g, _, x):
+        return (g * ad.log_sigmoid_slope(x),)
+
+    return ad._op("log_sigmoid", (ad.wrap(a),), ad.log_sigmoid_value, vjp)
 
 
 def former_reshape(a, shape):
-    return ad._op("reshape", (ad.wrap(a),), lambda x: x.reshape(shape), lambda g, _, x: (g.reshape(x.shape),))
+    def vjp(g, _, x):
+        return (g.reshape(x.shape),)
+
+    return ad._op("reshape", (ad.wrap(a),), lambda x: x.reshape(shape), vjp)
 
 
 def former_batch_loss(batch, params, beta=0.0):
@@ -620,7 +624,8 @@ def former_batch_loss(batch, params, beta=0.0):
         if group[0].negatives_entities:
             center_b = former_reshape(box.center, (n, 1, d))
             offset_b = former_reshape(box.offset, (n, 1, d))
-            ne_emb = params.rows(tape, "entity_emb", np.array([g.negatives_entities for g in group]))
+            ne_idx = np.array([g.negatives_entities for g in group])
+            ne_emb = params.rows(tape, "entity_emb", ne_idx)
             d_neg = ad.box_distance(ne_emb, center_b, offset_b, params.alpha)
             neg_sum = ad.reduce_sum(former_log_sigmoid(ad.sub(d_neg, ad.constant(gamma))), axis=-1)
         if n_tneg:
@@ -697,7 +702,8 @@ class TestMarginLossEqualsFormerTape:
         if zeros:
             zero_offsets(params, rng)
         train = kb.splits["train"]
-        batch = [make_training_sample(train[i], kb, config, rng) for i in rng.integers(0, len(train), 12)]
+        picks = rng.integers(0, len(train), 12)
+        batch = [make_training_sample(train[i], kb, config, rng) for i in picks]
         loss, tape = batch_loss(batch, params, beta)
         ref, ref_tape = former_batch_loss(batch, params, beta)
         assert np.asarray(loss.value).tobytes() == np.asarray(ref.value).tobytes()
@@ -709,11 +715,12 @@ class TestMarginLossEqualsFormerTape:
     def test_grid_puts_points_on_faces(self):
         """on_grid's parameters do put entities on atemporal box faces, and
         zero_offsets makes boxes with one face."""
-        kb = add_inverse_relations(
-            generate_synthetic(SynthConfig(seed=3, n_entities=12, n_relations=2, axis_length=6, n_rules=5))[0]
-        )
+        synth = SynthConfig(seed=3, n_entities=12, n_relations=2, axis_length=6, n_rules=5)
+        kb = add_inverse_relations(generate_synthetic(synth)[0])
         rng = np.random.default_rng(0)
-        params = ParameterStore.initialize(8, kb.n_entities, kb.n_relations, kb.axis.length, rng=rng)
+        params = ParameterStore.initialize(
+            8, kb.n_entities, kb.n_relations, kb.axis.length, rng=rng
+        )
         on_grid(params, rng)
         zero_offsets(params, rng)
         emb, rel, off = (params.arrays[n] for n in ("entity_emb", "relation_emb", "relation_off"))
@@ -725,16 +732,18 @@ class TestMarginLossEqualsFormerTape:
 
     @pytest.mark.parametrize("spec, beta", [("te,tns", 0.0), ("dm,tr,si", 0.01)])
     def test_c07_step_records_one_loss_node(self, spec, beta):
-        kb = add_inverse_relations(
-            generate_synthetic(
-                SynthConfig(seed=7, n_entities=50, n_relations=5, axis_length=40, n_rules=85, instant_echoes=2)
-            )[0]
+        synth = SynthConfig(
+            seed=7, n_entities=50, n_relations=5, axis_length=40, n_rules=85, instant_echoes=2
         )
+        kb = add_inverse_relations(generate_synthetic(synth)[0])
         config = TrainConfig(d=8, k=16, batch=64, beta=beta, variant=Variant.parse(spec))
         rng = np.random.default_rng(0)
-        params = ParameterStore.initialize(8, kb.n_entities, kb.n_relations, kb.axis.length, rng=rng)
+        params = ParameterStore.initialize(
+            8, kb.n_entities, kb.n_relations, kb.axis.length, rng=rng
+        )
         train = kb.splits["train"]
-        batch = [make_training_sample(train[i], kb, config, rng) for i in rng.integers(0, len(train), 64)]
+        picks = rng.integers(0, len(train), 64)
+        batch = [make_training_sample(train[i], kb, config, rng) for i in picks]
         _, tape = batch_loss(batch, params, beta)
         ops = [node.op for node in tape.nodes]
         assert ops.count("margin_loss") == 1 and ops[-1] == "margin_loss"
