@@ -204,22 +204,13 @@ def make_training_sample(
     return TrainingSample(stmt, plan, neg_entities, neg_times, 1.0 / max(n_q, 1))
 
 
-def smoothness_rows(params: ParameterStore, tape: Tape | None = None) -> tuple:
-    """The timestamp table's rows 1..T-1 and rows 0..T-2."""
-    n_times = params.n_times
-    nxt = params.rows(tape, "time_emb", np.arange(1, n_times))
-    prv = params.rows(tape, "time_emb", np.arange(0, n_times - 1))
-    return nxt, prv
-
-
-def smoothness(params: ParameterStore, tape: Tape | None = None):
-    """Mean squared L2 difference of consecutive timestamp embeddings."""
-    n_times = params.n_times
-    if n_times < 2:
-        return ad.constant(0.0)
-    nxt, prv = smoothness_rows(params, tape)
-    diff = ad.sub(nxt, prv)
-    return ad.mul(ad.reduce_sum(ad.mul(diff, diff)), ad.constant(1.0 / (n_times - 1)))
+def smoothness(params: ParameterStore) -> float:
+    """Lambda(T), the mean squared L2 difference of consecutive timestamp
+    embeddings (autodiff.smoothness_value), as margin_loss adds it."""
+    emb = params.arrays["time_emb"]
+    if len(emb) < 2:
+        return 0.0
+    return float(ad.smoothness_value(emb[1:] - emb[:-1]))
 
 
 def batch_loss(
@@ -272,7 +263,11 @@ def batch_loss(
 
     smooth = None
     if beta > 0.0 and params.n_times > 1 and any(s.statement.scope.is_temporal for s in batch):
-        smooth = smoothness_rows(params, tape)
+        # the timestamp table's rows 1..T-1 and rows 0..T-2
+        smooth = (
+            params.rows(tape, "time_emb", np.arange(1, params.n_times)),
+            params.rows(tape, "time_emb", np.arange(0, params.n_times - 1)),
+        )
     loss = ad.margin_loss(loss_groups, params.gamma, params.alpha, len(batch), smooth, beta)
     return loss, tape
 
@@ -462,7 +457,7 @@ def train(
                     mrr = report.overall.mrr
                     if mrr > best_mrr:
                         best_mrr, best_params = mrr, params.copy()
-            lam = float(smoothness(params).value) if config.beta > 0 else None
+            lam = smoothness(params) if config.beta > 0 else None
             entry = LogEntry(step, float(np.mean(window)), mrr, lam)
             window.clear()
             log.append(entry)

@@ -484,12 +484,12 @@ class TestBatchLoss:
     def test_smoothness_zero_for_identical_time_embeddings(self):
         ps = ParameterStore.initialize(3, 2, 1, 4)
         ps.arrays["time_emb"][:] = 0.7
-        assert float(smoothness(ps).value) == 0.0
+        assert smoothness(ps) == 0.0
 
     def test_smoothness_hand_value(self):
         ps = ParameterStore.initialize(1, 2, 1, 3)
         ps.arrays["time_emb"][:] = [[0.0], [1.0], [3.0]]
-        assert float(smoothness(ps).value) == pytest.approx(2.5, rel=1e-12)
+        assert smoothness(ps) == pytest.approx(2.5, rel=1e-12)
 
     def test_smoothness_gradient_closed_form(self):
         from time2box import autodiff as ad
@@ -499,7 +499,12 @@ class TestBatchLoss:
         ps = ParameterStore.initialize(d, 2, 1, n_times, rng=rng)
         T = ps.arrays["time_emb"]
         tape = ad.Tape()
-        loss = smoothness(ps, tape)
+        rows = (
+            ps.rows(tape, "time_emb", np.arange(1, n_times)),
+            ps.rows(tape, "time_emb", np.arange(0, n_times - 1)),
+        )
+        loss = ad.margin_loss([], ps.gamma, ps.alpha, 1, rows, beta=1.0)
+        assert float(loss.value) == smoothness(ps)
         grads = ad.densify(ad.backward(tape, loss), ps.arrays)
         scale = 2.0 / (n_times - 1)
         # interior rows: (2 t_i - t_{i-1} - t_{i+1}); one-sided at the ends
@@ -523,7 +528,7 @@ class TestBatchLoss:
         )
         base, _ = batch_loss([atempo], ps, beta=0.5)
         with_reg, _ = batch_loss([tempo], ps, beta=0.5)
-        lam = float(smoothness(ps).value)
+        lam = smoothness(ps)
         assert lam > 0
         # the atemporal-only batch carries no smoothness term
         no_beta_atempo, _ = batch_loss([atempo], ps, beta=0.0)
@@ -596,6 +601,16 @@ def former_reshape(a, shape):
     return ad._op("reshape", (ad.wrap(a),), lambda x: x.reshape(shape), vjp)
 
 
+def former_smoothness(params, tape):
+    n_times = params.n_times
+    if n_times < 2:
+        return ad.constant(0.0)
+    nxt = params.rows(tape, "time_emb", np.arange(1, n_times))
+    prv = params.rows(tape, "time_emb", np.arange(0, n_times - 1))
+    diff = ad.sub(nxt, prv)
+    return ad.mul(ad.reduce_sum(ad.mul(diff, diff)), ad.constant(1.0 / (n_times - 1)))
+
+
 def former_batch_loss(batch, params, beta=0.0):
     """batch_loss as it was recorded before margin_loss: about 14
     primitive nodes per group for the margin loss's tail, and five for the
@@ -644,7 +659,7 @@ def former_batch_loss(batch, params, beta=0.0):
         total = ad.add(total, ad.reduce_sum(ad.mul(sample_loss, ad.constant(weights))))
     loss = ad.mul(total, ad.constant(1.0 / len(batch)))
     if beta > 0.0 and any(s.statement.scope.is_temporal for s in batch):
-        loss = ad.add(loss, ad.mul(smoothness(params, tape), ad.constant(beta)))
+        loss = ad.add(loss, ad.mul(former_smoothness(params, tape), ad.constant(beta)))
     return loss, tape
 
 
@@ -982,8 +997,8 @@ class TestTrain:
         base = TrainConfig(d=8, k=3, lr=0.01, batch=8, steps=300, seed=5, eval_every=300)
         p0, _ = train(overfit_kb, base)
         p1, log1 = train(overfit_kb, TrainConfig(**{**base.__dict__, "beta": 0.1}))
-        lam0 = float(smoothness(p0).value)
-        lam1 = float(smoothness(p1).value)
+        lam0 = smoothness(p0)
+        lam1 = smoothness(p1)
         assert lam1 < lam0
         assert log1[-1].smoothness is not None
 
