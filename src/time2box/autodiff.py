@@ -250,47 +250,6 @@ def _distance_grads(g: np.ndarray, saved: tuple) -> tuple:
     )
 
 
-def _point_sum_grads(g: np.ndarray, saved: tuple) -> tuple:
-    """_distance_grads for points of the full shape, whose box (center and
-    offset of one shape) may be broadcast over them: (the point's
-    gradient, the center's inside term, g_max, g_min).
-
-    At most one of the point's three contributions is nonzero at each
-    element (below the box, above it, or strictly inside), so their sum is
-    exact and is returned as one array. The box terms are _distance_grads's
-    sums over the broadcast axes, with -sum(up) in place of sum(-up). Both
-    give the same values; a zero's sign may differ, which row_sums removes.
-    Each full-shape pass writes into one of two buffers, the second of
-    which becomes the point's gradient. It takes fewer passes than
-    _distance_grads: on c07-dm-tr-si, margin_loss trains 1.07x faster
-    with it than with _distance_grads for every distance (BENCH_3.json).
-    """
-    p, c, _, b_min, b_max, clamped, alpha = saved
-    axes = tuple(i for i, s in enumerate(c.shape) if s == 1 and p.shape[i] != 1)
-    fold = (lambda x: x.sum(axis=axes, keepdims=True)) if axes else np.copy
-    g_out = g[..., None]
-    to_hi = clamped == b_max
-    to_lo = p <= b_min
-    to_lo &= ~to_hi
-    work = np.subtract(c, clamped)
-    through = np.sign(work)  # not in place: numpy's in-place sign is several times slower
-    through *= (g * -alpha)[..., None]
-    np.multiply(through, to_hi, out=work)
-    hi = fold(work)
-    np.multiply(through, to_lo, out=work)
-    lo = fold(work)
-    inside = -fold(through)
-    point = through
-    point *= ~(to_hi | to_lo)
-    np.multiply(g_out, p > b_max, out=work)
-    g_max = hi - fold(work)
-    point += work
-    np.multiply(g_out, b_min > p, out=work)
-    g_min = fold(work) + lo
-    point -= work
-    return point, inside, g_max, g_min
-
-
 def reduce_sum(a, axis=None) -> Node:
     """Sum over all elements or over the last axis."""
     a = wrap(a)
@@ -503,12 +462,11 @@ def margin_loss(
 
     The parents are listed once per contribution of those nodes, in the
     order they added them. Per group: the time negatives' box (their
-    distance's center and offset terms) and the answer's summed term from
-    them; the entity negatives' rows and their summed center and offset
-    terms; then the positive distance's answer, center and offset terms.
-    Last come the two smoothness rows. The answer's and the entity
-    negatives' three point terms come as their exact sum
-    (_point_sum_grads).
+    distance's center and offset terms) and the answer's summed point
+    term from them; the entity negatives' three point terms and their
+    summed center and offset terms; then the positive distance's three
+    answer, three center and two offset terms. Last come the two
+    smoothness rows.
     """
     total, parents, saved = 0.0, [], []
     for grp in groups:
@@ -525,7 +483,7 @@ def margin_loss(
             d_neg, neg = _distance(grp.negatives.value, c_b, o_b, alpha)
             neg = (neg, d_neg - gamma)
             neg_sum = np.sum(log_sigmoid_value(neg[1]), axis=-1)
-            neg_parents = [grp.negatives, grp.center, grp.offset]
+            neg_parents = [grp.negatives] * 3 + [grp.center, grp.offset]
         if grp.time_center is not None:
             d_tneg, tneg = _distance(
                 answer.reshape(n, 1, d), grp.time_center.value, grp.time_offset.value, alpha
@@ -539,7 +497,7 @@ def margin_loss(
             sample_loss = sample_loss - neg_sum * inv_k
         total = total + np.sum(sample_loss * grp.weights)
         parents += tneg_parents + neg_parents
-        parents += [grp.answer] + [grp.center] * 3 + [grp.offset] * 2
+        parents += [grp.answer] * 3 + [grp.center] * 3 + [grp.offset] * 2
         saved.append((n, d, pos, neg, tneg, inv_k, grp.weights))
     inv_batch = 1.0 / batch_size
     value = total * inv_batch
@@ -561,16 +519,12 @@ def margin_loss(
                 p1, p2, p3, *box = _distance_grads(g_neg * log_sigmoid_slope(tneg[1]), tneg[0])
                 out += [*box, ((p1 + p2) + p3).reshape(n, d)]
             if neg is not None:
-                point, inside, g_max, g_min = _point_sum_grads(
+                *points, c1, c2, c3, o1, o2 = _distance_grads(
                     g_neg * log_sigmoid_slope(neg[1]), neg[0]
                 )
-                center = (inside + g_max) + g_min
-                out += [point, center.reshape(n, d), (g_max + -g_min).reshape(n, d)]
+                out += [*points, ((c1 + c2) + c3).reshape(n, d), (o1 + o2).reshape(n, d)]
             # -(-g * s) is g * s bit for bit: negation is exact
-            point, inside, g_max, g_min = _point_sum_grads(
-                g_loss * log_sigmoid_slope(pos[1]), pos[0]
-            )
-            out += [point, inside, g_max, g_min, g_max, -g_min]
+            out += _distance_grads(g_loss * log_sigmoid_slope(pos[1]), pos[0])
         if smooth is not None:
             term = ((g * beta) * (1.0 / len(diff))) * diff
             g_diff = term + term
