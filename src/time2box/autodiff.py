@@ -261,23 +261,45 @@ def reduce_sum(a, axis=None) -> Node:
     return _op("sum", (a,), lambda x: np.sum(x, axis=axis), vjp)
 
 
-def _item_max(x: np.ndarray) -> np.ndarray:
-    """np.max(x, axis=-2), one item at a time: numpy reduces a non-last axis
-    by successive np.maximum from the first item, so the bits are the same."""
-    out = x[..., 0, :].copy()
-    for i in range(1, x.shape[-2]):
-        np.maximum(out, x[..., i, :], out=out)
+def _item_max(items, shape=None) -> np.ndarray:
+    """Elementwise maximum of the items, one at a time: a copy of the
+    first, then np.maximum in order. numpy reduces a non-last axis the same
+    way, so on stacked items (_unstack) this is np.max(x, axis=-2) bit for
+    bit. `shape` is the items' broadcast shape when the first item's own
+    shape is smaller."""
+    out = _first(items, shape).copy()
+    for x in items[1:]:
+        np.maximum(out, x, out=out)
     return out
 
 
-def _item_sum(x: np.ndarray) -> np.ndarray:
-    """np.sum(x, axis=-2), one item at a time: numpy adds a non-last axis's
-    items in order onto its identity +0.0 (which turns a first item of -0.0
-    into +0.0), so the bits are the same."""
-    out = x[..., 0, :] + 0.0
-    for i in range(1, x.shape[-2]):
-        out += x[..., i, :]
+def _item_min(items, shape=None) -> np.ndarray:
+    """Elementwise minimum in _item_max's order: np.min(x, axis=-2) bit for
+    bit on stacked items."""
+    out = _first(items, shape).copy()
+    for x in items[1:]:
+        np.minimum(out, x, out=out)
     return out
+
+
+def _item_sum(items, shape=None, out=None) -> np.ndarray:
+    """Sum of the items, one at a time: numpy adds a non-last axis's items
+    in order onto its identity +0.0 (which turns a first item of -0.0 into
+    +0.0), so on stacked items this is np.sum(x, axis=-2) bit for bit. The
+    sum goes to `out` if given, which may be the first item."""
+    out = np.add(_first(items, shape), 0.0, out=out)
+    for x in items[1:]:
+        out += x
+    return out
+
+
+def _first(items, shape) -> np.ndarray:
+    return items[0] if shape is None else np.broadcast_to(items[0], shape)
+
+
+def _unstack(x: np.ndarray) -> list[np.ndarray]:
+    """The items of x stacked on axis -2, as views."""
+    return [x[..., i, :] for i in range(x.shape[-2])]
 
 
 def _stack_items(items: list[Node]) -> np.ndarray:
@@ -290,29 +312,85 @@ def _item_grads(g: np.ndarray, items: list[Node]) -> tuple:
     return tuple(_unbroadcast(np.take(g, i, axis=-2), n.value.shape) for i, n in enumerate(items))
 
 
+def _row_stack(own: list[np.ndarray], n: int) -> np.ndarray:
+    """The rows of the arrays in `own`, in order, as a (k, n, d) stack of
+    n-row matrices; the last row is repeated to fill the last matrix."""
+    d = own[0].shape[-1]
+    sizes = [v.size // d for v in own]
+    rows = np.empty((-(-sum(sizes) // n) * n, d))
+    lo = 0
+    for v, size in zip(own, sizes):
+        rows[lo : lo + size] = v.reshape(-1, d)
+        lo += size
+    if lo < len(rows):
+        rows[lo:] = rows[lo - 1]
+    return rows.reshape(-1, n, d)
+
+
+def _own_rows(own: list[np.ndarray], f) -> list[np.ndarray]:
+    """f applied to every row of each of the n items' own (un-broadcast)
+    values, split back into one array per item, shaped as its item.
+
+    f maps (k, d) rows to (k, d) rows through matmuls. The rows are stacked
+    n to a matrix, the (n, d) shape of the stacked path's matmuls; the last
+    row is repeated to fill the last matrix, so no matmul has one row (a
+    GEMV, whose bits differ). A stacked matmul of a few rows gives each row
+    the same bits wherever it sits and whatever its neighbours, so every
+    row of the result equals its stacked-path value (tests/test_autodiff.py
+    pins this property of the BLAS for n <= 5).
+    """
+    d = own[0].shape[-1]
+    rows = f(_row_stack(own, len(own))).reshape(-1, d)
+    out, lo = [], 0
+    for v in own:
+        out.append(rows[lo : lo + v.size // d].reshape(v.shape))
+        lo += v.size // d
+    return out
+
+
 def attention_center(items, w_att) -> Node:
     """Center of the intersection (Query2Box): with x the items stacked on
     axis -2 (leading dimensions broadcast) and a = softmax(x @ w_att.T)
     over the items, per dimension, the value is sum_i a_i * x_i. Max and
     sums over the items run item by item (_item_max, _item_sum).
 
+    Without a tape and with two or more items, the items are never
+    stacked: x_i @ w_att.T is computed once per row of each item's own
+    value (_own_rows), and the softmax and the weighted sum run over the
+    items one at a time, with the same bits.
+
     The vjp adds the stacked items' two contributions in the order a
     product node and then a linear node would: g*a, then g_z @ w_att.
     """
     items, w_att = [wrap(n) for n in items], wrap(w_att)
-    x, w = _stack_items(items), w_att.value
-    z = x @ w.T  # the leading dimensions stay, so each query's bits are its own
-    e = np.exp(z - _item_max(z)[..., None, :])
-    att = e / _item_sum(e)[..., None, :]
-    value = _item_sum(att * x)
+    w = w_att.value
     tape = _tape_of(*items, w_att)
+    if tape is None and len(items) > 1:
+        own = [n.value for n in items]
+        z = _own_rows(own, lambda rows: rows @ w.T)
+        top = _item_max(z, np.broadcast_shapes(*(v.shape for v in own)))
+        # exp(z_i - top), the last one in top's buffer: the tape-free
+        # branches write into arrays they made wherever the bits allow, as
+        # each fresh array of this size costs its page faults
+        e = [np.subtract(zi, top) for zi in z[:-1]] + [np.subtract(z[-1], top, out=top)]
+        for ei in e:
+            np.exp(ei, out=ei)
+        total = _item_sum(e)
+        for ei, x in zip(e, own):
+            np.multiply(np.divide(ei, total, out=ei), x, out=ei)
+        return Node(_item_sum(e, out=e[0]), "attention_center")
+    x = _stack_items(items)
+    z = x @ w.T  # the leading dimensions stay, so each query's bits are its own
+    e = np.exp(z - _item_max(_unstack(z))[..., None, :])
+    att = e / _item_sum(_unstack(e))[..., None, :]
+    value = _item_sum(_unstack(att * x))
     if tape is None:
         return Node(value, "attention_center")
 
     def vjp(g, *_):
         g = g[..., None, :]
         g_att = g * x
-        g_z = att * (g_att - _item_sum(g_att * att)[..., None, :])
+        g_z = att * (g_att - _item_sum(_unstack(g_att * att))[..., None, :])
         g_x = g * att + g_z @ w
         g_w = g_z.reshape(-1, g_z.shape[-1]).T @ x.reshape(-1, x.shape[-1])
         return _item_grads(g_x, items) + (g_w,)
@@ -320,43 +398,19 @@ def attention_center(items, w_att) -> Node:
     return Node(value, "attention_center", (*items, w_att), tape, vjp)
 
 
-def _row_stack(own: list[np.ndarray], n: int) -> np.ndarray:
-    """The rows of the arrays in `own`, in order, as a (k, n, d) stack of
-    n-row matrices; the last row is repeated to fill the last matrix."""
-    d = own[0].shape[-1]
-    rows = np.concatenate([v.reshape(-1, d) for v in own])
-    pad = -len(rows) % n
-    if pad:
-        rows = np.concatenate([rows, np.repeat(rows[-1:], pad, axis=0)])
-    return rows.reshape(-1, n, d)
-
-
-def _pooled_rows(own: list[np.ndarray], lead: tuple, w_in: np.ndarray, w_hidden: np.ndarray):
+def _pooled_rows(own: list[np.ndarray], shape: tuple, w_in: np.ndarray, w_hidden: np.ndarray):
     """gated_min's pooled DeepSets terms, mean_i(relu(relu(x_i @ w_in.T) @
-    w_hidden.T)) over leading shape `lead`, with each item's terms computed
-    once per row of its own (un-broadcast) value instead of once per
-    broadcast position.
+    w_hidden.T)), with each item's terms computed once per row of its own
+    value (_own_rows), summed by broadcasting to the items' shape in
+    _item_sum's order and divided by n."""
+    def terms_of(rows):
+        h = rows @ w_in.T
+        h = np.maximum(h, 0.0, out=h) @ w_hidden.T
+        return np.maximum(h, 0.0, out=h)
 
-    The n items' rows are stacked n to a matrix, the (n, d) shape of the
-    stacked path's matmuls; the last row is repeated to fill the last
-    matrix, so no matmul has one row (a GEMV, whose bits differ). A stacked
-    matmul of a few rows gives each row the same bits wherever it sits and
-    whatever its neighbours, so every term equals its stacked-path value
-    (tests/test_autodiff.py pins this property of the BLAS). The terms are
-    then summed by broadcasting in _item_sum's order and divided by n.
-    """
-    n, d = len(own), w_in.shape[1]
-    stack = _row_stack(own, n)
-    terms = np.maximum(np.maximum(stack @ w_in.T, 0.0) @ w_hidden.T, 0.0).reshape(-1, d)
-    out, lo = None, 0
-    for v in own:
-        term = terms[lo : lo + v.size // d].reshape(v.shape)
-        lo += v.size // d
-        if out is None:
-            out = np.broadcast_to(term, lead + (d,)) + 0.0
-        else:
-            out += term
-    out /= n  # in place: a second (lead, d) temporary cost more than the sums
+    terms = _own_rows(own, terms_of)
+    out = _item_sum(terms, shape)
+    out /= len(own)  # in place: a second (lead, d) temporary cost more than the sums
     return out
 
 
@@ -367,10 +421,10 @@ def gated_min(items, w_ds_in, w_ds_hidden, w_ds_out) -> Node:
     The mean over the items runs item by item (_item_sum), and the gate is
     one GEMV per query.
 
-    Without a tape, when two or more items are given and some item is
-    broadcast across the leading shape (as the relation offset of a
-    timeline is across its years), the DeepSets terms are computed once
-    per row of each item's own value (_pooled_rows), with the same bits.
+    Without a tape and with two or more items, the items are never
+    stacked: the minimum is a chain of np.minimum over their own values
+    (_item_min), and the DeepSets terms are computed once per row of each
+    item's own value (_pooled_rows), with the same bits.
 
     Subgradients: relu has derivative 0 at its kink, and the minimum's
     gradient goes to the first minimizing item, leaving +0.0 at the others.
@@ -380,26 +434,33 @@ def gated_min(items, w_ds_in, w_ds_hidden, w_ds_out) -> Node:
     items = [wrap(n) for n in items]
     mats = [wrap(w) for w in (w_ds_in, w_ds_hidden, w_ds_out)]
     w_in, w_hidden, w_out = (w.value for w in mats)
-    x = _stack_items(items)
-    n = x.shape[-2]
-    floor = np.min(x, axis=-2)
+    n = len(items)
     tape = _tape_of(*items, *mats)
-    own = [item.value for item in items]
-    if tape is None and n > 1 and sum(v.size for v in own) < x.size:
-        pooled = _pooled_rows(own, x.shape[:-2], w_in, w_hidden)
+    if tape is None and n > 1:
+        own = [item.value for item in items]
+        shape = np.broadcast_shapes(*(v.shape for v in own))
+        floor = _item_min(own, shape)
+        pooled = _pooled_rows(own, shape, w_in, w_hidden)
     else:
+        x = _stack_items(items)
+        floor = np.min(x, axis=-2)
         a1 = x @ w_in.T
         h1 = np.maximum(a1, 0.0)
         a2 = h1 @ w_hidden.T
-        pooled = _item_sum(np.maximum(a2, 0.0))
+        pooled = _item_sum(_unstack(np.maximum(a2, 0.0)))
         pooled /= n  # in place, as in _pooled_rows: the sum is a fresh array
     a3 = pooled @ w_out.T
     # sigmoid: 1/(1 + e) for a3 >= 0 and e/(1 + e) below, with e = exp(-|a3|)
+    if tape is None:
+        # the same expressions, in the arrays this call made
+        above = a3 >= 0
+        e = np.exp(np.negative(np.abs(a3, out=a3), out=a3), out=a3)
+        gate = np.maximum(e, above, out=pooled)
+        np.divide(gate, np.add(e, 1.0, out=e), out=gate)
+        return Node(np.multiply(floor, gate, out=floor), "gated_min")
     e = np.exp(-np.abs(a3))
     gate = np.maximum(e, a3 >= 0) / (1.0 + e)
     value = floor * gate
-    if tape is None:
-        return Node(value, "gated_min")
 
     def vjp(g, *_):
         g_floor = g * gate

@@ -411,6 +411,19 @@ def _interval_arg(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
+def _attach_interval(argv: list[str]) -> list[str]:
+    """`--interval -5:1985` as `--interval=-5:1985`: argparse reads a token
+    that starts with "-" as an option unless it is a plain negative number,
+    which a YEAR:YEAR value never is."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--interval" and arg.startswith("-") and ":" in arg:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="time2box",
@@ -484,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_interval(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except UsageError as exc:

@@ -416,7 +416,8 @@ def train(
     )
     adam = Adam(config.lr)
     statements = kb.splits["train"]
-    has_valid = bool(kb.splits["valid"])
+    # a Statements split builds its objects on access: read it once
+    valid = list(kb.splits["valid"])
     log: list[LogEntry] = []
     best_mrr, best_params = -1.0, None
     window: list[float] = []
@@ -445,8 +446,7 @@ def train(
         # loss column is the mean since the previous log line
         if step == 1 or step % config.eval_every == 0 or step == config.steps:
             mrr, failure = float("nan"), None
-            if has_valid:
-                valid = kb.splits["valid"]
+            if valid:
                 try:
                     report = eval_link_prediction(
                         valid, params, kb, config.variant, filter_splits=("train", "valid")

@@ -685,6 +685,8 @@ class TestItemAxisKernels:
             e = np.exp(z - np.max(z, axis=-2, keepdims=True))
             att = e / e.sum(axis=-2, keepdims=True)
             assert same_bits(node.value, (att * x).sum(axis=-2))
+            # without a tape the items are taken one by one, with the same bits
+            assert same_bits(ad.attention_center(ad._unstack(x), w).value, node.value)
             g = g[..., 0, :]
             *got, got_w = node._vjp(g, node.value, *(p.value for p in node.parents))
             g = g[..., None, :]
@@ -696,7 +698,7 @@ class TestItemAxisKernels:
 
     def test_sum(self, n, seed):
         for x, _ in item_inputs(n, seed):
-            assert same_bits(ad._item_sum(x), np.sum(x, axis=-2))
+            assert same_bits(ad._item_sum(ad._unstack(x)), np.sum(x, axis=-2))
 
     def test_mean(self, n, seed):
         for x, _ in item_inputs(n, seed):
@@ -705,10 +707,15 @@ class TestItemAxisKernels:
             h = np.maximum(np.maximum(x @ w_in.T, 0.0) @ w_hidden.T, 0.0)
             gate = masked_sigmoid(np.mean(h, axis=-2) @ w_out.T)
             assert same_bits(node.value, np.min(x, axis=-2) * gate)
+            assert same_bits(ad.gated_min(ad._unstack(x), w_in, w_hidden, w_out).value, node.value)
 
     def test_max(self, n, seed):
         for x, _ in item_inputs(n, seed):
-            assert same_bits(ad._item_max(x), np.max(x, axis=-2))
+            assert same_bits(ad._item_max(ad._unstack(x)), np.max(x, axis=-2))
+
+    def test_min(self, n, seed):
+        for x, _ in item_inputs(n, seed):
+            assert same_bits(ad._item_min(ad._unstack(x)), np.min(x, axis=-2))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -729,10 +736,10 @@ def test_mask_free_sigmoid_and_log_sigmoid_vjp_match_masked_formulas():
     assert same_bits(got, g * np.where(x >= 0, e / d, 1.0 / d))
 
 
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("d", [3, 8, 64, 256])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [3, 8, 16, 32, 64, 100, 128, 256])
 def test_stacked_matmul_rows_keep_their_bits(n, d):
-    """gated_min's tape-free branch relies on this property of the BLAS: in
+    """The intersection ops' tape-free branches rely on this property of the BLAS: in
     a stacked (k, n, d) @ W.T, each row's product has the same bits
     wherever the row sits (matrix and position) and whatever its
     neighbours are, copies of itself included. A BLAS that breaks it
@@ -752,40 +759,55 @@ def test_stacked_matmul_rows_keep_their_bits(n, d):
                 assert (stack @ w.T)[at, pos].tobytes() == want.tobytes(), (at, pos)
 
 
-#: gated_min item shapes at width d, and whether the tape-free call takes
-#: the per-row branch
+#: intersection item shapes at width d, and whether a tape-free call takes
+#: the item-by-item branch
 ITEM_SHAPES = {
-    # a time chunk: U relation offsets (U, 1, d) and the axis's (T, d)
+    # a time chunk: U relation items (U, 1, d) and the axis's (T, d)
     "time-chunk": (lambda d: [(5, 1, d), (7, d)], True),
     "time-chunk-padded": (lambda d: [(4, 1, d), (7, d)], True),
+    # a TR time chunk's center items: relation, time projection, TR point
+    "tr-time-chunk": (lambda d: [(5, 1, d), (5, 7, d), (5, 7, d)], True),
     # predict --interval: one relation offset and (T, 1, d); 1 + 6 rows
     # leave a lone row to pad
     "predict-interval": (lambda d: [(d,), (6, 1, d)], True),
     # two time projections: 3 items, 3 + 5 + 5 rows leave a lone row
     "three-items": (lambda d: [(3, 1, d), (5, d), (5, d)], True),
+    # the first two items broadcast to less than the lead shape
+    "narrow-first-pair": (lambda d: [(4, 1, d), (4, 1, d), (7, d)], True),
+    # two TR time projections: five center items, 53 rows
+    "five-items": (lambda d: [(3, 1, d), (3, 5, d), (3, 5, d), (5, d), (3, 5, d)], True),
     # a link chunk broadcasts no item
-    "link-chunk": (lambda d: [(4, 1, d), (4, 1, d)], False),
+    "link-chunk": (lambda d: [(4, 1, d), (4, 1, d)], True),
+    # no rows at all, and an empty axis next to a relation item
+    "empty-chunk": (lambda d: [(0, 1, d), (0, 1, d)], True),
+    "empty-axis": (lambda d: [(3, 1, d), (0, d)], True),
     "one-item": (lambda d: [(6, 1, d)], False),
 }
 
 
 class TestGatedMinItemRows:
-    """Without a tape, gated_min computes a broadcast item's DeepSets terms
-    once per row of its own value; the value equals a taped call's on the
-    same items bit for bit."""
+    """Without a tape, attention_center and gated_min work item by item:
+    they compute each item's matmuls once per row of its own value and
+    never stack the items. The value equals a taped call's on the same
+    items bit for bit."""
 
     @staticmethod
     def spy(monkeypatch):
-        stacks = []
-        row_stack = ad._row_stack
+        calls = {"row_stack": [], "stack_items": 0}
+        row_stack, stack_items = ad._row_stack, ad._stack_items
 
         def recording(own, n):
             stack = row_stack(own, n)
-            stacks.append(stack)
+            calls["row_stack"].append(stack)
             return stack
 
+        def counting(items):
+            calls["stack_items"] += 1
+            return stack_items(items)
+
         monkeypatch.setattr(ad, "_row_stack", recording)
-        return stacks
+        monkeypatch.setattr(ad, "_stack_items", counting)
+        return calls
 
     @pytest.mark.parametrize("d", [8, 64])
     @pytest.mark.parametrize("case", sorted(ITEM_SHAPES))
@@ -794,21 +816,24 @@ class TestGatedMinItemRows:
         rng = np.random.default_rng(d)
         items = [rng.uniform(0.0, 24.0 / d, size=shape) for shape in shapes_of(d)]
         mats = [rng.uniform(-np.sqrt(3.0 / d), np.sqrt(3.0 / d), size=(d, d)) for _ in range(3)]
-        stacks = self.spy(monkeypatch)
-        tape = ad.Tape()
-        taped = ad.gated_min([ad.param_full(tape, v, f"x{i}") for i, v in enumerate(items)], *mats)
-        assert stacks == []  # a taped call keeps the stacked path
-        free = ad.gated_min(items, *mats)
-        assert free.value.tobytes() == taped.value.tobytes()
-        assert free.value.shape == taped.value.shape
-        if not branch:
-            assert stacks == []
-            return
-        (stack,) = stacks
         n = len(items)
         # n rows per matmul, never one: every item row once, the last repeated
         rows = np.concatenate([v.reshape(-1, d) for v in items])
-        assert stack.shape == (-(-len(rows) // n), n, d)
-        flat = stack.reshape(-1, d)
-        assert np.array_equal(flat[: len(rows)], rows)
-        assert (flat[len(rows) :] == rows[-1]).all()
+        for op, weights in ((ad.attention_center, mats[:1]), (ad.gated_min, mats)):
+            calls = self.spy(monkeypatch)
+            tape = ad.Tape()
+            taped = op([ad.param_full(tape, v, f"x{i}") for i, v in enumerate(items)], *weights)
+            # a taped call keeps the stacked path
+            assert calls == {"row_stack": [], "stack_items": 1}
+            free = op(items, *weights)
+            assert free.value.tobytes() == taped.value.tobytes()
+            assert free.value.shape == taped.value.shape
+            if not branch:
+                assert calls == {"row_stack": [], "stack_items": 2}
+                continue
+            assert calls["stack_items"] == 1
+            (stack,) = calls["row_stack"]
+            assert stack.shape == (-(-len(rows) // n), n, d)
+            flat = stack.reshape(-1, d)
+            assert np.array_equal(flat[: len(rows)], rows)
+            assert (flat[len(rows) :] == rows[-1:]).all()

@@ -703,6 +703,25 @@ class TestPredict:
         assert out == ""
         assert "1986" in err and "1982" in err
 
+    def test_interval_with_negative_start_takes_a_space(self, dataset_dir, run_dir, capsys):
+        # "-5:1985" is no plain negative number, so argparse alone reads it as a flag
+        argv = ["predict", "--checkpoint", run_dir / "checkpoint.t2b",
+                "--data", dataset_dir, "-s", "e00", "-r", "rel0"]
+        code, out, err = run(capsys, *argv, "--interval", "-5:1985")
+        assert (code, err) == (0, "")
+        assert run(capsys, *argv, "--interval=-5:1985") == (0, out, "")
+        rows = out.splitlines()[1:]
+        assert rows[0].startswith("1980\t") and rows[-1].startswith("1985\t")
+
+    def test_reversed_negative_interval_is_usage_error(self, dataset_dir, run_dir, capsys):
+        code, out, err = run(
+            capsys, "predict", "--checkpoint", run_dir / "checkpoint.t2b",
+            "--data", dataset_dir, "-s", "e00", "-r", "rel0", "--interval", "-1:-5",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--interval start -1 is after its end -5" in err
+
     @pytest.mark.parametrize(
         "flag, value",
         [

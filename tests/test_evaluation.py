@@ -1047,6 +1047,48 @@ class TestSharedTimelineBoxes:
             )
             assert timelines[i].tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("variant", ["te,tns", "dm,tr,si"])
+    def test_five_runs_over_200_year_axis_equal_taped_builds(self, monkeypatch, variant):
+        """The benchmark's wd12k chunk shape: U = 5 runs over T = 200
+        timestamps at d = 64. The tape-free intersection never stacks the
+        items, and each timeline equals a taped build of its box bit for
+        bit."""
+        from time2box import autodiff as ad
+        from time2box.model import box_scores, query_box
+
+        kb, _ = generate_synthetic(
+            SynthConfig(seed=12, n_entities=30, n_relations=3, axis_length=200, n_rules=20)
+        )
+        kb = add_inverse_relations(kb)
+        n_times = kb.axis.length
+        assert n_times == 200
+        params = ParameterStore.initialize(
+            64, kb.n_entities, kb.n_relations, n_times, rng=np.random.default_rng(5)
+        )
+        v = Variant.parse(variant)
+        stacked = []
+        stack_items = ad._stack_items
+
+        def recording(items):
+            stacked.append(len(items))
+            return stack_items(items)
+
+        monkeypatch.setattr(ad, "_stack_items", recording)
+        s = np.array([0, 0, 4, 7, 7, 9, 12], dtype=np.intp)
+        r = np.array([1, 1, 0, 2, 2, 2, 1], dtype=np.intp)
+        o = np.array([3, 5, 8, 1, 6, 2, 0], dtype=np.intp)
+        runs = 1 + np.count_nonzero((s[1:] != s[:-1]) | (r[1:] != r[:-1]))
+        assert runs == 5
+        timelines = ev._chunk_timelines(s, r, o, params, v, n_times)
+        assert stacked == []
+        for i in range(len(s)):
+            box = query_box(params, v, s[i], r[i], np.arange(n_times)[:, None], tape=ad.Tape())
+            want = box_scores(
+                params.arrays["entity_emb"][o[i]], box.center_value(), box.offset_value(),
+                params.gamma, params.alpha,
+            )
+            assert timelines[i].tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("k, tau", [(10, 0.95), (3, 0.5), (50, 1e-3), (1, 1.0)])
     def test_report_equals_per_statement_loop(self, c07_kb, monkeypatch, k, tau):
         kb = c07_kb

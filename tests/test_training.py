@@ -954,6 +954,28 @@ class TestTrain:
             gc.enable()
         assert len(tapes) == 5 and alive == 0
 
+    def test_valid_split_read_once(self, overfit_kb, monkeypatch):
+        """A Statements split builds its statement objects on each pass, so
+        train() reads the valid split once, not once per validation."""
+        from time2box.data import Statements
+
+        valid = overfit_kb.splits["valid"]
+        assert isinstance(valid, Statements)
+        cfg = TrainConfig(d=4, k=3, batch=8, steps=4, seed=0, eval_every=1)
+        _, want = train(overfit_kb, cfg)
+        passes = []
+        iterate = Statements.__iter__
+
+        def counting(split):
+            passes.append(split)
+            return iterate(split)
+
+        monkeypatch.setattr(Statements, "__iter__", counting)
+        _, log = train(overfit_kb, cfg)
+        assert [entry.step for entry in log] == [1, 2, 3, 4]
+        assert [entry.format() for entry in log] == [entry.format() for entry in want]
+        assert [split is valid for split in passes] == [True]
+
     def test_no_step_allocates_an_entity_table(self, monkeypatch):
         """|E| = 50k at d = 8: the entity table (3.2 MB) dwarfs a step's
         tape, and after step 1, which allocates Adam's moments, no step's
