@@ -331,13 +331,13 @@ def _own_rows(own: list[np.ndarray], f) -> list[np.ndarray]:
     """f applied to every row of each of the n items' own (un-broadcast)
     values, split back into one array per item, shaped as its item.
 
-    f maps (k, d) rows to (k, d) rows through matmuls. The rows are stacked
-    n to a matrix, the (n, d) shape of the stacked path's matmuls; the last
-    row is repeated to fill the last matrix, so no matmul has one row (a
-    GEMV, whose bits differ). A stacked matmul of a few rows gives each row
-    the same bits wherever it sits and whatever its neighbours, so every
-    row of the result equals its stacked-path value (tests/test_autodiff.py
-    pins this property of the BLAS for n <= 5).
+    f maps a (k, n, d) stack to one of the same shape through matmuls. The
+    rows are stacked n to a matrix, the (n, d) shape of the stacked path's
+    matmuls; the last row is repeated to fill the last matrix, so no matmul
+    has one row (a GEMV, whose bits differ). A stacked matmul of a few rows
+    gives each row the same bits wherever it sits and whatever its
+    neighbours, so every row of the result equals its stacked-path value
+    (tests/test_autodiff.py pins this property of the BLAS for n <= 5).
     """
     d = own[0].shape[-1]
     rows = f(_row_stack(own, len(own))).reshape(-1, d)
