@@ -42,6 +42,12 @@ the SHA-256 of the float64 parameters after 30 steps on a synthetic with
 2,000 entities (d=8, k=4, batch 32, seed 3, no validation), for te,tns
 and for dm,tr,si with beta 0.01: a step touches about a tenth of the
 entity rows, so most rows take Adam's untouched-row path every step.
+A line multiblock= holds, for a te,tns model trained 20 steps at d=64 on
+a synthetic with 3,000 entities (more than one of score_entities' row
+blocks, so its scoring is split over the usable cores, which c07's 50
+entities never are), the SHA-256 of its link report text on the test
+split with filter train,valid, and the SHA-256 of the raw score bytes of
+32 test queries scored as one (32, d) batch of boxes and of one (d,) box.
 A line samples= holds, for te,tns, te,si,tns and dm,tr,si (k=16, one
 default_rng(0) each), the SHA-256 over every c07 training statement's
 make_training_sample output in split order: the plan's timestamps, the
@@ -87,7 +93,7 @@ from time2box.data import (
     write_dataset,
 )
 from time2box.evaluation import eval_link_prediction, eval_time_prediction
-from time2box.model import PARAM_ORDER, Variant
+from time2box.model import PARAM_ORDER, BoxEmbedding, Variant, query_box, score_entities
 from time2box.training import TrainConfig, make_training_sample, save_checkpoint, train
 
 SYNTH = SynthConfig(seed=5, n_entities=20, n_relations=3, axis_length=12, n_rules=25)
@@ -100,6 +106,7 @@ C07_VARIANTS = (("te,tns", 0.0), ("dm,tr,si", 0.01))
 #: variants of the samples= line: time negatives with one and with two
 #: timestamps per plan, and entity negatives only
 SAMPLE_VARIANTS = ("te,tns", "te,si,tns", "dm,tr,si")
+MULTIBLOCK_SYNTH = SynthConfig(seed=19, n_entities=3000, n_relations=4, axis_length=20, n_rules=60)
 ROWS_SYNTH = SynthConfig(seed=11, n_entities=2000, n_relations=4, axis_length=30, n_rules=600)
 #: the lines of the load= line's edge dataset per split; its axis is -5..12
 EDGE_SPLITS = {
@@ -230,6 +237,25 @@ def c07_lines() -> list[str]:
     ]
 
 
+def multiblock_line() -> str:
+    kb = add_inverse_relations(generate_synthetic(MULTIBLOCK_SYNTH)[0])
+    kb = dataclasses.replace(kb, splits={**kb.splits, "valid": []})
+    cfg = TrainConfig(d=64, k=16, lr=0.01, batch=64, steps=20, seed=0, variant=Variant.parse("te,tns"))
+    params, _ = train(kb, cfg)
+    test = kb.splits["test"]
+    report = eval_link_prediction(test, params, kb, cfg.variant, filter_splits=("train", "valid"))
+    # as link chunks build them: (Q, 1) boxes, one timestamp each
+    s, r = test.s[:32, None], test.r[:32, None]
+    times = (np.arange(32) % kb.axis.length)[:, None, None]
+    box = query_box(params, cfg.variant, s, r, times)
+    batch = score_entities(BoxEmbedding(box.center_value()[:, 0], box.offset_value()[:, 0]), params)
+    single = score_entities(query_box(params, cfg.variant, int(s[0, 0]), int(r[0, 0]), [3]), params)
+    return (
+        f"multiblock=link:{sha256(report.to_text().encode())} "
+        f"scores:{sha256(batch.tobytes() + single.tobytes())}"
+    )
+
+
 def rows_line() -> str:
     kb = add_inverse_relations(generate_synthetic(ROWS_SYNTH)[0])
     kb = dataclasses.replace(kb, splits={**kb.splits, "valid": []})
@@ -317,6 +343,7 @@ def main():
         print(load_line(work_dir), flush=True)
     for line in c07_lines():
         print(line, flush=True)
+    print(multiblock_line(), flush=True)
     print(rows_line(), flush=True)
     print(samples_line(), flush=True)
     with tempfile.TemporaryDirectory() as work_dir:

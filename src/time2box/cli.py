@@ -283,8 +283,10 @@ def cmd_eval_time(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     params, variant, kb = _load_model_and_kb(args)
-    # each original statement is predicted once, in the forward direction
-    statements = [s for s in kb.splits["test"] if s.r < kb.n_base_relations]
+    # each original statement is predicted once, in the forward direction;
+    # only those rows are built into statements
+    test = kb.splits["test"]
+    statements = list(test.select(test.r < kb.n_base_relations))
     if all(gold_interval(s) is None for s in statements):
         raise DatasetError(
             f"the test split {_test_path(args)} has no statement with an instant or closed "
@@ -412,12 +414,17 @@ def _interval_arg(text: str) -> tuple[int, int]:
 
 
 def _attach_interval(argv: list[str]) -> list[str]:
-    """`--interval -5:1985` as `--interval=-5:1985`: argparse reads a token
-    that starts with "-" as an option unless it is a plain negative number,
-    which a YEAR:YEAR value never is."""
+    """`predict --interval -5:1985` as `--interval=-5:1985`, also after an
+    abbreviation such as `--inter`: argparse reads a token that starts with
+    "-" as an option unless it is a plain negative number, which a YEAR:YEAR
+    value never is. Among predict's flags every prefix of `--interval` from
+    `--i` on names it alone."""
+    if argv[:1] != ["predict"]:
+        return argv
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--interval" and arg.startswith("-") and ":" in arg:
+        flag = out[-1] if out else ""
+        if len(flag) > 2 and "--interval".startswith(flag) and arg.startswith("-") and ":" in arg:
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -170,6 +170,11 @@ class Statements(Sequence):
             self._indexed[i] = stmt
         return stmt
 
+    def select(self, rows) -> "Statements":
+        """The statements at `rows` (indices or a boolean mask over the
+        split), as columns on the same scope table; none is built."""
+        return Statements(self.s[rows], self.r[rows], self.o[rows], self.scope[rows], self.table)
+
     def __iter__(self):
         scopes = self.table.scopes
         columns = (self.s.tolist(), self.r.tolist(), self.o.tolist(), self.scope.tolist())

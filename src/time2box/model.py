@@ -17,6 +17,11 @@ an autodiff tape when one is given.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import os
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -319,15 +324,89 @@ def box_scores(points, center, offset, gamma: float, alpha: float) -> np.ndarray
     return ad.log_sigmoid_value(gamma - total)
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_job(job, done: queue.SimpleQueue) -> None:
+    """Run one job on a worker and put its error, or None, on `done`."""
+    try:
+        job()
+    except BaseException as exc:  # handed to the caller, which raises it
+        done.put(exc)
+    else:
+        done.put(None)
+
+
+def _serve(inbox: queue.SimpleQueue) -> None:
+    """A worker's loop; between jobs it holds no reference to the last one."""
+    while True:
+        _run_job(*inbox.get())
+
+
+class _Workers:
+    """Daemon threads that run jobs next to the calling thread, started on
+    first use; being daemons, idle ones never delay interpreter exit."""
+
+    def __init__(self):
+        self.pid = os.getpid()
+        self.lock = threading.Lock()
+        self.inboxes: list[queue.SimpleQueue] = []
+
+    def run(self, jobs: list) -> None:
+        """Run jobs[0] on the calling thread and each later job on a worker of
+        its own. Once every job has stopped, raise the caller's error, or else
+        the first error a worker reported."""
+        with self.lock:
+            while len(self.inboxes) < len(jobs) - 1:
+                inbox = queue.SimpleQueue()
+                threading.Thread(target=_serve, args=(inbox,), daemon=True).start()
+                self.inboxes.append(inbox)
+            done = queue.SimpleQueue()
+            for inbox, job in zip(self.inboxes, jobs[1:]):
+                inbox.put((job, done))
+            try:
+                jobs[0]()
+            finally:
+                errors = [done.get() for _ in jobs[1:]]
+        for error in errors:
+            if error is not None:
+                raise error
+
+
+_workers: _Workers | None = None
+
+
+def _scoring_workers() -> _Workers:
+    """The process's scoring workers, made on the first threaded call. A
+    forked child inherits the object but not its threads, so it makes its own."""
+    global _workers
+    if _workers is None or _workers.pid != os.getpid():
+        _workers = _Workers()
+    return _workers
+
+
 def score_entities(box: BoxEmbedding, params: ParameterStore) -> np.ndarray:
     """Scores of every entity against one query box of shape (d,), as an
     (|E|,) array, or against Q boxes of shape (Q, d), as a (Q, |E|) array
     (evaluation path).
 
-    Equal to box_scores over the whole entity table, but walks it in blocks
+    Equal to box_scores over the whole entity table, but walks it in tasks
     of queries x entity rows of at most SCORE_BLOCK_ELEMENTS, so the work
     buffers are reused in cache: a row block holds up to
     SCORE_BLOCK_ELEMENTS // d entities, and as many queries as fit share it.
+
+    A table of more than one row block is split over every usable core: the
+    caller and one worker per further core claim task indices from a shared
+    counter, each into its own pair of buffers. A task writes its own slice
+    of the scores from read-only inputs, so a score's bits do not depend on
+    the thread that computes it. The workers run under the caller's numpy
+    error state, an error in any thread is raised once every thread has
+    stopped, and the log-sigmoid runs on the caller after the last task.
     """
     _check_alpha(params.alpha)
     emb = params.arrays["entity_emb"]
@@ -338,19 +417,40 @@ def score_entities(box: BoxEmbedding, params: ParameterStore) -> np.ndarray:
     q = len(queries)
     rows = max(1, min(n, SCORE_BLOCK_ELEMENTS // d))
     per_block = max(1, SCORE_BLOCK_ELEMENTS // (rows * d))
-    clamped = np.empty((min(per_block, q), rows, d))
-    diff = np.empty_like(clamped)
+    row_blocks = -(-n // rows)
+    q_blocks = range(0, q, per_block)
+    threads = _usable_cores() if row_blocks > 1 else 1
+    buffers = []
+    for _ in range(threads):
+        clamped = np.empty((min(per_block, q), rows, d))
+        buffers.append((clamped, np.empty_like(clamped)))
     scores = np.empty((q, n))
-    for q_lo in range(0, q, per_block):
+
+    def task(i: int, clamped: np.ndarray, diff: np.ndarray) -> None:
+        """Distances of query block i // row_blocks to row block i % row_blocks."""
+        q_lo, lo = q_blocks[i // row_blocks], rows * (i % row_blocks)
         qs = slice(q_lo, q_lo + per_block)
-        k = len(queries[qs])
-        for lo in range(0, n, rows):
-            block = emb[lo : lo + rows]
-            m = len(block)
-            scores[qs, lo : lo + m] = ad.box_distance_value(
-                block, queries[qs], b_min[qs], b_max[qs], params.alpha,
-                clamped[:k, :m], diff[:k, :m],
-            )
+        block = emb[lo : lo + rows]
+        k, m = len(queries[qs]), len(block)
+        scores[qs, lo : lo + m] = ad.box_distance_value(
+            block, queries[qs], b_min[qs], b_max[qs], params.alpha, clamped[:k, :m], diff[:k, :m]
+        )
+
+    if threads > 1:
+        claims, n_tasks = itertools.count(), len(q_blocks) * row_blocks
+        err, call = np.geterr(), np.geterrcall()
+
+        def claim(clamped: np.ndarray, diff: np.ndarray) -> None:
+            with np.errstate(call=call, **err):
+                while (i := next(claims)) < n_tasks:  # next() is atomic under the GIL
+                    task(i, clamped, diff)
+
+        _scoring_workers().run([functools.partial(claim, *pair) for pair in buffers])
+    for b, q_lo in enumerate(q_blocks):
+        qs = slice(q_lo, q_lo + per_block)
+        if threads == 1:
+            for i in range(b * row_blocks, (b + 1) * row_blocks):
+                task(i, *buffers[0])
         # distances to scores per query block, so the log-sigmoid's
         # temporaries do not grow with Q
         scores[qs] = ad.log_sigmoid_value(params.gamma - scores[qs])

@@ -642,6 +642,41 @@ class TestEval:
         assert err == f"error: non-finite score nan for entity {first}\n"
         assert out == ""
 
+    def test_eval_time_builds_forward_statements_only(
+        self, dataset_dir, run_dir, tmp_path, capsys, monkeypatch
+    ):
+        """eval-time picks the forward rows from the test split's relation
+        column and builds a statement for those alone, once each; its outputs
+        are those of evaluating the forward statements of the whole split."""
+        from time2box.data import Statements
+        from time2box.evaluation import eval_time_prediction
+
+        params, variant = load_checkpoint(str(run_dir / "checkpoint.t2b"))
+        kb = add_inverse_relations(load_kb(str(dataset_dir), MISSING))
+        forward = [s for s in kb.splits["test"] if s.r < kb.n_base_relations]
+        want = eval_time_prediction(forward, params, kb, variant)
+        built, iterate = [], Statements.__iter__
+
+        def counting(split):
+            for stmt in iterate(split):
+                built.append(stmt)
+                yield stmt
+
+        def indexing(split, i):
+            raise AssertionError("eval-time indexed a split")
+
+        monkeypatch.setattr(Statements, "__iter__", counting)
+        monkeypatch.setattr(Statements, "__getitem__", indexing)
+        out = tmp_path / "et"
+        code, _, _ = run(
+            capsys, "eval-time", "--checkpoint", run_dir / "checkpoint.t2b",
+            "--data", dataset_dir, "--out", out, "--tau", "0.5",
+        )
+        assert code == 0
+        assert built == forward
+        assert (out / "time_report.txt").read_text() == want.to_text()
+        assert (out / "time_breakdown.tsv").read_text() == want.breakdown_tsv()
+
     def test_seeded_eval_identical_reports(self, dataset_dir, run_dir, tmp_path, capsys):
         """eval-time draws nothing at random: the seeded training run's
         checkpoint fixes its report."""
@@ -712,6 +747,55 @@ class TestPredict:
         assert run(capsys, *argv, "--interval=-5:1985") == (0, out, "")
         rows = out.splitlines()[1:]
         assert rows[0].startswith("1980\t") and rows[-1].startswith("1985\t")
+
+    def test_abbreviated_interval_takes_a_negative_start(self, dataset_dir, run_dir, capsys):
+        argv = ["predict", "--checkpoint", run_dir / "checkpoint.t2b",
+                "--data", dataset_dir, "-s", "e00", "-r", "rel0"]
+        code, out, err = run(capsys, *argv, "--interval=-5:1985")
+        assert (code, err) == (0, "")
+        for flag in ("--i", "--inter", "--interva"):
+            assert run(capsys, *argv, flag, "-5:1985") == (0, out, ""), flag
+            assert run(capsys, *argv, f"{flag}=-5:1985") == (0, out, ""), flag
+
+    def test_every_prefix_from_i_names_interval_alone(self):
+        """_attach_interval joins a value to any prefix of --interval from
+        --i on, so argparse must resolve each to --interval among predict's
+        flags; other commands' tokens are left as they are."""
+        from time2box.cli import _attach_interval, build_parser
+
+        parser = build_parser()
+        base = ["predict", "--checkpoint", "c", "--data", "d", "-s", "e", "-r", "r"]
+        for end in range(3, len("--interval") + 1):
+            flag = "--interval"[:end]
+            assert _attach_interval([*base, flag, "-5:1985"]) == [*base, f"{flag}=-5:1985"]
+            assert parser.parse_args([*base, f"{flag}=-5:1985"]).interval == (-5, 1985)
+        assert _attach_interval([*base, "--", "-5:1985"]) == [*base, "--", "-5:1985"]
+        assert _attach_interval(["metrics", "--in", "-5:1985"]) == ["metrics", "--in", "-5:1985"]
+
+    def test_label_starting_with_dash_takes_the_equals_form(
+        self, dataset_dir, run_dir, tmp_path, capsys
+    ):
+        """An entity label that starts with "-" is read as a flag after a
+        space; `-s=-x` passes it. The copy renames e00 to -x, so its ids and
+        the checkpoint's table stay those of the original."""
+        renamed = tmp_path / "renamed"
+        renamed.mkdir()
+        for sp in ("train", "valid", "test"):
+            lines = (dataset_dir / f"{sp}.txt").read_text().splitlines()
+            rows = ("\t".join("-x" if f == "e00" else f for f in ln.split("\t")) for ln in lines)
+            (renamed / f"{sp}.txt").write_text("".join(row + "\n" for row in rows))
+        tail = ["-r", "rel0", "--interval", "1982:1986"]
+        code, want, _ = run(
+            capsys, "predict", "--checkpoint", run_dir / "checkpoint.t2b",
+            "--data", dataset_dir, "-s", "e00", *tail,
+        )
+        assert code == 0
+        model = ["predict", "--checkpoint", run_dir / "checkpoint.t2b", "--data", renamed]
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *model, "-s", "-x", *tail)
+        assert exc.value.code == 2
+        assert "-s/--subject: expected one argument" in capsys.readouterr().err
+        assert run(capsys, *model, "-s=-x", *tail) == (0, want.replace("e00", "-x"), "")
 
     def test_reversed_negative_interval_is_usage_error(self, dataset_dir, run_dir, capsys):
         code, out, err = run(

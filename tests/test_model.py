@@ -1,4 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -453,6 +459,208 @@ class TestScoreEntities:
         last = BoxEmbedding(center[-1], offset[-1])
         expected = tape_scores(ps.arrays["entity_emb"], last.center, last.offset, ps.gamma, ps.alpha)
         assert np.array_equal(got[-1], expected)
+
+
+def ordered_workers(monkeypatch, workers_first: bool) -> None:
+    """Make the scoring workers' jobs run in a fixed order: every worker's job
+    to its end before the caller's job starts (the workers claim every task),
+    or the caller's job to its end before any worker's starts (they claim
+    none). The jobs still run on the real worker threads."""
+    real = m._Workers.run
+
+    def run_after(job, events):
+        def wrapped():
+            assert all(event.wait(10) for event in events)
+            job()
+        return wrapped
+
+    def signal_end(job, event):
+        def wrapped():
+            try:
+                job()
+            finally:
+                event.set()
+        return wrapped
+
+    def run(self, jobs):
+        caller, workers = jobs[0], jobs[1:]
+        if workers_first:
+            ends = [threading.Event() for _ in workers]
+            jobs = [run_after(caller, ends), *map(signal_end, workers, ends)]
+        else:
+            end = threading.Event()
+            jobs = [signal_end(caller, end), *(run_after(job, [end]) for job in workers)]
+        return real(self, jobs)
+
+    monkeypatch.setattr(m._Workers, "run", run)
+
+
+class TestThreadedScoring:
+    """A table of more than one row block is scored on every usable core,
+    with the bits of the one-thread loop; smaller tables never thread."""
+
+    ROWS = m.SCORE_BLOCK_ELEMENTS // 64
+    # 1,023 and 1,024 rows are one block at d = 64; 3,000 ends in a ragged
+    # block of 952 rows, and the d = 8 table in one of 5
+    TABLES = [(ROWS - 1, 64), (ROWS, 64), (ROWS + 1, 64), (3000, 64), (m.SCORE_BLOCK_ELEMENTS // 8 + 5, 8)]
+
+    @staticmethod
+    def case(n, d, q):
+        ps = ParameterStore.initialize(d, n, 3, 4, rng=np.random.default_rng(n + d))
+        rng = np.random.default_rng(q)
+        return BoxEmbedding(rng.normal(size=(q, d)), rng.uniform(0.0, 1.0, size=(q, d))), ps
+
+    @staticmethod
+    def scores(monkeypatch, box, ps, cores):
+        monkeypatch.setattr(m, "_usable_cores", lambda: cores)
+        return score_entities(box, ps)
+
+    @staticmethod
+    def spy_threads(monkeypatch) -> list[bool]:
+        """For each distance task, whether the caller's thread ran it."""
+        on_caller, real = [], ad.box_distance_value
+
+        def spy(*args):
+            on_caller.append(threading.current_thread() is threading.main_thread())
+            return real(*args)
+
+        monkeypatch.setattr(ad, "box_distance_value", spy)
+        return on_caller
+
+    @pytest.mark.parametrize("n,d", TABLES)
+    @pytest.mark.parametrize("q", [1, 2, 5])
+    @pytest.mark.parametrize("order", [None, "workers-first", "caller-first"])
+    def test_equals_one_thread_loop(self, monkeypatch, n, d, q, order):
+        box, ps = self.case(n, d, q)
+        want = self.scores(monkeypatch, box, ps, 1)
+        last = tape_scores(ps.arrays["entity_emb"], box.center[-1], box.offset[-1], ps.gamma, ps.alpha)
+        assert want[-1].tobytes() == last.tobytes()
+        if order is not None:
+            ordered_workers(monkeypatch, order == "workers-first")
+        on_caller = self.spy_threads(monkeypatch)
+        got = self.scores(monkeypatch, box, ps, 2)
+        assert got.tobytes() == want.tobytes()
+        tasks = q * -(-n // min(n, m.SCORE_BLOCK_ELEMENTS // d))
+        assert len(on_caller) == tasks
+        if n <= m.SCORE_BLOCK_ELEMENTS // d:
+            assert all(on_caller)
+        elif order == "workers-first":
+            assert not any(on_caller)
+        elif order == "caller-first":
+            assert all(on_caller)
+
+    def test_one_block_tables_make_no_workers(self, monkeypatch):
+        made, real = [], m._scoring_workers
+        monkeypatch.setattr(m, "_scoring_workers", lambda: made.append(True) or real())
+        for n, q in ((50, 20), (self.ROWS, 3)):
+            self.scores(monkeypatch, *self.case(n, 64, q), cores=2)
+        assert made == []
+        self.scores(monkeypatch, *self.case(self.ROWS + 1, 64, 1), cores=2)
+        assert made == [True]
+
+    def test_more_workers_than_cores(self, monkeypatch):
+        """Six threads on a shortened switch interval claim each of the nine
+        tasks exactly once per call, with the one-thread loop's bytes."""
+        box, ps = self.case(3000, 64, 3)
+        want = self.scores(monkeypatch, box, ps, 1)
+        on_caller = self.spy_threads(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            deadline = time.monotonic() + 20
+            for calls in range(1, 31):
+                assert self.scores(monkeypatch, box, ps, 6).tobytes() == want.tobytes()
+                assert len(on_caller) == 9 * calls
+                assert time.monotonic() < deadline
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_idle_workers_do_not_delay_exit(self):
+        """A process that has split a table exits at once: its idle workers
+        are daemon threads."""
+        script = (
+            "import numpy as np\n"
+            "from time2box import model as m\n"
+            "m._usable_cores = lambda: 2\n"
+            "ps = m.ParameterStore.initialize(64, 3000, 3, 4)\n"
+            "m.score_entities(m.BoxEmbedding(np.zeros(64), np.ones(64)), ps)\n"
+            "assert m._workers.inboxes\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+
+    def overflowing(self):
+        """One query against 3,000 rows whose first row block sits at 1e308,
+        so that only the first task's distances overflow to inf."""
+        box, ps = self.case(3000, 64, 1)
+        ps.arrays["entity_emb"][: self.ROWS] = 1e308
+        return box, ps
+
+    def test_worker_raises_under_callers_errstate(self, monkeypatch):
+        box, ps = self.overflowing()
+        ordered_workers(monkeypatch, workers_first=True)
+        on_caller = self.spy_threads(monkeypatch)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            self.scores(monkeypatch, box, ps, 2)
+        # the worker claimed the first task and stopped at its error; the
+        # caller ran the other two without one
+        assert on_caller == [False, True, True]
+
+    @pytest.mark.parametrize("order", ["workers-first", "caller-first"])
+    def test_ignored_overflow_warns_nowhere(self, monkeypatch, order):
+        box, ps = self.overflowing()
+        ordered_workers(monkeypatch, order == "workers-first")
+        for mode, warned in (("ignore", False), ("warn", True)):
+            with warnings.catch_warnings(record=True) as caught, np.errstate(over=mode):
+                warnings.simplefilter("always")
+                got = self.scores(monkeypatch, box, ps, 2)
+            assert any(issubclass(w.category, RuntimeWarning) for w in caught) == warned
+            assert np.all(got[0, : self.ROWS] == -np.inf)
+            assert np.all(np.isfinite(got[0, self.ROWS :]))
+
+    @staticmethod
+    def failing_tasks(monkeypatch, failing_on_caller: bool) -> dict:
+        """A first task that raises on one side, once a task has started on
+        the other, whose tasks take 20 ms each; counts running tasks."""
+        state, lock, started, real = {"running": 0, "ended": 0}, threading.Lock(), threading.Event(), ad.box_distance_value
+
+        def task(*args):
+            with lock:
+                state["running"] += 1
+            try:
+                if (threading.current_thread() is threading.main_thread()) == failing_on_caller:
+                    assert started.wait(10)
+                    if state["ended"] == 0:
+                        raise RuntimeError("task failed")
+                else:
+                    started.set()
+                    time.sleep(0.02)
+                return real(*args)
+            finally:
+                with lock:
+                    state["running"] -= 1
+                    state["ended"] += 1
+
+        monkeypatch.setattr(ad, "box_distance_value", task)
+        return state
+
+    @pytest.mark.parametrize("failing_on_caller", [True, False])
+    def test_error_surfaces_once_every_thread_stopped(self, monkeypatch, failing_on_caller):
+        box, ps = self.case(3000, 64, 3)
+        want = self.scores(monkeypatch, box, ps, 1)
+        state = self.failing_tasks(monkeypatch, failing_on_caller)
+        with pytest.raises(RuntimeError, match="task failed"):
+            self.scores(monkeypatch, box, ps, 2)
+        assert state["running"] == 0
+        ended = state["ended"]
+        time.sleep(0.05)
+        assert state == {"running": 0, "ended": ended}
+        monkeypatch.undo()
+        assert self.scores(monkeypatch, box, ps, 2).tobytes() == want.tobytes()
 
 
 class TestParameterCount:
