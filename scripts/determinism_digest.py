@@ -48,6 +48,12 @@ blocks, so its scoring is split over the usable cores, which c07's 50
 entities never are), the SHA-256 of its link report text on the test
 split with filter train,valid, and the SHA-256 of the raw score bytes of
 32 test queries scored as one (32, d) batch of boxes and of one (d,) box.
+A line longaxis= holds, for te,tns and for dm,tr,si with beta 0.01, each
+trained 20 steps at d=64 on a synthetic with a 200-year axis (60
+entities), the SHA-256 of its time report text (k=10, tau=0.95) on the
+test split's forward statements: at 5 statements per chunk that call
+spans many chunks and is split over the usable cores, which c07's 40-year
+axis never is.
 A line samples= holds, for te,tns, te,si,tns and dm,tr,si (k=16, one
 default_rng(0) each), the SHA-256 over every c07 training statement's
 make_training_sample output in split order: the plan's timestamps, the
@@ -107,6 +113,7 @@ C07_VARIANTS = (("te,tns", 0.0), ("dm,tr,si", 0.01))
 #: timestamps per plan, and entity negatives only
 SAMPLE_VARIANTS = ("te,tns", "te,si,tns", "dm,tr,si")
 MULTIBLOCK_SYNTH = SynthConfig(seed=19, n_entities=3000, n_relations=4, axis_length=20, n_rules=60)
+LONGAXIS_SYNTH = SynthConfig(seed=23, n_entities=60, n_relations=4, axis_length=200, n_rules=80)
 ROWS_SYNTH = SynthConfig(seed=11, n_entities=2000, n_relations=4, axis_length=30, n_rules=600)
 #: the lines of the load= line's edge dataset per split; its axis is -5..12
 EDGE_SPLITS = {
@@ -160,9 +167,10 @@ def digest_line(kb, spec: str, work_dir: str) -> str:
         kb.splits["train"], params, kb, cfg.variant, filter_splits=("train", "valid")
     )
     # as `time2box eval-time`: each original statement once, forward direction
-    forward = [s for s in test if s.r < kb.n_base_relations]
+    forward = test.select(test.r < kb.n_base_relations)
     time_report = eval_time_prediction(forward, params, kb, cfg.variant)
-    train_forward = [s for s in kb.splits["train"] if s.r < kb.n_base_relations]
+    train_split = kb.splits["train"]
+    train_forward = train_split.select(train_split.r < kb.n_base_relations)
     train_time_report = eval_time_prediction(train_forward, params, kb, cfg.variant)
     tau95_report = eval_time_prediction(train_forward, params, kb, cfg.variant, k=10, tau=0.95)
     fields = [
@@ -215,7 +223,8 @@ def load_line(work_dir: str) -> str:
 def c07_lines() -> list[str]:
     kb = add_inverse_relations(generate_synthetic(C07_SYNTH)[0])
     kb = dataclasses.replace(kb, splits={**kb.splits, "valid": []})
-    forward = [s for s in kb.splits["test"] if s.r < kb.n_base_relations]
+    test = kb.splits["test"]
+    forward = test.select(test.r < kb.n_base_relations)
     fields, time_fields, link_fields = [], [], []
     for spec, beta in C07_VARIANTS:
         cfg = TrainConfig(
@@ -254,6 +263,22 @@ def multiblock_line() -> str:
         f"multiblock=link:{sha256(report.to_text().encode())} "
         f"scores:{sha256(batch.tobytes() + single.tobytes())}"
     )
+
+
+def longaxis_line() -> str:
+    kb = add_inverse_relations(generate_synthetic(LONGAXIS_SYNTH)[0])
+    kb = dataclasses.replace(kb, splits={**kb.splits, "valid": []})
+    test = kb.splits["test"]
+    forward = test.select(test.r < kb.n_base_relations)
+    fields = []
+    for spec, beta in C07_VARIANTS:
+        cfg = TrainConfig(
+            d=64, k=16, lr=0.01, batch=64, steps=20, seed=0, beta=beta, variant=Variant.parse(spec)
+        )
+        params, _ = train(kb, cfg)
+        report = eval_time_prediction(forward, params, kb, cfg.variant, k=10, tau=0.95)
+        fields.append(f"{spec}:{sha256(report.to_text().encode())}")
+    return "longaxis=" + " ".join(fields)
 
 
 def rows_line() -> str:
@@ -344,6 +369,7 @@ def main():
     for line in c07_lines():
         print(line, flush=True)
     print(multiblock_line(), flush=True)
+    print(longaxis_line(), flush=True)
     print(rows_line(), flush=True)
     print(samples_line(), flush=True)
     with tempfile.TemporaryDirectory() as work_dir:

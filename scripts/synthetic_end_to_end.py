@@ -80,7 +80,8 @@ def main():
     for name, block in sorted(link.by_type.items()):
         print(f"  {name:16s} n={block.count:4d} MRR={block.mrr:.4f} HITS@1={block.hits1:.4f}")
 
-    statements = [s for s in kb.splits["test"] if s.r < kb.n_base_relations]
+    test = kb.splits["test"]
+    statements = list(test.select(test.r < kb.n_base_relations))
     tp = eval_time_prediction(statements, params, kb, cfg.variant, tau=args.tau)
     golds = [g for g in (gold_interval(s) for s in statements) if g is not None]
     baseline = random_interval_baseline(

@@ -16,7 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ScopeKind, Statement, TemporalKB, discretize, scope_span
-from .model import BoxEmbedding, ParameterStore, Variant, box_scores, query_box, score_entities
+from . import model
+from .model import (
+    BoxEmbedding,
+    ParameterStore,
+    Variant,
+    box_scores,
+    query_box,
+    run_tasks,
+    score_entities,
+)
 
 DEFAULT_FILTER_SPLITS = ("train", "valid")
 
@@ -384,6 +393,13 @@ def eval_link_prediction(
 #: te,tns evaluation of c07's test split at d=64 then peaks at about 4.5 MiB
 #: under tracemalloc
 TIME_CHUNK_ELEMENTS = 1 << 16
+#: a call of two or more chunks is split over the usable cores only when a
+#: statement's (T, d) timeline boxes hold at least this many elements, so
+#: that a chunk holds at most 8 statements: its numpy work is about
+#: TIME_CHUNK_ELEMENTS whatever the axis, but its coalescing, which runs in
+#: Python and holds the GIL, grows with its statements (a 200-year axis at
+#: d=64 has 5 per chunk and threads; c07's 40-year axis has 25 and does not)
+TIME_THREAD_ELEMENTS = 1 << 13
 
 
 def time_chunk_size(n_times: int, d: int) -> int:
@@ -576,6 +592,15 @@ def eval_time_prediction(
     statement order; it names the statement by labels and the first
     non-finite year.
 
+    A chunk is one task of model.run_tasks. A call of two or more chunks
+    whose statements hold at least TIME_THREAD_ELEMENTS timeline elements
+    each (a 200-year axis at d=64, not c07's 40 years) is split over the
+    usable cores; any other call runs its chunks in order on the caller. A
+    task writes only its own statements' bounds, or records its chunk's
+    first non-finite statement, and a timeline's bits do not depend on the
+    chunk or thread that builds it, so the report and the error are the
+    one-thread loop's.
+
     The metrics then run once over all (statement, prediction) pairs in
     statement order: @1 is read at each statement's first prediction and
     @k is the maximum over its predictions, so every mean is taken over the
@@ -591,12 +616,16 @@ def eval_time_prediction(
     # per statement index: lo, hi of each prediction in rank order, flat
     bounds: list[list[int] | None] = [None] * len(statements)
     size = time_chunk_size(kb.axis.length, params.d)
-    bad: tuple[int, np.ndarray] | None = None  # first non-finite statement so far
     order = [i for by_subject in groups.values() for same in by_subject.values() for i in same]
-    for lo in range(0, len(order), size):
-        chunk = order[lo : lo + size]
-        if bad is not None and min(chunk) > bad[0]:
-            continue  # cannot hold an earlier non-finite statement
+    n_chunks = -(-len(order) // size)
+    found: list[tuple[int, np.ndarray]] = []  # first non-finite statement of a chunk
+
+    def task(c: int) -> None:
+        chunk = order[c * size : (c + 1) * size]
+        # found only grows, so a chunk skipped on a stale view of it still
+        # cannot hold an earlier non-finite statement
+        if found and min(chunk) > min(i for i, _ in found):
+            return
         rows = [statements[i] for i in chunk]
         s = np.array([stmt.s for stmt in rows], dtype=np.intp)
         r = np.array([stmt.r for stmt in rows], dtype=np.intp)
@@ -605,13 +634,17 @@ def eval_time_prediction(
         finite = np.isfinite(timelines).all(axis=1)
         if not finite.all():
             j = min(np.flatnonzero(~finite), key=chunk.__getitem__)
-            if bad is None or chunk[j] < bad[0]:
-                bad = (chunk[j], timelines[j])
-            continue
+            found.append((chunk[j], timelines[j]))
+            return
         for i, flat in zip(chunk, _coalesce_rows(timelines, k, tau)):
             bounds[i] = flat
-    if bad is not None:
-        i, timeline = bad
+
+    threads = 1
+    if n_chunks > 1 and kb.axis.length * params.d >= TIME_THREAD_ELEMENTS:
+        threads = min(model._usable_cores(), n_chunks)
+    run_tasks(n_chunks, task, [()] * threads)
+    if found:
+        i, timeline = min(found, key=lambda item: item[0])
         t = int(np.flatnonzero(~np.isfinite(timeline))[0])
         stmt = statements[i]
         labels = kb.entities.labels

@@ -382,12 +382,40 @@ _workers: _Workers | None = None
 
 
 def _scoring_workers() -> _Workers:
-    """The process's scoring workers, made on the first threaded call. A
-    forked child inherits the object but not its threads, so it makes its own."""
+    """The process's task workers, made on the first threaded call. A forked
+    child inherits the object but not its threads, so it makes its own."""
     global _workers
     if _workers is None or _workers.pid != os.getpid():
         _workers = _Workers()
     return _workers
+
+
+def run_tasks(n_tasks: int, task, buffers: list[tuple]) -> None:
+    """Run task(i, *buffers[t]) once for every i in range(n_tasks), on
+    len(buffers) threads: thread t works in buffers[t].
+
+    One set of buffers runs the tasks in index order on the calling thread.
+    More sets split them between the caller and one worker per further set
+    (_scoring_workers): each thread claims its next index from one shared
+    counter, so a thread the machine slows claims fewer. The workers run
+    under the caller's numpy error state, and an error in any thread is
+    raised once every thread has stopped. Tasks may run at the same time, so
+    a task writes only its own outputs (a shared list may take appends), and
+    it must not call run_tasks itself.
+    """
+    if len(buffers) == 1:
+        for i in range(n_tasks):
+            task(i, *buffers[0])
+        return
+    claims = itertools.count()
+    err, call = np.geterr(), np.geterrcall()
+
+    def claim(*buffer) -> None:
+        with np.errstate(call=call, **err):
+            while (i := next(claims)) < n_tasks:  # next() is atomic under the GIL
+                task(i, *buffer)
+
+    _scoring_workers().run([functools.partial(claim, *buffer) for buffer in buffers])
 
 
 def score_entities(box: BoxEmbedding, params: ParameterStore) -> np.ndarray:
@@ -400,13 +428,11 @@ def score_entities(box: BoxEmbedding, params: ParameterStore) -> np.ndarray:
     buffers are reused in cache: a row block holds up to
     SCORE_BLOCK_ELEMENTS // d entities, and as many queries as fit share it.
 
-    A table of more than one row block is split over every usable core: the
-    caller and one worker per further core claim task indices from a shared
-    counter, each into its own pair of buffers. A task writes its own slice
-    of the scores from read-only inputs, so a score's bits do not depend on
-    the thread that computes it. The workers run under the caller's numpy
-    error state, an error in any thread is raised once every thread has
-    stopped, and the log-sigmoid runs on the caller after the last task.
+    A table of more than one row block is split over every usable core by
+    run_tasks, each thread into its own pair of buffers. A task writes its
+    own slice of the scores from read-only inputs, so a score's bits do not
+    depend on the thread that computes it. The log-sigmoid runs on the
+    caller after the last task.
     """
     _check_alpha(params.alpha)
     emb = params.arrays["entity_emb"]
@@ -437,15 +463,7 @@ def score_entities(box: BoxEmbedding, params: ParameterStore) -> np.ndarray:
         )
 
     if threads > 1:
-        claims, n_tasks = itertools.count(), len(q_blocks) * row_blocks
-        err, call = np.geterr(), np.geterrcall()
-
-        def claim(clamped: np.ndarray, diff: np.ndarray) -> None:
-            with np.errstate(call=call, **err):
-                while (i := next(claims)) < n_tasks:  # next() is atomic under the GIL
-                    task(i, clamped, diff)
-
-        _scoring_workers().run([functools.partial(claim, *pair) for pair in buffers])
+        run_tasks(len(q_blocks) * row_blocks, task, buffers)
     for b, q_lo in enumerate(q_blocks):
         qs = slice(q_lo, q_lo + per_block)
         if threads == 1:

@@ -1,4 +1,7 @@
 import re
+import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -33,6 +36,8 @@ from time2box.evaluation import (
     rank_queries,
     score_timeline,
 )
+from test_model import ordered_workers
+from time2box import model as m
 from time2box.model import ParameterStore, Variant
 
 
@@ -889,6 +894,143 @@ class TestTimeChunks:
                 match=re.escape("at year 1980 of statement (e00, rel0, e04)"),
             ):
                 eval_time_prediction(statements[:1] + statements[2:], params, kb)
+
+
+@pytest.fixture(scope="module")
+def long_axis_case():
+    """A 128-year synthetic and the first 80 of its forward test statements,
+    with d = 64 parameters: 8,192 elements per statement, so time
+    prediction threads."""
+    kb, _ = generate_synthetic(
+        SynthConfig(seed=3, n_entities=60, n_relations=4, axis_length=128, n_rules=80)
+    )
+    kb = add_inverse_relations(kb)
+    test = kb.splits["test"]
+    statements = list(test.select(test.r < kb.n_base_relations))[:80]
+    assert kb.axis.length * 64 >= ev.TIME_THREAD_ELEMENTS
+    return kb, statements
+
+
+class TestThreadedTimePrediction:
+    """A call of two or more chunks on a long axis is split over the usable
+    cores, with the one-thread loop's report and errors byte for byte."""
+
+    D = 64
+
+    def params(self, kb, seed=0):
+        return ParameterStore.initialize(
+            self.D, kb.n_entities, kb.n_relations, kb.axis.length, rng=np.random.default_rng(seed)
+        )
+
+    @staticmethod
+    def spy_threads(monkeypatch) -> list[bool]:
+        """For each chunk, whether the caller's thread scored it."""
+        on_caller, scorer = [], ev._chunk_timelines
+
+        def recording(*args):
+            on_caller.append(threading.current_thread() is threading.main_thread())
+            return scorer(*args)
+
+        monkeypatch.setattr(ev, "_chunk_timelines", recording)
+        return on_caller
+
+    def run(self, monkeypatch, statements, params, kb, cores, v=None):
+        monkeypatch.setattr(m, "_usable_cores", lambda: cores)
+        return eval_time_prediction(statements, params, kb, v, k=10, tau=0.95)
+
+    @pytest.mark.parametrize("chunk", [2, 5, 10])
+    @pytest.mark.parametrize("order", [None, "workers-first", "caller-first"])
+    def test_report_equals_one_thread_loop(self, long_axis_case, monkeypatch, chunk, order):
+        kb, statements = long_axis_case
+        params, v = self.params(kb), Variant.parse("te,tns")
+        monkeypatch.setattr(ev, "TIME_CHUNK_ELEMENTS", chunk * kb.axis.length * self.D)
+        want = self.run(monkeypatch, statements, params, kb, 1, v).to_text()
+        if order is not None:
+            ordered_workers(monkeypatch, order == "workers-first")
+        on_caller = self.spy_threads(monkeypatch)
+        got = self.run(monkeypatch, statements, params, kb, 2, v).to_text()
+        assert got == want
+        evaluable = sum(gold_interval(s) is not None for s in statements)
+        assert len(on_caller) == -(-evaluable // chunk) > 2
+        if order == "workers-first":
+            assert not any(on_caller)
+        elif order == "caller-first":
+            assert all(on_caller)
+
+    @pytest.mark.parametrize("chunk", [2, 5])
+    @pytest.mark.parametrize("order", ["workers-first", "caller-first"])
+    def test_non_finite_names_lowest_statement(self, long_axis_case, monkeypatch, chunk, order):
+        """Objects 3 and 4 have NaN embeddings. Grouped, the statements run
+        0, 3, 2, 5, 1, 4: in 2-statement chunks the first non-finite
+        statement found is 3, then 2, then 4, and the error names 2 whichever
+        thread scored it."""
+        kb, _ = long_axis_case
+        monkeypatch.setattr(ev, "TIME_CHUNK_ELEMENTS", chunk * kb.axis.length * self.D)
+        params = self.params(kb)
+        params.arrays["entity_emb"][[3, 4]] = np.nan
+        gold = TimeScope.closed(2, 5)
+        statements = [
+            Statement(0, 0, 8, gold),
+            Statement(1, 1, 9, gold),
+            Statement(1, 0, 3, gold),
+            Statement(0, 0, 4, gold),
+            Statement(1, 1, 4, gold),
+            Statement(2, 0, 7, gold),
+        ]
+        labels = kb.entities.labels
+        named = f"of statement ({labels[1]}, {kb.relations.labels[0]}, {labels[3]})"
+        texts = []
+        for cores in (1, 2):
+            if cores == 2:
+                ordered_workers(monkeypatch, order == "workers-first")
+                on_caller = self.spy_threads(monkeypatch)
+            with pytest.raises(ev.NonFiniteScoreError, match=re.escape(named)) as raised:
+                self.run(monkeypatch, statements, params, kb, cores)
+            texts.append(str(raised.value))
+        assert texts[0] == texts[1]
+        assert len(on_caller) == (3 if chunk == 2 else 1)
+        assert all(on_caller) == any(on_caller) == (order == "caller-first")
+
+    def test_more_threads_than_cores(self, long_axis_case, monkeypatch):
+        """Six threads on a shortened switch interval share the record of
+        non-finite chunks; every call names the same lowest statement, and
+        with finite scores gives the one-thread report."""
+        kb, statements = long_axis_case
+        monkeypatch.setattr(ev, "TIME_CHUNK_ELEMENTS", 2 * kb.axis.length * self.D)
+        params = self.params(kb)
+        want = self.run(monkeypatch, statements, params, kb, 1).to_text()
+        evaluable = [i for i, s in enumerate(statements) if gold_interval(s) is not None]
+        bad = params.copy()
+        bad.arrays["entity_emb"][[statements[i].o for i in evaluable[-8::2]]] = np.inf
+        with pytest.raises(ev.NonFiniteScoreError) as raised:
+            self.run(monkeypatch, statements, bad, kb, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            deadline = time.monotonic() + 30
+            for _ in range(10):
+                assert self.run(monkeypatch, statements, params, kb, 6).to_text() == want
+                with pytest.raises(ev.NonFiniteScoreError) as again:
+                    self.run(monkeypatch, statements, bad, kb, 6)
+                assert str(again.value) == str(raised.value)
+                assert time.monotonic() < deadline
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_c07_never_threads(self, c07_kb, long_axis_case, monkeypatch):
+        """c07's 40-year axis at d = 64 keeps the one-thread loop, for a
+        whole split of many chunks; the long axis reaches the workers."""
+        made, real = [], m._scoring_workers
+        monkeypatch.setattr(m, "_scoring_workers", lambda: made.append(True) or real())
+        monkeypatch.setattr(m, "_usable_cores", lambda: 2)
+        test = c07_kb.splits["test"]
+        forward = test.select(test.r < c07_kb.n_base_relations)
+        assert len(forward) > 2 * ev.time_chunk_size(c07_kb.axis.length, self.D)
+        eval_time_prediction(forward, self.params(c07_kb), c07_kb, k=10, tau=0.95)
+        assert made == []
+        kb, statements = long_axis_case
+        eval_time_prediction(statements, self.params(kb), kb, k=10, tau=0.95)
+        assert made == [True]
 
 
 class TestSharedTimelineBoxes:

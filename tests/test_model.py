@@ -663,6 +663,99 @@ class TestThreadedScoring:
         assert self.scores(monkeypatch, box, ps, 2).tobytes() == want.tobytes()
 
 
+class TestRunTasks:
+    """run_tasks runs every task index once, on the caller and one worker
+    per further set of buffers, each thread in its own buffers."""
+
+    @staticmethod
+    def recording(calls: list, delay: float = 0.0):
+        def task(i, *buffer):
+            calls.append((i, buffer, threading.current_thread() is threading.main_thread()))
+            time.sleep(delay)
+        return task
+
+    @pytest.mark.parametrize("threads", [1, 2, 6])
+    @pytest.mark.parametrize("n_tasks", [0, 1, 7, 40])
+    def test_each_index_runs_once(self, threads, n_tasks):
+        """On a shortened switch interval, and with more threads than cores,
+        every index runs exactly once per call, each in one thread's set."""
+        buffers = [(np.empty(3), f"set {t}") for t in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            deadline = time.monotonic() + 20
+            for _ in range(5):
+                calls: list = []
+                m.run_tasks(n_tasks, self.recording(calls, 0.001), buffers)
+                assert sorted(i for i, _, _ in calls) == list(range(n_tasks))
+                for _, buffer, _ in calls:
+                    assert any(buffer[0] is b[0] and buffer[1] == b[1] for b in buffers)
+                if threads == 1:
+                    assert [i for i, _, _ in calls] == list(range(n_tasks))
+                    assert all(on_caller for _, _, on_caller in calls)
+                assert time.monotonic() < deadline
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_set_makes_no_workers(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(m, "_scoring_workers", lambda: made.append(True))
+        m.run_tasks(5, self.recording([]), [()])
+        assert made == []
+
+    @pytest.mark.parametrize("order", ["workers-first", "caller-first"])
+    def test_threads_run_under_callers_errstate(self, monkeypatch, order):
+        ordered_workers(monkeypatch, order == "workers-first")
+        seen = []
+
+        def task(i):
+            seen.append((threading.current_thread() is threading.main_thread(), np.geterr(), np.geterrcall()))
+
+        def handler(kind, flag):
+            pass
+
+        with np.errstate(over="raise", under="ignore", divide="warn", invalid="call", call=handler):
+            want = (np.geterr(), np.geterrcall())
+            m.run_tasks(4, task, [(), ()])
+        assert len(seen) == 4
+        assert all(on_caller == (order == "caller-first") for on_caller, _, _ in seen)
+        assert all((err, call) == want for _, err, call in seen)
+
+    @pytest.mark.parametrize("failing_on_caller", [True, False])
+    def test_error_surfaces_once_every_thread_stopped(self, failing_on_caller):
+        """The first task on one side raises once the other side has started
+        a task; that side's tasks take 20 ms each, and it finishes the one it
+        holds before the error reaches the caller. The pool serves the next
+        call."""
+        state, lock, started = {"running": 0, "ended": 0}, threading.Lock(), threading.Event()
+
+        def task(i):
+            with lock:
+                state["running"] += 1
+            try:
+                if (threading.current_thread() is threading.main_thread()) == failing_on_caller:
+                    assert started.wait(10)
+                    if state["ended"] == 0:
+                        raise RuntimeError("task failed")
+                else:
+                    started.set()
+                    time.sleep(0.02)
+            finally:
+                with lock:
+                    state["running"] -= 1
+                    state["ended"] += 1
+
+        with pytest.raises(RuntimeError, match="task failed"):
+            m.run_tasks(6, task, [(), ()])
+        assert state["running"] == 0
+        ended = state["ended"]
+        time.sleep(0.05)
+        assert state == {"running": 0, "ended": ended}
+        calls: list = []
+        m.run_tasks(6, self.recording(calls), [(), ()])
+        assert sorted(i for i, _, _ in calls) == list(range(6))
+
+
 class TestParameterCount:
     @pytest.mark.parametrize(
         "d,E,R,T",
