@@ -44,8 +44,9 @@ and for dm,tr,si with beta 0.01: a step touches about a tenth of the
 entity rows, so most rows take Adam's untouched-row path every step.
 A line multiblock= holds, for a te,tns model trained 20 steps at d=64 on
 a synthetic with 3,000 entities (more than one of score_entities' row
-blocks, so its scoring is split over the usable cores, which c07's 50
-entities never are), the SHA-256 of its link report text on the test
+blocks, so even its one (d,) box is scored on every usable core, while
+c07's 50 entities are one row block and split only several query blocks),
+the SHA-256 of its link report text on the test
 split with filter train,valid, and the SHA-256 of the raw score bytes of
 32 test queries scored as one (32, d) batch of boxes and of one (d,) box.
 A line longaxis= holds, for te,tns and for dm,tr,si with beta 0.01, each

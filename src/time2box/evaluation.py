@@ -170,12 +170,15 @@ def property_p_check(
 
 #: link queries built, scored and ranked together: at most this many per
 #: chunk, which bounds the chunk's box temporaries (on c07 with d=64 a link
-#: evaluation peaks at about 1.6 MiB under tracemalloc)
+#: evaluation peaks at about 2.7 MiB under tracemalloc on two cores, 1.6 MiB
+#: on one)
 LINK_CHUNK_QUERIES = 128
 #: and at most this many query x entity scores per chunk, but at least one
 #: query, which bounds its (Q, |E|) score and mask arrays: on a 12.5k-entity
 #: table a chunk is one query, since 5-query chunks scored no faster there
-#: and raised the process's peak RSS by about 2 MiB
+#: and raised the process's peak RSS by about 2 MiB. Both readings were taken
+#: with scoring on one thread, before score_entities split a table over the
+#: cores; they have not been repeated since.
 LINK_CHUNK_SCORES = 1 << 13
 
 

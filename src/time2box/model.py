@@ -428,11 +428,12 @@ def score_entities(box: BoxEmbedding, params: ParameterStore) -> np.ndarray:
     buffers are reused in cache: a row block holds up to
     SCORE_BLOCK_ELEMENTS // d entities, and as many queries as fit share it.
 
-    A table of more than one row block is split over every usable core by
-    run_tasks, each thread into its own pair of buffers. A task writes its
-    own slice of the scores from read-only inputs, so a score's bits do not
-    depend on the thread that computes it. The log-sigmoid runs on the
-    caller after the last task.
+    A call of two or more such tasks is split over the usable cores by
+    run_tasks, each thread into its own pair of buffers; a call of one task
+    runs on the caller alone. A task writes its own slice of the scores
+    from read-only inputs, so a score's bits do not depend on the thread
+    that computes it. The log-sigmoid runs on the caller after the last
+    task.
     """
     _check_alpha(params.alpha)
     emb = params.arrays["entity_emb"]
@@ -445,9 +446,9 @@ def score_entities(box: BoxEmbedding, params: ParameterStore) -> np.ndarray:
     per_block = max(1, SCORE_BLOCK_ELEMENTS // (rows * d))
     row_blocks = -(-n // rows)
     q_blocks = range(0, q, per_block)
-    threads = _usable_cores() if row_blocks > 1 else 1
+    n_tasks = len(q_blocks) * row_blocks
     buffers = []
-    for _ in range(threads):
+    for _ in range(max(1, min(_usable_cores(), n_tasks))):
         clamped = np.empty((min(per_block, q), rows, d))
         buffers.append((clamped, np.empty_like(clamped)))
     scores = np.empty((q, n))
@@ -462,13 +463,9 @@ def score_entities(box: BoxEmbedding, params: ParameterStore) -> np.ndarray:
             block, queries[qs], b_min[qs], b_max[qs], params.alpha, clamped[:k, :m], diff[:k, :m]
         )
 
-    if threads > 1:
-        run_tasks(len(q_blocks) * row_blocks, task, buffers)
-    for b, q_lo in enumerate(q_blocks):
+    run_tasks(n_tasks, task, buffers)
+    for q_lo in q_blocks:
         qs = slice(q_lo, q_lo + per_block)
-        if threads == 1:
-            for i in range(b * row_blocks, (b + 1) * row_blocks):
-                task(i, *buffers[0])
         # distances to scores per query block, so the log-sigmoid's
         # temporaries do not grow with Q
         scores[qs] = ad.log_sigmoid_value(params.gamma - scores[qs])

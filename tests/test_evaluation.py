@@ -38,7 +38,8 @@ from time2box.evaluation import (
 )
 from test_model import ordered_workers
 from time2box import model as m
-from time2box.model import ParameterStore, Variant
+from time2box.model import PARAM_ORDER, ParameterStore, Variant
+from time2box.training import TrainConfig, train
 
 
 def interval(lo, hi):
@@ -702,6 +703,57 @@ class TestLinkMemory:
         full_peak, first_peak = peak(full), peak(first)
         assert full_peak < 8 * 2**20
         assert full_peak < 1.5 * first_peak
+
+
+class TestThreadedLinkPrediction:
+    """On c07 (50 entities, d = 64) a link chunk's query blocks are split
+    over two usable cores, with the one-core bits: the test split's report
+    and the parameters train() picks by validation MRR are identical."""
+
+    #: (variant, beta) of the benchmark's c07 workloads
+    VARIANTS = [("te,tns", 0.0), ("dm,tr,si", 0.01)]
+
+    @staticmethod
+    def spy_workers(monkeypatch) -> list[bool]:
+        made, real = [], m._scoring_workers
+        monkeypatch.setattr(m, "_scoring_workers", lambda: made.append(True) or real())
+        return made
+
+    @pytest.mark.parametrize("spec", [spec for spec, _ in VARIANTS])
+    def test_c07_report_equals_one_core(self, c07_kb, monkeypatch, spec):
+        kb, v = c07_kb, Variant.parse(spec)
+        params = ParameterStore.initialize(
+            64, kb.n_entities, kb.n_relations, kb.axis.length, rng=np.random.default_rng(0)
+        )
+        texts = []
+        for cores in (1, 2):
+            monkeypatch.setattr(m, "_usable_cores", lambda: cores)
+            made = self.spy_workers(monkeypatch)
+            report = eval_link_prediction(
+                kb.splits["test"], params, kb, v, filter_splits=("train", "valid")
+            )
+            texts.append(report.to_text())
+            assert bool(made) == (cores == 2)
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("spec,beta", VARIANTS)
+    def test_c07_training_equals_one_core(self, c07_kb, monkeypatch, spec, beta):
+        """Validation inside train() scores on both cores; the parameters
+        it returns and its log are the one-core bytes."""
+        assert len(c07_kb.splits["valid"]) > 0
+        cfg = TrainConfig(
+            d=64, k=16, lr=0.01, batch=64, steps=20, eval_every=10, beta=beta,
+            variant=Variant.parse(spec),
+        )
+        runs = []
+        for cores in (1, 2):
+            monkeypatch.setattr(m, "_usable_cores", lambda: cores)
+            made = self.spy_workers(monkeypatch)
+            params, log = train(c07_kb, cfg)
+            arrays = b"".join(params.arrays[name].tobytes() for name in PARAM_ORDER)
+            runs.append((arrays, [entry.format() for entry in log]))
+            assert bool(made) == (cores == 2)
+        assert runs[0] == runs[1]
 
 
 class TestTimePrediction:

@@ -496,13 +496,24 @@ def ordered_workers(monkeypatch, workers_first: bool) -> None:
 
 
 class TestThreadedScoring:
-    """A table of more than one row block is scored on every usable core,
-    with the bits of the one-thread loop; smaller tables never thread."""
+    """A call of two or more (query block x row block) tasks is scored on
+    every usable core, with the bits of the one-thread loop; a call of one
+    task runs on the caller alone."""
 
     ROWS = m.SCORE_BLOCK_ELEMENTS // 64
     # 1,023 and 1,024 rows are one block at d = 64; 3,000 ends in a ragged
-    # block of 952 rows, and the d = 8 table in one of 5
-    TABLES = [(ROWS - 1, 64), (ROWS, 64), (ROWS + 1, 64), (3000, 64), (m.SCORE_BLOCK_ELEMENTS // 8 + 5, 8)]
+    # block of 952 rows, and the d = 8 table in one of 5. c07's 50 rows are
+    # one block of 20-query blocks, so its 119-query link chunk is 6 tasks.
+    TABLES = [
+        (ROWS - 1, 64), (ROWS, 64), (ROWS + 1, 64), (3000, 64), (m.SCORE_BLOCK_ELEMENTS // 8 + 5, 8), (50, 64)
+    ]
+
+    @staticmethod
+    def n_tasks(n, d, q):
+        """The (query block x row block) tasks of a (q, d) batch on n rows."""
+        rows = min(n, m.SCORE_BLOCK_ELEMENTS // d)
+        per_block = max(1, m.SCORE_BLOCK_ELEMENTS // (rows * d))
+        return -(-q // per_block) * -(-n // rows)
 
     @staticmethod
     def case(n, d, q):
@@ -528,7 +539,7 @@ class TestThreadedScoring:
         return on_caller
 
     @pytest.mark.parametrize("n,d", TABLES)
-    @pytest.mark.parametrize("q", [1, 2, 5])
+    @pytest.mark.parametrize("q", [1, 2, 5, 119])
     @pytest.mark.parametrize("order", [None, "workers-first", "caller-first"])
     def test_equals_one_thread_loop(self, monkeypatch, n, d, q, order):
         box, ps = self.case(n, d, q)
@@ -540,23 +551,34 @@ class TestThreadedScoring:
         on_caller = self.spy_threads(monkeypatch)
         got = self.scores(monkeypatch, box, ps, 2)
         assert got.tobytes() == want.tobytes()
-        tasks = q * -(-n // min(n, m.SCORE_BLOCK_ELEMENTS // d))
+        tasks = self.n_tasks(n, d, q)
         assert len(on_caller) == tasks
-        if n <= m.SCORE_BLOCK_ELEMENTS // d:
+        if tasks == 1:
             assert all(on_caller)
         elif order == "workers-first":
             assert not any(on_caller)
         elif order == "caller-first":
             assert all(on_caller)
 
-    def test_one_block_tables_make_no_workers(self, monkeypatch):
+    def test_single_task_calls_make_no_workers(self, monkeypatch):
         made, real = [], m._scoring_workers
         monkeypatch.setattr(m, "_scoring_workers", lambda: made.append(True) or real())
-        for n, q in ((50, 20), (self.ROWS, 3)):
+        for n, q in ((50, 20), (self.ROWS, 1)):
+            assert self.n_tasks(n, 64, q) == 1
             self.scores(monkeypatch, *self.case(n, 64, q), cores=2)
+        # predict's one query, a (d,) box
+        box, ps = self.case(50, 64, 1)
+        got = self.scores(monkeypatch, BoxEmbedding(box.center[0], box.offset[0]), ps, cores=2)
+        assert got.shape == (50,)
+        # an empty batch still makes its one set of buffers
+        empty = BoxEmbedding(np.zeros((0, 64)), np.zeros((0, 64)))
+        got = self.scores(monkeypatch, empty, ps, cores=2)
+        assert got.shape == (0, 50)
         assert made == []
-        self.scores(monkeypatch, *self.case(self.ROWS + 1, 64, 1), cores=2)
+        self.scores(monkeypatch, *self.case(50, 64, 21), cores=2)
         assert made == [True]
+        self.scores(monkeypatch, *self.case(self.ROWS + 1, 64, 1), cores=2)
+        assert made == [True, True]
 
     def test_more_workers_than_cores(self, monkeypatch):
         """Six threads on a shortened switch interval claim each of the nine

@@ -24,3 +24,25 @@ def test_synthetic_end_to_end_smoke():
         done.stdout,
         re.M,
     )
+
+
+def test_determinism_digest_smoke():
+    """The digest script that compares two commits' outputs runs to its end
+    and prints one SHA-256 line per label, in order."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "determinism_digest.py")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    variants = ["te", "te,tns", "dm,tr,si,tns", "te,si,tns", "te,tr", "dm,tr,si"]
+    lines = done.stdout.splitlines()
+    assert [line.split()[0] for line in lines[: len(variants)]] == variants
+    for line in lines[: len(variants)]:
+        assert re.fullmatch(r"\S+ +(\S+=[0-9a-f]{64} ?){8}", line)
+    labels = [
+        "synth", "load", "c07", "c07time", "c07link", "multiblock", "longaxis", "rows", "samples", "cli"
+    ]
+    assert [line.split("=", 1)[0] for line in lines[len(variants) :]] == labels
+    for line in lines[len(variants) :]:
+        assert re.search(r"[0-9a-f]{64}$", line)
