@@ -1,14 +1,13 @@
 """Reverse-mode autodiff on numpy arrays over a per-batch tape.
 
-Only the ops the box model needs are provided: elementwise arithmetic,
-sums, and four fused ops with hand-written vjps, the point-to-box
-distance, the two halves of the box intersection and the batch's margin
-loss.
+Only the ops the box model's training needs are provided: elementwise
+add and mul, and three fused ops with hand-written vjps, the two halves
+of the box intersection and the batch's margin loss.
 Everything runs in float64. Subgradient conventions are fixed so
-gradients are deterministic: box_distance routes the gradient of a point
-on a box face to the face, and gated_min gives relu derivative 0 exactly
-at its kink and routes the minimum's gradient to the first minimizing
-item on ties.
+gradients are deterministic: the margin loss's distances route the
+gradient of a point on a box face to the face, and gated_min gives relu
+derivative 0 exactly at its kink and routes the minimum's gradient to the
+first minimizing item on ties.
 
 A vjp is called as vjp(g, out, *inputs): the gradient of the node's
 output, the output itself, and the parents' values. It returns one
@@ -33,12 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: array name -> (row indices, gradient) entries, one per rows leaf and one
-#: per run of consecutive whole-array leaves (indices None), in reverse
-#: tape order
+#: array name -> (row indices, gradient) entries in reverse tape order: one
+#: per rows leaf, or, for an array used whole, one summed (None, gradient)
+#: entry
 GradientMap = dict[str, list[tuple[np.ndarray | None, np.ndarray]]]
 #: array name -> (sorted unique touched rows, their summed gradients), or
-#: (None, dense gradient) for an array with a whole-array leaf
+#: (None, dense gradient) for an array used whole
 RowGradients = dict[str, tuple[np.ndarray | None, np.ndarray]]
 
 
@@ -135,16 +134,6 @@ def add(a, b) -> Node:
     )
 
 
-def sub(a, b) -> Node:
-    a, b = wrap(a), wrap(b)
-    return _op(
-        "sub",
-        (a, b),
-        lambda x, y: x - y,
-        lambda g, _, x, y: (_unbroadcast(g, x.shape), _unbroadcast(-g, y.shape)),
-    )
-
-
 def mul(a, b) -> Node:
     a, b = wrap(a), wrap(b)
     return _op(
@@ -169,7 +158,7 @@ def log_sigmoid_slope(x: np.ndarray) -> np.ndarray:
 
 def box_distance_value(points, center, b_min, b_max, alpha, clamped, diff) -> np.ndarray:
     """alpha*inside + outside, computed in the two preallocated buffers: the
-    one distance kernel, shared by training's box_distance and the tape-free
+    one distance kernel, shared by training's _distance and the tape-free
     scoring in model.box_scores and model.score_entities.
 
     With k the point clamped onto the box, inside is sum|c - k| and
@@ -186,32 +175,9 @@ def box_distance_value(points, center, b_min, b_max, alpha, clamped, diff) -> np
     return inside * alpha + outside
 
 
-def box_distance(point, center, offset, alpha: float) -> Node:
-    """Two-part L1 distance of points to boxes, alpha*inside + outside
-    (box_distance_value), over the last axis; leading dimensions broadcast.
-    Offsets must be nonnegative.
-
-    The gradient is that of the primitive form: outside as
-    relu(p - b_max) + relu(b_min - p), inside as |c - clamp(p, b_min,
-    b_max)|, where the clamp sends the gradient to an exact upper face
-    first, then to an exact lower face, and otherwise through to the
-    point. The parents are listed once per contribution, in the order the
-    primitive ops added them: point (relu(b_min - p), relu(p - b_max), the
-    clamp), center (the inside term, b_max, b_min) and offset (b_max,
-    -b_min). Each contribution is unbroadcast on its own, so backward's
-    running sums get the same bits as from the primitive ops.
-    """
-    point, center, offset = wrap(point), wrap(center), wrap(offset)
-    value, saved = _distance(point.value, center.value, offset.value, alpha)
-    tape = _tape_of(point, center, offset)
-    if tape is None:
-        return Node(value, "box_distance")
-    parents = (point,) * 3 + (center,) * 3 + (offset,) * 2
-    return Node(value, "box_distance", parents, tape, lambda g, *_: _distance_grads(g, saved))
-
-
 def _distance(p, c, o, alpha: float) -> tuple[np.ndarray, tuple]:
-    """box_distance's value, and what _distance_grads reads."""
+    """alpha*inside + outside of points to boxes over the last axis
+    (box_distance_value), and what _distance_grads reads."""
     b_min, b_max = c - o, c + o
     shape = np.broadcast_shapes(p.shape, b_min.shape)
     clamped = np.empty(shape)
@@ -220,10 +186,13 @@ def _distance(p, c, o, alpha: float) -> tuple[np.ndarray, tuple]:
 
 
 def _distance_grads(g: np.ndarray, saved: tuple) -> tuple:
-    """box_distance's eight contributions for the distance gradient g:
-    point (relu(b_min - p), relu(p - b_max), the clamp), center (the inside
-    term, b_max, b_min) and offset (b_max, -b_min), each unbroadcast on its
-    own."""
+    """The eight contributions to _distance's gradient g of its primitive
+    form, in the order those ops added them to their parents: point
+    (relu(b_min - p), relu(p - b_max), the clamp), center (the inside term,
+    b_max, b_min) and offset (b_max, -b_min). The clamp sends the gradient
+    to an exact upper face first, then to an exact lower face, and
+    otherwise through to the point. Each is unbroadcast on its own, so
+    running sums in this order get the primitive ops' bits."""
     p, c, o_shape, b_min, b_max, clamped, alpha = saved
     g_out = g[..., None]
     # relu(b_min - p)'s gradient is -down at p and +down at b_min
@@ -248,17 +217,6 @@ def _distance_grads(g: np.ndarray, saved: tuple) -> tuple:
         _unbroadcast(g_max, o_shape),
         _unbroadcast(-g_min, o_shape),
     )
-
-
-def reduce_sum(a, axis=None) -> Node:
-    """Sum over all elements or over the last axis."""
-    a = wrap(a)
-
-    def vjp(g, _, x):
-        gg = g if axis is None else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, x.shape).copy(),)
-
-    return _op("sum", (a,), lambda x: np.sum(x, axis=axis), vjp)
 
 
 def _item_max(items, shape=None) -> np.ndarray:
@@ -629,7 +587,7 @@ def backward(tape: Tape, root: Node) -> GradientMap:
 
 def row_sums(gmap: GradientMap, params: dict[str, np.ndarray]) -> RowGradients:
     """Sum each touched array's leaf gradients by row, without building a
-    dense array for an array whose leaves all look up rows.
+    dense array for an array whose leaves look up rows.
 
     Such an array gets (its sorted unique touched rows, their summed
     gradients). Two bincounts add the same elements in the same order that
@@ -638,39 +596,34 @@ def row_sums(gmap: GradientMap, params: dict[str, np.ndarray]) -> RowGradients:
     per-leaf rows into zeros in leaf order, so a row's gradient is
     0 + (0 + leaf_1's lookups) + (0 + leaf_2's lookups) + ...
 
-    An array with a whole-array entry gets (None, dense): the entries are
-    added into a zero array one at a time, in the map's order. A summed
-    whole-array entry gives the same bits as adding its leaves one at a
-    time.
+    An array used whole gets (None, dense): its entries added into a zero
+    array in the map's order. A summed whole-array entry gives the same
+    bits as adding its leaves one at a time. The model uses each array
+    either by rows or whole, so an array with both kinds of entry raises
+    ValueError.
     """
     out: RowGradients = {}
     for name, entries in gmap.items():
         shape = params[name].shape
-        width = math.prod(shape[1:])
-        rows_entries = [
-            (j, idx.ravel(), g) for j, (idx, g) in enumerate(entries) if idx is not None
-        ]
-        if rows_entries:
-            # level 1: one slot per (leaf, row), in (leaf, row) order
-            keys = np.concatenate([j * shape[0] + idx for j, idx, _ in rows_entries])
-            leaf_rows, inverse = np.unique(keys, return_inverse=True)
-            weights = np.concatenate([g.reshape(-1) for _, _, g in rows_entries])
-            per_leaf = _sum_slots(inverse, weights, len(leaf_rows), width)
-            leaf_of, row_of = np.divmod(leaf_rows, shape[0])
-        if rows_entries and len(rows_entries) == len(entries):
-            # level 2: one slot per row, summing its leaves in leaf order
-            rows, inverse = np.unique(row_of, return_inverse=True)
-            summed = _sum_slots(inverse, per_leaf.reshape(-1), len(rows), width)
-            out[name] = (rows, summed.reshape((len(rows),) + shape[1:]))
-            continue
-        dense = np.zeros(shape)
-        for j, (idx, g) in enumerate(entries):
-            if idx is None:
+        whole = [g for idx, g in entries if idx is None]
+        if whole:
+            if len(whole) < len(entries):
+                raise ValueError(f"{name!r} has both rows and whole-array gradient entries")
+            dense = np.zeros(shape)
+            for g in whole:
                 dense += g
-                continue
-            lo, hi = np.searchsorted(leaf_of, (j, j + 1))
-            dense[row_of[lo:hi]] += per_leaf[lo:hi].reshape((hi - lo,) + shape[1:])
-        out[name] = (None, dense)
+            out[name] = (None, dense)
+            continue
+        width = math.prod(shape[1:])
+        # level 1: one slot per (leaf, row), in (leaf, row) order
+        keys = np.concatenate([j * shape[0] + idx.ravel() for j, (idx, _) in enumerate(entries)])
+        leaf_rows, inverse = np.unique(keys, return_inverse=True)
+        weights = np.concatenate([g.reshape(-1) for _, g in entries])
+        per_leaf = _sum_slots(inverse, weights, len(leaf_rows), width)
+        # level 2: one slot per row, summing its leaves in leaf order
+        rows, inverse = np.unique(leaf_rows % shape[0], return_inverse=True)
+        summed = _sum_slots(inverse, per_leaf.reshape(-1), len(rows), width)
+        out[name] = (rows, summed.reshape((len(rows),) + shape[1:]))
     return out
 
 
@@ -746,11 +699,13 @@ def finite_diff_check(
         flat_index = int(pick - (cum[k - 1] if k else 0))
         arr = params[name]
         orig = arr.flat[flat_index]
-        arr.flat[flat_index] = orig + eps
-        loss_plus = float(loss_fn()[0])
-        arr.flat[flat_index] = orig - eps
-        loss_minus = float(loss_fn()[0])
-        arr.flat[flat_index] = orig
+        try:
+            arr.flat[flat_index] = orig + eps
+            loss_plus = float(loss_fn()[0])
+            arr.flat[flat_index] = orig - eps
+            loss_minus = float(loss_fn()[0])
+        finally:
+            arr.flat[flat_index] = orig
 
         slope_plus = (loss_plus - base_loss) / eps
         slope_minus = (base_loss - loss_minus) / eps

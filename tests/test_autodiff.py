@@ -1,23 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_ops import box_distance, log_sigmoid, neg, reduce_sum, sub
 from time2box import autodiff as ad
-
-
-def log_sigmoid(a):
-    """The former log_sigmoid tape op, kept to build test losses."""
-
-    def vjp(g, _, x):
-        return (g * ad.log_sigmoid_slope(x),)
-
-    return ad._op("log_sigmoid", (ad.wrap(a),), ad.log_sigmoid_value, vjp)
-
-
-def neg(a):
-    """The former neg tape op, kept to build test losses."""
-    return ad._op("neg", (ad.wrap(a),), lambda x: -x, lambda g, *_: (-g,))
 
 
 def test_l1_norm_gradient():
@@ -25,9 +15,9 @@ def test_l1_norm_gradient():
     x = np.array([[2.0, -3.0]])
     tape = ad.Tape()
     xs = ad.param_rows(tape, x, "x", [0])
-    loss = ad.box_distance(xs, ad.constant(np.zeros(2)), ad.constant(np.zeros(2)), 0.5)
+    loss = box_distance(xs, ad.constant(np.zeros(2)), ad.constant(np.zeros(2)), 0.5)
     assert loss.value == 5.0
-    grads = ad.densify(ad.backward(tape, ad.reduce_sum(loss)), {"x": x})
+    grads = ad.densify(ad.backward(tape, reduce_sum(loss)), {"x": x})
     np.testing.assert_array_equal(grads["x"][0], [1.0, -1.0])
 
 
@@ -47,7 +37,7 @@ def test_sigmoid_matches_analytic_form():
     tape = ad.Tape()
     wn = ad.param_full(tape, w, "w")
     gated = ad.gated_min([ad.constant(x)], np.eye(3), np.eye(3), wn)
-    grads = ad.densify(ad.backward(tape, ad.reduce_sum(gated)), {"w": w})
+    grads = ad.densify(ad.backward(tape, reduce_sum(gated)), {"w": w})
     s = 1.0 / (1.0 + np.exp(-(w @ x)))
     np.testing.assert_allclose(gated.value, x * s, rtol=1e-15)
     np.testing.assert_allclose(grads["w"], (x * s * (1 - s))[:, None] * x[None, :], rtol=1e-12)
@@ -57,7 +47,7 @@ def test_min_pool_ties_route_to_first_index():
     x = np.array([[1.0, 5.0], [1.0, 2.0], [3.0, 2.0]])
     tape = ad.Tape()
     items = [ad.param_rows(tape, x, "x", [i]) for i in range(3)]
-    loss = ad.reduce_sum(ad.gated_min(items, *zero_gate(2)))
+    loss = reduce_sum(ad.gated_min(items, *zero_gate(2)))
     grads = ad.densify(ad.backward(tape, loss), {"x": x})
     np.testing.assert_array_equal(grads["x"][0], [0.5, 0.0])  # ties at column 0
     np.testing.assert_array_equal(grads["x"][1], [0.0, 0.5])  # ties at column 1
@@ -71,7 +61,7 @@ def test_min_pool_tie_leaves_positive_zeros():
     tape = ad.Tape()
     items = [ad.param_rows(tape, x, "x", [i]) for i in range(3)]
     gated = ad.gated_min(items, *zero_gate(2))
-    loss = ad.reduce_sum(ad.mul(gated, ad.constant([-4.0, -6.0])))
+    loss = reduce_sum(ad.mul(gated, ad.constant([-4.0, -6.0])))
     entries = ad.backward(tape, loss)["x"]
     gx = np.concatenate([g for _, g in reversed(entries)])
     np.testing.assert_array_equal(gx, [[-2.0, 0.0], [0.0, -3.0], [0.0, 0.0]])
@@ -114,8 +104,8 @@ def test_clamp_zero_derivative_at_boundary():
     tape = ad.Tape()
     p = ad.param_rows(tape, point, "p", [0])
     center, offset = ad.constant(np.full(3, 0.5)), ad.constant(np.full(3, 1.5))
-    loss = ad.box_distance(p, center, offset, 0.25)
-    grads = ad.densify(ad.backward(tape, ad.reduce_sum(loss)), {"p": point})
+    loss = box_distance(p, center, offset, 0.25)
+    grads = ad.densify(ad.backward(tape, reduce_sum(loss)), {"p": point})
     np.testing.assert_array_equal(grads["p"][0], [0.0, 0.0, 0.25])
 
 
@@ -127,7 +117,7 @@ def test_relu_zero_derivative_at_kink():
     tape = ad.Tape()
     w_in = ad.param_full(tape, np.eye(3), "w")
     gated = ad.gated_min([ad.constant(x)], w_in, np.ones((3, 3)), np.eye(3))
-    ((_, gw),) = ad.backward(tape, ad.reduce_sum(gated))["w"]
+    ((_, gw),) = ad.backward(tape, reduce_sum(gated))["w"]
     np.testing.assert_array_equal(gw[:2], 0.0)
     assert gw[2, 2] > 0.0
 
@@ -137,7 +127,7 @@ def test_untouched_parameters_absent_from_gradient_map():
     params = {"emb": table, "other": np.ones((2, 3))}
     tape = ad.Tape()
     xs = ad.param_rows(tape, table, "emb", [1, 3])
-    loss = ad.reduce_sum(ad.mul(xs, xs))
+    loss = reduce_sum(ad.mul(xs, xs))
     gmap = ad.backward(tape, loss)
     assert set(gmap) == {"emb"}
     grads = ad.densify(gmap, params)
@@ -151,7 +141,7 @@ def test_duplicate_rows_accumulate():
     table = np.ones((3, 2))
     tape = ad.Tape()
     xs = ad.param_rows(tape, table, "emb", [1, 1, 2])
-    loss = ad.reduce_sum(xs)
+    loss = reduce_sum(xs)
     grads = ad.densify(ad.backward(tape, loss), {"emb": table})
     np.testing.assert_array_equal(grads["emb"][1], [2.0, 2.0])
     np.testing.assert_array_equal(grads["emb"][2], [1.0, 1.0])
@@ -174,7 +164,7 @@ def test_stack_broadcasts_and_sums_gradient_back():
             out = op([a, b], *op_mats)
             assert out.shape == (2, 4, 3)
             values.append(out.value)
-            loss = ad.reduce_sum(ad.mul(out, ad.constant(weights)))
+            loss = reduce_sum(ad.mul(out, ad.constant(weights)))
             grads.append(ad.densify(ad.backward(tape, loss), params))
         assert values[0].tobytes() == values[1].tobytes()
         np.testing.assert_allclose(grads[0]["a"], grads[1]["a"], rtol=1e-12)
@@ -186,7 +176,7 @@ def test_backward_deterministic():
     table = rng.normal(size=(6, 3))
     tape = ad.Tape()
     xs = ad.param_rows(tape, table, "emb", [0, 1, 5])
-    loss = ad.reduce_sum(ad.mul(log_sigmoid(xs), xs))
+    loss = reduce_sum(ad.mul(log_sigmoid(xs), xs))
     g1 = ad.densify(ad.backward(tape, loss), {"emb": table})
     g2 = ad.densify(ad.backward(tape, loss), {"emb": table})
     assert set(g1) == set(g2)
@@ -221,7 +211,7 @@ class TestFiniteDiffCheck:
         def loss_fn():
             tape = ad.Tape()
             xs = ad.param_rows(tape, params["x"], "x", [0])
-            loss = ad.reduce_sum(ad.mul(xs, ad.constant([2.0, -1.0, 0.5])))
+            loss = reduce_sum(ad.mul(xs, ad.constant([2.0, -1.0, 0.5])))
             return loss.value, ad.backward(tape, loss)
 
         report = ad.finite_diff_check(loss_fn, params, eps=1e-4, samples=30)
@@ -236,7 +226,7 @@ class TestFiniteDiffCheck:
         def loss_fn():
             tape = ad.Tape()
             xs = ad.param_rows(tape, params["x"], "x", [0])
-            loss = ad.reduce_sum(ad.box_distance(xs, np.zeros(1), np.zeros(1), 0.5))
+            loss = reduce_sum(box_distance(xs, np.zeros(1), np.zeros(1), 0.5))
             return loss.value, ad.backward(tape, loss)
 
         report = ad.finite_diff_check(loss_fn, params, eps=1e-4, samples=5)
@@ -255,10 +245,10 @@ class TestFiniteDiffCheck:
             tape = ad.Tape()
             items = [ad.param_rows(tape, params["emb"], "emb", i) for i in (0, 2, 3)]
             mixed = ad.attention_center(items, ad.param_full(tape, params["w"], "w"))
-            d = ad.box_distance(mixed, ad.constant(np.zeros(5)), ad.constant(np.full(5, 0.5)), 0.3)
+            d = box_distance(mixed, ad.constant(np.zeros(5)), ad.constant(np.full(5, 0.5)), 0.3)
             w_ds = [ad.param_full(tape, params["w_ds"], "w_ds") for _ in range(3)]
             gated = ad.gated_min(items, *w_ds)
-            loss = ad.add(neg(log_sigmoid(d)), ad.reduce_sum(gated))
+            loss = ad.add(neg(log_sigmoid(d)), reduce_sum(gated))
             return loss.value, ad.backward(tape, loss)
 
         report = ad.finite_diff_check(loss_fn, params, eps=1e-4, samples=120, rng=rng)
@@ -268,6 +258,22 @@ class TestFiniteDiffCheck:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
             ad.finite_diff_check(lambda: (0.0, {}), {"x": np.zeros(1)}, eps=0.0)
+
+    @pytest.mark.parametrize("failing_call", [2, 3])  # the +eps or the -eps loss
+    def test_params_restored_when_loss_fn_raises(self, failing_call):
+        params = {"x": np.array([1.0, 2.0, 3.0])}
+        before = params["x"].tobytes()
+        calls = []
+
+        def loss_fn():
+            calls.append(None)
+            if len(calls) == failing_call:
+                raise FloatingPointError("loss overflowed")
+            return float(params["x"] @ params["x"]), {}
+
+        with pytest.raises(FloatingPointError):
+            ad.finite_diff_check(loss_fn, params, samples=1)
+        assert params["x"].tobytes() == before
 
 
 @settings(max_examples=30, deadline=None)
@@ -289,7 +295,7 @@ def test_softmax_rows_sum_to_one_and_grads_finite(n, d, seed):
     center = ad.attention_center(items, w)
     assert np.all(center.value >= params["x"].min(axis=0) - 1e-9)
     assert np.all(center.value <= params["x"].max(axis=0) + 1e-9)
-    loss = ad.reduce_sum(ad.mul(center, ad.constant(rng.normal(size=d))))
+    loss = reduce_sum(ad.mul(center, ad.constant(rng.normal(size=d))))
     grads = ad.densify(ad.backward(tape, loss), params)
     assert set(grads) == {"x", "w"}
     for g in grads.values():
@@ -313,7 +319,7 @@ def test_intersection_op_gradient_matches_finite_differences(op, n_mats):
             ad.param_rows(tape, params["x"], "x", [[2, 3, 4], [5, 0, 1]]),
         ]
         mats = [ad.param_full(tape, params[f"w{j}"], f"w{j}") for j in range(n_mats)]
-        loss = ad.reduce_sum(ad.mul(op(items, *mats), ad.constant(weights)))
+        loss = reduce_sum(ad.mul(op(items, *mats), ad.constant(weights)))
         return loss.value, ad.backward(tape, loss)
 
     report = ad.finite_diff_check(loss_fn, params, eps=1e-5, samples=150, rng=rng)
@@ -382,8 +388,8 @@ def test_densify_bit_identical_to_per_row_slots(n_rows_leaves, n_full_leaves, n,
         xs = ad.param_rows(tape, params["emb"], "emb", rng.integers(0, n, size=shape))
         for _ in range(n_full_leaves):
             h = ad.attention_center([xs, neg(xs)], ad.param_full(tape, params["w"], "w"))
-            terms.append(ad.reduce_sum(ad.mul(h, ad.constant(rng.normal(size=h.shape)))))
-        terms.append(ad.reduce_sum(ad.mul(xs, ad.constant(rng.normal(size=xs.shape) * 1e3))))
+            terms.append(reduce_sum(ad.mul(h, ad.constant(rng.normal(size=h.shape)))))
+        terms.append(reduce_sum(ad.mul(xs, ad.constant(rng.normal(size=xs.shape) * 1e3))))
     loss = terms[0]
     for term in terms[1:]:
         loss = ad.add(loss, term)
@@ -418,18 +424,19 @@ def entrywise_densify(gmap, params):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.lists(st.booleans(), min_size=1, max_size=6),  # per entry: whole-array (True) or rows
+    st.booleans(),  # every entry whole-array (True) or every entry rows
+    st.integers(1, 6),  # entries
     st.integers(1, 6),  # table rows
     st.integers(1, 3),  # width
     st.booleans(),  # a 3-D table
     st.integers(0, 10_000),
 )
-def test_row_sums_bit_identical_to_entrywise_densify(kinds, n, d, cube, seed):
+def test_row_sums_bit_identical_to_entrywise_densify(whole, n_entries, n, d, cube, seed):
     rng = np.random.default_rng(seed)
     shape = (n, d, 2) if cube else (n, d)
     params = {"emb": np.zeros(shape)}
     entries = []
-    for whole in kinds:
+    for _ in range(n_entries):
         if whole:
             g = rng.normal(size=shape)
         else:
@@ -447,7 +454,7 @@ def test_row_sums_bit_identical_to_entrywise_densify(kinds, n, d, cube, seed):
     (rows, g), = ad.row_sums(gmap, params).values()
     ref = entrywise_densify(gmap, params)["emb"]
     assert ad.densify(gmap, params)["emb"].tobytes() == ref.tobytes()
-    if any(kinds):
+    if whole:
         assert rows is None and g.tobytes() == ref.tobytes()
         return
     looked_up = np.unique(np.concatenate([idx.ravel() for idx, _ in entries]))
@@ -457,6 +464,26 @@ def test_row_sums_bit_identical_to_entrywise_densify(kinds, n, d, cube, seed):
     # every other row of the reference is +0.0
     untouched = np.setdiff1d(np.arange(n), rows)
     assert ref[untouched].tobytes() == np.zeros((len(untouched),) + shape[1:]).tobytes()
+
+
+@pytest.mark.parametrize("rows_first", [True, False])
+def test_row_sums_rejects_an_array_used_both_ways(rows_first):
+    """The model looks an array's rows up or uses it whole, never both, so
+    a gradient map that mixes the two kinds for one array is an error."""
+    table = np.ones((3, 2))
+    tape = ad.Tape()
+    leaves = [
+        lambda: ad.param_rows(tape, table, "emb", [0, 2, 2]),
+        lambda: ad.param_full(tape, table, "emb"),
+    ]
+    first, second = leaves if rows_first else leaves[::-1]
+    loss = ad.add(reduce_sum(first()), reduce_sum(second()))
+    gmap = ad.backward(tape, loss)
+    # entries come in reverse tape order
+    assert [idx is None for idx, _ in gmap["emb"]] == [rows_first, not rows_first]
+    for fn in (ad.row_sums, ad.densify):
+        with pytest.raises(ValueError, match="emb"):
+            fn(gmap, {"emb": table})
 
 
 def former_clamp(x, lo, hi):
@@ -488,11 +515,11 @@ def former_box_distance(point, center, offset, alpha):
     """The distance as the tape recorded it before box_distance fused it:
     14 primitive nodes, kept as the reference box_distance's value and
     gradient must equal bit for bit."""
-    b_min = ad.sub(center, offset)
+    b_min = sub(center, offset)
     b_max = ad.add(center, offset)
-    inside = ad.reduce_sum(former_absolute(ad.sub(center, former_clamp(point, b_min, b_max))), axis=-1)
-    outside = ad.reduce_sum(
-        ad.add(former_relu(ad.sub(point, b_max)), former_relu(ad.sub(b_min, point))), axis=-1
+    inside = reduce_sum(former_absolute(sub(center, former_clamp(point, b_min, b_max))), axis=-1)
+    outside = reduce_sum(
+        ad.add(former_relu(sub(point, b_max)), former_relu(sub(b_min, point))), axis=-1
     )
     return ad.add(ad.mul(inside, ad.constant(alpha)), outside)
 
@@ -520,9 +547,9 @@ def distance_loss(distance, params, layout, seed, alpha=0.5):
     offset = ad.param_rows(tape, params["offset"], "offset", rows)
     dist = distance(point, center, offset, alpha)
     weights = rng.uniform(-1.0, 1.0, size=dist.shape)
-    loss = ad.reduce_sum(ad.mul(log_sigmoid(ad.sub(ad.constant(3.0), dist)), ad.constant(weights)))
+    loss = reduce_sum(ad.mul(log_sigmoid(sub(ad.constant(3.0), dist)), ad.constant(weights)))
     for node in (point, center, offset):
-        later = ad.reduce_sum(ad.mul(node, ad.constant(rng.normal(size=node.shape))))
+        later = reduce_sum(ad.mul(node, ad.constant(rng.normal(size=node.shape))))
         loss = ad.add(loss, later)
     return loss, tape
 
@@ -552,7 +579,7 @@ def test_box_distance_equals_former_composite(layout, kinked, seed):
             "center": rng.normal(size=(6, 4)),
             "offset": rng.uniform(0.0, 1.0, size=(6, 4)),
         }
-    fused_loss, fused_tape = distance_loss(ad.box_distance, params, layout, seed)
+    fused_loss, fused_tape = distance_loss(box_distance, params, layout, seed)
     former_loss, former_tape = distance_loss(former_box_distance, params, layout, seed)
     assert fused_loss.value.tobytes() == former_loss.value.tobytes()
     assert len(former_tape.nodes) - len(fused_tape.nodes) == 13
@@ -580,9 +607,9 @@ def test_box_distance_value_is_the_scoring_kernel():
         points, center, center - offset, center + offset, 0.3, np.empty(shape), np.empty(shape)
     )
     tape = ad.Tape()
-    node = ad.box_distance(ad.param_rows(tape, points, "p", np.arange(7)), center, offset, 0.3)
+    node = box_distance(ad.param_rows(tape, points, "p", np.arange(7)), center, offset, 0.3)
     assert node.value.tobytes() == kernel.tobytes()
-    assert ad.box_distance(points, center, offset, 0.3).value.tobytes() == kernel.tobytes()
+    assert box_distance(points, center, offset, 0.3).value.tobytes() == kernel.tobytes()
 
 
 @pytest.mark.parametrize("layout", sorted(DISTANCE_LAYOUTS))
@@ -595,7 +622,7 @@ def test_box_distance_gradient_matches_finite_differences(layout):
     }
 
     def loss_fn():
-        loss, tape = distance_loss(ad.box_distance, params, layout, 3)
+        loss, tape = distance_loss(box_distance, params, layout, 3)
         return loss.value, ad.backward(tape, loss)
 
     report = ad.finite_diff_check(loss_fn, params, eps=1e-5, samples=120, rng=rng)
@@ -610,7 +637,7 @@ def test_box_distance_gradient_at_kinks(layout):
     params = kinked_distance_params(5)
 
     def loss_fn():
-        loss, tape = distance_loss(ad.box_distance, params, layout, 5)
+        loss, tape = distance_loss(box_distance, params, layout, 5)
         return loss.value, ad.backward(tape, loss)
 
     report = ad.finite_diff_check(
@@ -837,3 +864,59 @@ class TestGatedMinItemRows:
             flat = stack.reshape(-1, d)
             assert np.array_equal(flat[: len(rows)], rows)
             assert (flat[len(rows) :] == rows[-1:]).all()
+
+
+ROOT = Path(__file__).resolve().parent.parent
+AUTODIFF = ROOT / "src" / "time2box" / "autodiff.py"
+
+
+def autodiff_names_used(path: Path) -> set[str]:
+    """The autodiff names a module uses: names imported from it, attributes
+    of a name bound to it, and strings passed next to that name (the
+    benchmark looks functions up as need(ad, "backward", ...))."""
+    tree = ast.parse(path.read_text())
+    aliases, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname for a in node.names if a.name.endswith("autodiff") and a.asname}
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").endswith("autodiff"):
+                used |= {a.name for a in node.names}
+            aliases |= {a.asname or a.name for a in node.names if a.name == "autodiff"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases:
+            used.add(node.attr)
+        elif isinstance(node, ast.Call) and any(getattr(a, "id", None) in aliases for a in node.args):
+            used |= {a.value for a in node.args if isinstance(a, ast.Constant)}
+    return used
+
+
+def test_every_public_name_has_a_program_caller():
+    """The autodiff keeps only what the program uses: every public
+    top-level name is used in src/ outside its own definition, or in
+    scripts/, perfbench/ or the acceptance suite. An op only tests use
+    belongs in tests/reference_ops.py."""
+    program = [
+        *(ROOT / "src").rglob("*.py"),
+        *(ROOT / "scripts").rglob("*.py"),
+        *(ROOT / "perfbench").rglob("*.py"),
+        ROOT / "tests" / "test_acceptance.py",
+    ]
+    used = set().union(*(autodiff_names_used(p) for p in program if p != AUTODIFF))
+    body = ast.parse(AUTODIFF.read_text()).body
+    unused = []
+    for top in body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            names = [top.name]
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") or name in used:
+                continue
+            elsewhere = (n for other in body if other is not top for n in ast.walk(other))
+            if not any(getattr(n, "id", None) == name for n in elsewhere):
+                unused.append(name)
+    assert not unused, f"no program code uses these autodiff names: {unused}"

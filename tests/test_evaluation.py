@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_force_link_report, brute_force_rank, kb_from_lines
+from reference_ops import box_distance
 from time2box import evaluation as ev
 from time2box.data import (
     ScopeKind,
@@ -759,7 +760,6 @@ class TestThreadedLinkPrediction:
 class TestTimePrediction:
     def test_score_timeline_length_and_monotonicity(self, ranking_setup):
         kb, params = ranking_setup
-        from time2box import autodiff as ad
         from time2box.model import QueryPlan, box_of_query, box_scores
 
         timeline = score_timeline(0, 0, 1, params, kb)
@@ -769,7 +769,7 @@ class TestTimePrediction:
         obj = params.arrays["entity_emb"][1]
         for t in range(kb.axis.length):
             box = box_of_query(QueryPlan(0, 0, (t,)), params)
-            dists.append(float(ad.box_distance(obj, box.center, box.offset, params.alpha).value))
+            dists.append(float(box_distance(obj, box.center, box.offset, params.alpha).value))
             singles.append(
                 box_scores(obj, box.center_value(), box.offset_value(), params.gamma, params.alpha)
             )

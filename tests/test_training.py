@@ -39,6 +39,7 @@ from time2box.training import (
 
 
 from helpers import kb_from_lines
+from reference_ops import box_distance, log_sigmoid, neg, reduce_sum, sub
 
 
 class TestVariant:
@@ -583,17 +584,6 @@ class TestBatchLoss:
             batch_loss([], ps)
 
 
-def former_neg(a):
-    return ad._op("neg", (ad.wrap(a),), lambda x: -x, lambda g, *_: (-g,))
-
-
-def former_log_sigmoid(a):
-    def vjp(g, _, x):
-        return (g * ad.log_sigmoid_slope(x),)
-
-    return ad._op("log_sigmoid", (ad.wrap(a),), ad.log_sigmoid_value, vjp)
-
-
 def former_reshape(a, shape):
     def vjp(g, _, x):
         return (g.reshape(x.shape),)
@@ -607,8 +597,8 @@ def former_smoothness(params, tape):
         return ad.constant(0.0)
     nxt = params.rows(tape, "time_emb", np.arange(1, n_times))
     prv = params.rows(tape, "time_emb", np.arange(0, n_times - 1))
-    diff = ad.sub(nxt, prv)
-    return ad.mul(ad.reduce_sum(ad.mul(diff, diff)), ad.constant(1.0 / (n_times - 1)))
+    diff = sub(nxt, prv)
+    return ad.mul(reduce_sum(ad.mul(diff, diff)), ad.constant(1.0 / (n_times - 1)))
 
 
 def former_batch_loss(batch, params, beta=0.0):
@@ -631,8 +621,8 @@ def former_batch_loss(batch, params, beta=0.0):
         t_idx = np.array([g.plan.time_projections for g in group], dtype=np.intp)
         box = query_box(params, variant, s_idx, r_idx, t_idx, tape)
         o_emb = params.rows(tape, "entity_emb", np.array([g.statement.o for g in group]))
-        d_pos = ad.box_distance(o_emb, box.center, box.offset, params.alpha)
-        pos_term = former_neg(former_log_sigmoid(ad.sub(ad.constant(gamma), d_pos)))
+        d_pos = box_distance(o_emb, box.center, box.offset, params.alpha)
+        pos_term = neg(log_sigmoid(sub(ad.constant(gamma), d_pos)))
         d = params.d
         neg_sum = None
         k_total = len(group[0].negatives_entities) + n_tneg
@@ -641,22 +631,22 @@ def former_batch_loss(batch, params, beta=0.0):
             offset_b = former_reshape(box.offset, (n, 1, d))
             ne_idx = np.array([g.negatives_entities for g in group])
             ne_emb = params.rows(tape, "entity_emb", ne_idx)
-            d_neg = ad.box_distance(ne_emb, center_b, offset_b, params.alpha)
-            neg_sum = ad.reduce_sum(former_log_sigmoid(ad.sub(d_neg, ad.constant(gamma))), axis=-1)
+            d_neg = box_distance(ne_emb, center_b, offset_b, params.alpha)
+            neg_sum = reduce_sum(log_sigmoid(sub(d_neg, ad.constant(gamma))), axis=-1)
         if n_tneg:
             tneg_idx = np.array([g.negatives_times for g in group])
             tbox = query_box(
                 params, variant, s_idx[:, None], r_idx[:, None], tneg_idx[..., None], tape
             )
             o_b = former_reshape(o_emb, (n, 1, d))
-            d_tneg = ad.box_distance(o_b, tbox.center, tbox.offset, params.alpha)
-            t_sum = ad.reduce_sum(former_log_sigmoid(ad.sub(d_tneg, ad.constant(gamma))), axis=-1)
+            d_tneg = box_distance(o_b, tbox.center, tbox.offset, params.alpha)
+            t_sum = reduce_sum(log_sigmoid(sub(d_tneg, ad.constant(gamma))), axis=-1)
             neg_sum = t_sum if neg_sum is None else ad.add(neg_sum, t_sum)
         sample_loss = pos_term
         if neg_sum is not None:
-            sample_loss = ad.sub(sample_loss, ad.mul(neg_sum, ad.constant(1.0 / k_total)))
+            sample_loss = sub(sample_loss, ad.mul(neg_sum, ad.constant(1.0 / k_total)))
         weights = np.array([g.weight for g in group])
-        total = ad.add(total, ad.reduce_sum(ad.mul(sample_loss, ad.constant(weights))))
+        total = ad.add(total, reduce_sum(ad.mul(sample_loss, ad.constant(weights))))
     loss = ad.mul(total, ad.constant(1.0 / len(batch)))
     if beta > 0.0 and any(s.statement.scope.is_temporal for s in batch):
         loss = ad.add(loss, ad.mul(former_smoothness(params, tape), ad.constant(beta)))
